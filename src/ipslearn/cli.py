@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .batch import batch_seeds, draw_initial_thetas
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, parse_config
 from .diagnostics import clt_rescaled_moments, coupling_distance
 from .models import MODEL_ZOO, make_model
 from .rng import InvalidConfiguration
@@ -68,13 +68,15 @@ def build_parser():
 
 
 def _load(args):
+    """Load the config; --seed and --replicates overrides are validated like the file."""
     config = load_config(args.config)
-    if args.seed is not None:
-        config.raw["base_seed"] = args.seed
-        config.base_seed = args.seed
-    if args.replicates is not None:
-        config.raw["replicates"] = args.replicates
-        config.replicates = args.replicates
+    overrides = {
+        key: value
+        for key, value in (("base_seed", args.seed), ("replicates", args.replicates))
+        if value is not None
+    }
+    if overrides:
+        config = parse_config({**config.raw, **overrides})
     return config
 
 

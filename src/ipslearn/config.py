@@ -43,6 +43,15 @@ def _check_keys(d, allowed, ctx):
         raise ConfigError(f"{ctx}.{sorted(unknown)[0]}", "unknown field")
 
 
+def _float(v, ctx):
+    if isinstance(v, bool):
+        raise ConfigError(ctx, "expected a number, got a bool")
+    try:
+        return float(v)
+    except (TypeError, ValueError):
+        raise ConfigError(ctx, "expected a number")
+
+
 def _floats(v, ctx):
     try:
         return [float(x) for x in v]
@@ -359,6 +368,13 @@ def _parse_estimator(d, index, model, n_particles) -> EstimatorConfig:
         if len(lower) != n_par or len(upper) != n_par:
             raise ConfigError(f"{ctx}.bounds_lower", f"expected length {n_par}")
 
+    rms_rho = _float(d.get("rms_rho", 0.99), f"{ctx}.rms_rho")
+    if not 0.0 <= rms_rho < 1.0:
+        raise ConfigError(f"{ctx}.rms_rho", "must lie in [0, 1)")
+    rms_eps = _float(d.get("rms_eps", 1e-8), f"{ctx}.rms_eps")
+    if not rms_eps > 0.0:
+        raise ConfigError(f"{ctx}.rms_eps", "must be positive")
+
     weighting = d.get("weighting")
     if weighting is not None:
         if weighting not in ("identity", "inverse-diffusion"):
@@ -384,8 +400,8 @@ def _parse_estimator(d, index, model, n_particles) -> EstimatorConfig:
         scale=scale,
         free_params=free,
         rmsprop=bool(d.get("rmsprop", False)),
-        rms_rho=float(d.get("rms_rho", 0.99)),
-        rms_eps=float(d.get("rms_eps", 1e-8)),
+        rms_rho=rms_rho,
+        rms_eps=rms_eps,
         bounds_lower=lower,
         bounds_upper=upper,
         weighting=weighting,

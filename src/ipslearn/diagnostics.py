@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .batch import EstimatorSetup, batch_seeds, run_batch
 from .estimators import validate_schedule
@@ -283,6 +282,8 @@ class MomentSummary:
 
 def standardized_moments(samples: np.ndarray) -> MomentSummary:
     """Variance, skewness, excess kurtosis per column of a (R, p) array."""
+    from scipy import stats  # imported here: it costs about a second at CLI start-up
+
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.shape[0] < 2:
         raise InvalidConfiguration("need at least 2 samples")

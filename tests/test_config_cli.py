@@ -143,6 +143,26 @@ def test_weighting_override_rejects_degenerate_inverse():
     assert "degenerate" in str(e.value)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("rms_rho", 5), ("rms_rho", 1.0), ("rms_rho", -0.1), ("rms_rho", True),
+     ("rms_eps", 0.0), ("rms_eps", -1e-8), ("rms_eps", "small")],
+)
+def test_rmsprop_settings_out_of_range_rejected(key, value):
+    cfg = tiny_config()
+    cfg["estimators"][1].update(rmsprop=True, **{key: value})
+    with pytest.raises(ConfigError) as e:
+        parse_config(cfg)
+    assert e.value.field == f"estimators[1].{key}"
+
+
+def test_rmsprop_settings_at_the_edges_accepted():
+    cfg = tiny_config()
+    cfg["estimators"][1].update(rmsprop=True, rms_rho=0.0, rms_eps=1e-300)
+    parsed = parse_config(cfg)
+    assert parsed.estimators[1].rms_rho == 0.0 and parsed.estimators[1].rms_eps == 1e-300
+
+
 def test_missing_file_and_bad_json(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "nope.json")
@@ -238,6 +258,56 @@ def test_cli_estimate_and_overrides(tmp_path, capsys):
     assert not (out / "estimates_r001.csv").exists()
     meta = json.loads((out / "estimates_r000.csv.meta.json").read_text())
     assert meta["base_seed"] == 99
+
+
+def test_cli_rms_rho_out_of_range_exits_2(tmp_path, capsys):
+    cfg = tiny_config()
+    cfg["estimators"][0].update(rmsprop=True, rms_rho=5)
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    assert cli_main(["estimate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "validation"
+    assert "estimators[0].rms_rho" in payload["message"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, field", [("--replicates", "0", "replicates"), ("--seed", "-1", "base_seed")]
+)
+def test_cli_overrides_are_validated(tmp_path, capsys, flag, value, field):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(tiny_config()))
+    for command in ("estimate", "validate"):
+        assert cli_main([command, "--config", str(p), "--out", str(tmp_path / "o"),
+                         flag, value]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "validation"
+        assert payload["message"].startswith(f"{field}:")
+
+
+def test_cli_override_hash_matches_an_edited_config(tmp_path):
+    # an override must leave the same artifacts as writing the value into the file
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(tiny_config()))
+    edited = tmp_path / "e.json"
+    edited.write_text(json.dumps(tiny_config(base_seed=99, replicates=1)))
+    assert cli_main(["estimate", "--config", str(p), "--out", str(tmp_path / "a"),
+                     "--replicates", "1", "--seed", "99"]) == 0
+    assert cli_main(["estimate", "--config", str(edited), "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a" / "manifest.json").read_bytes() == \
+        (tmp_path / "b" / "manifest.json").read_bytes()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second; only the CLT diagnostic needs it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ipslearn.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_simulate_writes_trajectories_only(tmp_path):
