@@ -26,7 +26,7 @@ from .estimators import (
     UpdateOptions,
     build_cyclic_triplets,
 )
-from .models import Box, InteractionModel, TruthSchedule
+from .models import Box, InteractionModel, TruthSchedule, weight_matrix
 from .rng import (
     PARAM_INIT_STREAM,
     BlockedNoise,
@@ -62,11 +62,13 @@ class EstimatorSetup:
             self.label = self.kind
 
     def options(self, model) -> UpdateOptions:
+        """Update options with the weight matrix resolved once, for every step."""
         mask = None
         if self.free_mask is not None:
             mask = np.asarray(self.free_mask, dtype=float)
+        weight = self.weight if self.weight is not None else weight_matrix(model)
         return UpdateOptions(
-            bounds=self.bounds, free_mask=mask, rmsprop=self.rmsprop, weight=self.weight
+            bounds=self.bounds, free_mask=mask, rmsprop=self.rmsprop, weight=weight
         )
 
 
@@ -101,29 +103,32 @@ class BatchResult:
 
 
 class _RunningEstimator:
+    """One estimator of a batch; its state arrays are updated in place."""
+
     def __init__(self, setup: EstimatorSetup, model, n_replicates, n_particles):
         self.setup = setup
         theta0 = np.asarray(setup.theta_init, dtype=float)
         if theta0.ndim == 1:
-            theta0 = np.broadcast_to(theta0, (n_replicates, theta0.shape[0])).copy()
-        self.state = EstimatorState(theta=theta0)
+            theta0 = np.broadcast_to(theta0, (n_replicates, theta0.shape[0]))
+        self.state = EstimatorState(theta=theta0.copy())
         self.options = setup.options(model)
         self.triplets: TripletSet | None = None
         if setup.kind == "triplet_m":
             self.triplets = build_cyclic_triplets(setup.pi, n_particles)
         self.needs_qv = setup.kind == "diffusion"
 
-    def update(self, model, positions, dx, dqv, dt, t, active):
-        s = self.setup
-        old = self.state
+    def update(self, model, positions, dx, dqv, dt, t, stat, keep):
+        """Advance the state by one step; replicates marked in `keep` stay put."""
+        s, state, opts = self.setup, self.state, self.options
         if s.kind == "averaged":
-            new = est.update_averaged(
-                old, model, s.particle, positions, dx, dt, s.schedule, t, self.options
+            est.update_averaged(
+                state, model, s.particle, positions, dx, dt, s.schedule, t, opts,
+                stat=stat, keep=keep, in_place=True,
             )
         elif s.kind == "triplet":
             i, j, k = s.triplet
-            new = est.update_three_particle(
-                old,
+            est.update_three_particle(
+                state,
                 model,
                 positions[..., i, :],
                 positions[..., j, :],
@@ -132,29 +137,25 @@ class _RunningEstimator:
                 dt,
                 s.schedule,
                 t,
-                self.options,
+                opts,
+                keep=keep,
+                in_place=True,
             )
         elif s.kind == "averaged_m":
-            new = est.update_m_averaged_full(
-                old, model, s.pi, positions, dx, dt, s.schedule, t, self.options
+            est.update_m_averaged_full(
+                state, model, s.pi, positions, dx, dt, s.schedule, t, opts,
+                stat=stat, keep=keep, in_place=True,
             )
         elif s.kind == "triplet_m":
-            new = est.update_m_averaged_triplets(
-                old, model, self.triplets, positions, dx, dt, s.schedule, t, self.options
+            est.update_m_averaged_triplets(
+                state, model, self.triplets, positions, dx, dt, s.schedule, t, opts,
+                keep=keep, in_place=True,
             )
         else:  # diffusion
-            new = est.update_diffusion(
-                old, model, s.particle, positions, dqv, dt, s.schedule, t, self.options
+            est.update_diffusion(
+                state, model, s.particle, positions, dqv, dt, s.schedule, t, opts,
+                keep=keep, in_place=True,
             )
-        if not np.all(active):
-            keep = ~active
-            new = EstimatorState(
-                theta=np.where(keep[..., None], old.theta, new.theta),
-                step_index=new.step_index,
-                precond_acc=np.where(keep[..., None], old.precond_acc, new.precond_acc),
-                frozen=np.where(keep, old.frozen, new.frozen),
-            )
-        self.state = new
 
 
 def draw_initial_thetas(seeds, low, high):
@@ -203,6 +204,7 @@ def run_batch(
     needs_qv = any(r.needs_qv for r in runners)
 
     active = np.ones(R, dtype=bool)
+    keep = None  # ~active once a replicate is excluded: it no longer moves
     blowup_step = np.full(R, -1, dtype=np.int64)
 
     tail_start = n_steps - max(1, int(round(tail_fraction * n_steps)))
@@ -225,28 +227,28 @@ def run_batch(
         else:
             theta_true = truth.at(t)
 
+        stat = model.mean_field(positions)  # shared by the drift and every estimator
         dw = noise.next_step().reshape(R, N, d)
-        new_pos, dx = step_positions(model, theta_true, positions, dw, dt, eta_true)
+        new_pos, dx = step_positions(model, theta_true, positions, dw, dt, eta_true, stat)
 
-        flat = new_pos.reshape(R, -1)
-        ok = np.isfinite(flat).all(axis=1)
-        np.logical_and(ok, np.abs(np.where(np.isfinite(flat), flat, 0.0)).max(axis=1) <= BLOWUP_THRESHOLD, out=ok)
+        # one pass: the max is NaN or inf, and fails the test, if any entry is
+        ok = np.abs(new_pos.reshape(R, -1)).max(axis=1) <= BLOWUP_THRESHOLD
         newly_dead = active & ~ok
-        if np.any(newly_dead):
+        if newly_dead.any():
             blowup_step[newly_dead] = step
             active &= ok
-            if not np.any(active):
+            if not active.any():
                 # everything blew up: freeze state and stop early
                 positions = np.where(newly_dead[:, None, None], positions, new_pos)
                 break
-        if not np.all(active):
             keep = ~active
-            new_pos = np.where(keep[:, None, None], positions, new_pos)
-            dx = np.where(keep[:, None, None], 0.0, dx)
+        if keep is not None:
+            np.copyto(new_pos, positions, where=keep[:, None, None])
+            dx[keep] = 0.0
 
         dqv = realized_qv(dx) if needs_qv else None
         for r in runners:
-            r.update(model, positions, dx, dqv, dt, t, active)
+            r.update(model, positions, dx, dqv, dt, t, stat, keep)
 
         if step >= tail_start:
             for k, r in enumerate(runners):

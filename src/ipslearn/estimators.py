@@ -57,6 +57,11 @@ class LearningRateSchedule:
             if np.any(s <= 0):
                 raise InvalidConfiguration("per-parameter scale must be positive")
             object.__setattr__(self, "scale", s)
+        fixed = None
+        if self.kind == "constant":
+            fixed = np.atleast_1d(self.value(0.0))
+            fixed.flags.writeable = False
+        object.__setattr__(self, "_fixed", fixed)
 
     def scalar(self, t) -> float:
         if self.kind == "constant":
@@ -66,6 +71,12 @@ class LearningRateSchedule:
     def value(self, t) -> np.ndarray:
         g = self.scalar(t)
         return g * self.scale if self.scale is not None else np.asarray(g)
+
+    def vector(self, t) -> np.ndarray:
+        """value(t) as a 1-d array; computed once (read-only) when constant."""
+        if self._fixed is not None:
+            return self._fixed
+        return np.atleast_1d(self.value(t))
 
 
 def lr_value(schedule: LearningRateSchedule, t: float) -> np.ndarray:
@@ -165,13 +176,15 @@ def _cyclic(idx):
 # Estimator state and update options
 
 
-@dataclass(frozen=True)
+@dataclass
 class EstimatorState:
     """Current estimate plus preconditioner accumulator and freeze flag.
 
     Fields carry arbitrary leading batch axes; `frozen` is boolean with the
     batch shape (a 0-d array for a single trajectory).  Once frozen flips to
     True it never reverts and all later updates pass through unchanged.
+    The update kernel writes into these arrays in place; the functional
+    update rules hand it a copy.
     """
 
     theta: np.ndarray
@@ -180,12 +193,17 @@ class EstimatorState:
     frozen: np.ndarray | None = None
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
-        object.__setattr__(self, "theta", theta)
+        self.theta = np.asarray(self.theta, dtype=float)
         if self.precond_acc is None:
-            object.__setattr__(self, "precond_acc", np.zeros_like(theta))
+            self.precond_acc = np.zeros_like(self.theta)
         if self.frozen is None:
-            object.__setattr__(self, "frozen", np.zeros(theta.shape[:-1], dtype=bool))
+            self.frozen = np.zeros(self.theta.shape[:-1], dtype=bool)
+        self.frozen = np.asarray(self.frozen, dtype=bool)
+
+    def copy(self) -> "EstimatorState":
+        return EstimatorState(
+            self.theta.copy(), self.step_index, self.precond_acc.copy(), self.frozen.copy()
+        )
 
 
 @dataclass(frozen=True)
@@ -230,35 +248,40 @@ def project_constraint(state: EstimatorState, bounds: Box | None) -> EstimatorSt
     return replace(state, frozen=frozen)
 
 
-def _apply_raw_update(state, model, raw, lr_vec, options, step_hint=None):
-    """Common tail of every update rule: mask, precondition, freeze, clamp."""
+def _apply_raw_update(state, raw, lr_vec, options, keep=None):
+    """Common tail of every update rule: mask, precondition, freeze, clamp.
+
+    Works in place on `state`'s arrays and returns `state`.  `keep` (bool,
+    batch-shaped) marks replicates that must not change at all this step.
+    """
     if options.free_mask is not None:
         raw = raw * options.free_mask
-    if not np.all(np.isfinite(raw)):
-        bad = ~np.all(np.isfinite(raw), axis=-1)
-        if bad.ndim == 0:
-            raise EstimatorDivergence(step_hint if step_hint is not None else state.step_index)
+    hold = state.frozen if keep is None else state.frozen | keep
+    freeze = None  # replicates newly frozen by this step
+    finite = np.isfinite(raw).all(axis=-1)
+    if not finite.all():
+        freeze = ~finite
+        if freeze.ndim == 0:
+            raise EstimatorDivergence(state.step_index)
         # batched runs freeze the diverged replicate and keep going
-        raw = np.where(bad[..., None], 0.0, raw)
-        state = replace(state, frozen=state.frozen | bad)
-    acc = state.precond_acc
+        raw = np.where(freeze[..., None], 0.0, raw)
+        hold = hold | freeze
     step = raw
     if options.rmsprop is not None:
         step, acc = rmsprop_precondition(raw, state, lr_vec, options.rmsprop)
     proposal = state.theta + step
     if options.bounds is not None:
         outside = ~options.bounds.contains(proposal)
-    else:
-        outside = np.zeros(state.frozen.shape, dtype=bool)
-    keep_old = state.frozen | outside
-    theta = np.where(keep_old[..., None], state.theta, proposal)
-    acc = np.where(keep_old[..., None], state.precond_acc, acc)
-    return EstimatorState(
-        theta=theta,
-        step_index=state.step_index + 1,
-        precond_acc=acc,
-        frozen=state.frozen | outside,
-    )
+        hold = hold | outside
+        freeze = outside if freeze is None else freeze | outside
+    move = ~hold[..., None]
+    np.copyto(state.theta, proposal, where=move)
+    if options.rmsprop is not None:
+        np.copyto(state.precond_acc, acc, where=move)
+    if freeze is not None:
+        np.logical_or(state.frozen, freeze if keep is None else freeze & ~keep, out=state.frozen)
+    state.step_index += 1
+    return state
 
 
 def _weighted(G, W, resid):
@@ -270,10 +293,14 @@ def _weighted(G, W, resid):
 # Gradient estimates (drift of the parameter update, before -gamma scaling)
 
 
-def averaged_gradient(model, theta, x_i, positions, dx_i, dt, W):
-    """G(theta, x_i, mu_N) W [B(theta, x_i, mu_N) dt - dx_i]."""
-    B = model.drift_mean(theta, x_i, positions)
-    G = model.grad_mean(theta, x_i, positions)
+def averaged_gradient(model, theta, x_i, positions, dx_i, dt, W, stat=None):
+    """G(theta, x_i, mu_N) W [B(theta, x_i, mu_N) dt - dx_i].
+
+    `stat` is the ensemble's `model.mean_field(positions)` when the caller
+    already has it.
+    """
+    B = model.drift_mean(theta, x_i, positions, stat)
+    G = model.grad_mean(theta, x_i, positions, stat)
     return _weighted(G, W, B * dt - dx_i)
 
 
@@ -284,15 +311,20 @@ def triplet_gradient(model, theta, x_i, x_j, x_k, dx_i, dt, W):
     return _weighted(g, W, b * dt - dx_i)
 
 
-def m_full_gradient(model, theta, pi, positions, dX, dt, W):
+def m_full_gradient(model, theta, pi, positions, dX, dt, W, stat=None):
     """Mean of the averaged gradient over the primary indices Pi.
 
     Pi is sorted internally so the accumulation order (hence the float
-    result) is independent of the order Pi was supplied in.
+    result) is independent of the order Pi was supplied in.  The ensemble
+    statistic is computed once for all of Pi.
     """
+    if stat is None:
+        stat = model.mean_field(positions)
     total = None
     for i in sorted(pi):
-        g = averaged_gradient(model, theta, positions[..., i, :], positions, dX[..., i, :], dt, W)
+        g = averaged_gradient(
+            model, theta, positions[..., i, :], positions, dX[..., i, :], dt, W, stat
+        )
         total = g if total is None else total + g
     return total / len(pi)
 
@@ -331,15 +363,22 @@ def diffusion_gradient(model, eta, x_i, dqv_i, dt):
 #
 # Each takes the ensemble state at the step start, the increments realised
 # over the step of length dt, and the step-start time t (where the schedule
-# is evaluated), and returns the new estimator state.
+# is evaluated), and returns the new estimator state: a copy, or `state`
+# itself updated in place with in_place=True.  `keep` marks replicates to
+# leave untouched; `stat` is the ensemble's model.mean_field(positions).
+
+
+def _finish(state, D, lr, options, keep, in_place):
+    return _apply_raw_update(state if in_place else state.copy(), -lr * D, lr, options, keep)
 
 
 def update_averaged(
-    state, model, particle, positions, dx, dt, schedule, t, options=UpdateOptions()
+    state, model, particle, positions, dx, dt, schedule, t, options=UpdateOptions(),
+    *, stat=None, keep=None, in_place=False,
 ):
     """Full-observation update from one particle's residual against the
     empirical-measure drift."""
-    lr = np.atleast_1d(schedule.value(t))
+    lr = schedule.vector(t)
     D = averaged_gradient(
         model,
         state.theta,
@@ -348,44 +387,51 @@ def update_averaged(
         dx[..., particle, :],
         dt,
         options.weight_for(model),
+        stat,
     )
-    return _apply_raw_update(state, model, -lr * D, lr, options)
+    return _finish(state, D, lr, options, keep, in_place)
 
 
 def update_three_particle(
-    state, model, x_i, x_j, x_k, dx_i, dt, schedule, t, options=UpdateOptions()
+    state, model, x_i, x_j, x_k, dx_i, dt, schedule, t, options=UpdateOptions(),
+    *, keep=None, in_place=False,
 ):
     """Three-particle update; deliberately takes the three observed states
     and the increment of the first, never the full ensemble."""
-    lr = np.atleast_1d(schedule.value(t))
+    lr = schedule.vector(t)
     D = triplet_gradient(
         model, state.theta, x_i, x_j, x_k, dx_i, dt, options.weight_for(model)
     )
-    return _apply_raw_update(state, model, -lr * D, lr, options)
+    return _finish(state, D, lr, options, keep, in_place)
 
 
 def update_m_averaged_full(
-    state, model, pi, positions, dX, dt, schedule, t, options=UpdateOptions()
+    state, model, pi, positions, dX, dt, schedule, t, options=UpdateOptions(),
+    *, stat=None, keep=None, in_place=False,
 ):
     """Single update from the averaged drift over the primary indices Pi."""
-    lr = np.atleast_1d(schedule.value(t))
-    D = m_full_gradient(model, state.theta, pi, positions, dX, dt, options.weight_for(model))
-    return _apply_raw_update(state, model, -lr * D, lr, options)
+    lr = schedule.vector(t)
+    D = m_full_gradient(
+        model, state.theta, pi, positions, dX, dt, options.weight_for(model), stat
+    )
+    return _finish(state, D, lr, options, keep, in_place)
 
 
 def update_m_averaged_triplets(
-    state, model, triplets, positions, dX, dt, schedule, t, options=UpdateOptions()
+    state, model, triplets, positions, dX, dt, schedule, t, options=UpdateOptions(),
+    *, keep=None, in_place=False,
 ):
     """Single update from the mean three-particle drift over C(Pi)."""
-    lr = np.atleast_1d(schedule.value(t))
+    lr = schedule.vector(t)
     D = m_triplet_gradient(
         model, state.theta, triplets, positions, dX, dt, options.weight_for(model)
     )
-    return _apply_raw_update(state, model, -lr * D, lr, options)
+    return _finish(state, D, lr, options, keep, in_place)
 
 
 def update_diffusion(
-    state, model, particle, positions, dqv, dt, schedule, t, options=UpdateOptions()
+    state, model, particle, positions, dqv, dt, schedule, t, options=UpdateOptions(),
+    *, keep=None, in_place=False,
 ):
     """Diffusion-parameter update matching realized quadratic variation.
 
@@ -394,8 +440,8 @@ def update_diffusion(
     """
     if not model.diffusion.parametric:
         raise InvalidConfiguration(f"{model.model_id} has no diffusion parameters")
-    lr = np.atleast_1d(schedule.value(t))
+    lr = schedule.vector(t)
     x_i = positions[..., particle, :]
     dqv_i = dqv[..., particle, :, 0]  # scalar-noise models: dQV is (..., N, 1, 1)
     D = diffusion_gradient(model, state.theta, x_i, dqv_i, dt)
-    return _apply_raw_update(state, model, -lr * D, lr, options)
+    return _finish(state, D, lr, options, keep, in_place)

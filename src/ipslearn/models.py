@@ -11,6 +11,10 @@ with the self term j = i included.
 
 All evaluators broadcast over leading batch axes: theta has shape (..., p),
 states have shape (..., d), and ensembles have shape (..., N, d).
+
+The closed-form mean-field evaluators read one ensemble statistic,
+`mean_field(positions)`; a caller that evaluates several of them on the same
+ensemble computes it once and passes it as `stat`.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ class Box:
     def contains(self, values: np.ndarray) -> np.ndarray:
         """Elementwise-all membership over the last axis."""
         v = np.asarray(values)
-        return np.all((v >= self.lower) & (v <= self.upper), axis=-1)
+        return ((v >= self.lower) & (v <= self.upper)).all(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -180,6 +184,16 @@ def _col(theta, k):
     return np.asarray(theta)[..., k, None]
 
 
+def _rows(x, y, *rows):
+    """Stack the (..., d) rows along a new axis -2 at the broadcast shape of
+    x and y (np.stack of the broadcast rows, without the intermediates)."""
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    out = np.empty(shape[:-1] + (len(rows), shape[-1]))
+    for k, row in enumerate(rows):
+        out[..., k, :] = row
+    return out
+
+
 class InteractionModel:
     """Base class: generic mean-field evaluators built from the pair drift.
 
@@ -209,19 +223,30 @@ class InteractionModel:
 
     # -- empirical-measure forms -------------------------------------------
 
-    def drift_mean(self, theta, x, positions):
+    def mean_field(self, positions):
+        """The ensemble statistic the closed forms below share, or None.
+
+        The generic evaluators work from the positions directly, so the base
+        model has none; `stat` arguments are then ignored.
+        """
+        return None
+
+    def _stat(self, positions, stat):
+        return self.mean_field(positions) if stat is None else stat
+
+    def drift_mean(self, theta, x, positions, stat=None):
         """B(theta, x, mu_N): pair drift averaged over the ensemble."""
         t = np.asarray(theta)[..., None, :]
         xe = np.asarray(x)[..., None, :]
         return self.drift_pair(t, xe, positions).mean(axis=-2)
 
-    def grad_mean(self, theta, x, positions):
+    def grad_mean(self, theta, x, positions, stat=None):
         """G(theta, x, mu_N) = d_theta B, shape (..., p, d)."""
         t = np.asarray(theta)[..., None, :]
         xe = np.asarray(x)[..., None, :]
         return self.grad_pair(t, xe, positions).mean(axis=-3)
 
-    def drift_ensemble(self, theta, positions):
+    def drift_ensemble(self, theta, positions, stat=None):
         """Mean-field drift of every particle, shape (..., N, d).
 
         theta is a plain (p,) vector here: the simulator always advances the
@@ -289,20 +314,21 @@ class LinearModel(InteractionModel):
         return -_col(theta, 0) * x - _col(theta, 1) * (x - y)
 
     def grad_pair(self, theta, x, y):
-        x, y = np.broadcast_arrays(x, y)
-        return np.stack([-x, -(x - y)], axis=-2)
+        return _rows(x, y, -x, -(x - y))
 
-    def drift_mean(self, theta, x, positions):
-        xbar = positions.mean(axis=-2)
+    def mean_field(self, positions):
+        return positions.mean(axis=-2)
+
+    def drift_mean(self, theta, x, positions, stat=None):
+        xbar = self._stat(positions, stat)
         return -_col(theta, 0) * x - _col(theta, 1) * (x - xbar)
 
-    def grad_mean(self, theta, x, positions):
-        xbar = positions.mean(axis=-2)
-        x, xbar = np.broadcast_arrays(x, xbar)
-        return np.stack([-x, -(x - xbar)], axis=-2)
+    def grad_mean(self, theta, x, positions, stat=None):
+        xbar = self._stat(positions, stat)
+        return _rows(x, xbar, -x, -(x - xbar))
 
-    def drift_ensemble(self, theta, positions):
-        xbar = positions.mean(axis=-2, keepdims=True)
+    def drift_ensemble(self, theta, positions, stat=None):
+        xbar = self._stat(positions, stat)[..., None, :]
         return -theta[0] * positions - theta[1] * (positions - xbar)
 
 
@@ -327,20 +353,21 @@ class DoubleWellModel(InteractionModel):
         return -(_col(theta, 0) * x**3 - _col(theta, 1) * x) - _col(theta, 2) * (x - y)
 
     def grad_pair(self, theta, x, y):
-        x, y = np.broadcast_arrays(x, y)
-        return np.stack([-(x**3), x, -(x - y)], axis=-2)
+        return _rows(x, y, -(x**3), x, -(x - y))
 
-    def drift_mean(self, theta, x, positions):
-        xbar = positions.mean(axis=-2)
+    def mean_field(self, positions):
+        return positions.mean(axis=-2)
+
+    def drift_mean(self, theta, x, positions, stat=None):
+        xbar = self._stat(positions, stat)
         return -(_col(theta, 0) * x**3 - _col(theta, 1) * x) - _col(theta, 2) * (x - xbar)
 
-    def grad_mean(self, theta, x, positions):
-        xbar = positions.mean(axis=-2)
-        x, xbar = np.broadcast_arrays(x, xbar)
-        return np.stack([-(x**3), x, -(x - xbar)], axis=-2)
+    def grad_mean(self, theta, x, positions, stat=None):
+        xbar = self._stat(positions, stat)
+        return _rows(x, xbar, -(x**3), x, -(x - xbar))
 
-    def drift_ensemble(self, theta, positions):
-        xbar = positions.mean(axis=-2, keepdims=True)
+    def drift_ensemble(self, theta, positions, stat=None):
+        xbar = self._stat(positions, stat)[..., None, :]
         return -(theta[0] * positions**3 - theta[1] * positions) - theta[2] * (
             positions - xbar
         )
@@ -390,8 +417,12 @@ class FitzHughNagumoModel(InteractionModel):
         ]
         return np.stack(rows, axis=-2)
 
-    def drift_mean(self, theta, x, positions):
-        vbar = positions[..., 0].mean(axis=-1)
+    def mean_field(self, positions):
+        """Mean voltage (...,): only the v coordinate interacts."""
+        return positions[..., 0].mean(axis=-1)
+
+    def drift_mean(self, theta, x, positions, stat=None):
+        vbar = self._stat(positions, stat)
         v, w = x[..., 0], x[..., 1]
         b1 = (
             np.asarray(theta)[..., 0] * (v - v**3 / 3.0 - w)
@@ -400,14 +431,14 @@ class FitzHughNagumoModel(InteractionModel):
         b2 = v + np.asarray(theta)[..., 2] - np.asarray(theta)[..., 3] * w
         return np.stack([b1, b2], axis=-1)
 
-    def grad_mean(self, theta, x, positions):
-        vbar = positions[..., 0].mean(axis=-1, keepdims=True)
+    def grad_mean(self, theta, x, positions, stat=None):
+        vbar = self._stat(positions, stat)[..., None]
         ybar = np.concatenate([vbar, vbar], axis=-1)  # only component 0 is read
         return self.grad_pair(theta, x, ybar)
 
-    def drift_ensemble(self, theta, positions):
+    def drift_ensemble(self, theta, positions, stat=None):
         v, w = positions[..., 0], positions[..., 1]
-        vbar = v.mean(axis=-1, keepdims=True)
+        vbar = self._stat(positions, stat)[..., None]
         b1 = theta[0] * (v - v**3 / 3.0 - w) - theta[1] * (v - vbar)
         b2 = v + theta[2] - theta[3] * w
         return np.stack([b1, b2], axis=-1)
@@ -441,21 +472,24 @@ class KuramotoModel(InteractionModel):
         s = np.sin(x - y)
         return -s[..., None, :]
 
+    def mean_field(self, positions):
+        """(mean cos x_j, mean sin x_j), each (..., d)."""
+        return np.cos(positions).mean(axis=-2), np.sin(positions).mean(axis=-2)
+
     # mean_j sin(x - x_j) = sin(x) mean(cos x_j) - cos(x) mean(sin x_j)
-    def _mean_sin(self, x, positions):
-        cbar = np.cos(positions).mean(axis=-2)
-        sbar = np.sin(positions).mean(axis=-2)
+    def _mean_sin(self, x, positions, stat):
+        cbar, sbar = self._stat(positions, stat)
         return np.sin(x) * cbar - np.cos(x) * sbar
 
-    def drift_mean(self, theta, x, positions):
-        return -_col(theta, 0) * self._mean_sin(x, positions)
+    def drift_mean(self, theta, x, positions, stat=None):
+        return -_col(theta, 0) * self._mean_sin(x, positions, stat)
 
-    def grad_mean(self, theta, x, positions):
-        return -self._mean_sin(x, positions)[..., None, :]
+    def grad_mean(self, theta, x, positions, stat=None):
+        return -self._mean_sin(x, positions, stat)[..., None, :]
 
-    def drift_ensemble(self, theta, positions):
-        cbar = np.cos(positions).mean(axis=-2, keepdims=True)
-        sbar = np.sin(positions).mean(axis=-2, keepdims=True)
+    def drift_ensemble(self, theta, positions, stat=None):
+        cbar, sbar = self._stat(positions, stat)
+        cbar, sbar = cbar[..., None, :], sbar[..., None, :]
         return -theta[0] * (np.sin(positions) * cbar - np.cos(positions) * sbar)
 
 
@@ -511,7 +545,7 @@ class CuckerSmaleModel(InteractionModel):
         ]
         return np.stack(rows, axis=-2)
 
-    def drift_ensemble(self, theta, positions):
+    def drift_ensemble(self, theta, positions, stat=None):
         q, v = positions[..., 0], positions[..., 1]
         u = (q[..., :, None] - q[..., None, :]) ** 2
         psi = self._psi(theta[2], u)
@@ -544,22 +578,23 @@ class Vol32Model(InteractionModel):
         return -x * (_col(theta, 0) * np.abs(x) - _col(theta, 1)) - _col(theta, 2) * (x - y)
 
     def grad_pair(self, theta, x, y):
-        x, y = np.broadcast_arrays(x, y)
-        return np.stack([-x * np.abs(x), x, -(x - y)], axis=-2)
+        return _rows(x, y, -x * np.abs(x), x, -(x - y))
 
-    def drift_mean(self, theta, x, positions):
-        xbar = positions.mean(axis=-2)
+    def mean_field(self, positions):
+        return positions.mean(axis=-2)
+
+    def drift_mean(self, theta, x, positions, stat=None):
+        xbar = self._stat(positions, stat)
         return -x * (_col(theta, 0) * np.abs(x) - _col(theta, 1)) - _col(theta, 2) * (
             x - xbar
         )
 
-    def grad_mean(self, theta, x, positions):
-        xbar = positions.mean(axis=-2)
-        x, xbar = np.broadcast_arrays(x, xbar)
-        return np.stack([-x * np.abs(x), x, -(x - xbar)], axis=-2)
+    def grad_mean(self, theta, x, positions, stat=None):
+        xbar = self._stat(positions, stat)
+        return _rows(x, xbar, -x * np.abs(x), x, -(x - xbar))
 
-    def drift_ensemble(self, theta, positions):
-        xbar = positions.mean(axis=-2, keepdims=True)
+    def drift_ensemble(self, theta, positions, stat=None):
+        xbar = self._stat(positions, stat)[..., None, :]
         return -positions * (theta[0] * np.abs(positions) - theta[1]) - theta[2] * (
             positions - xbar
         )

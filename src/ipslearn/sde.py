@@ -71,13 +71,14 @@ def realized_qv(dx: np.ndarray) -> np.ndarray:
     return dx[..., :, None] * dx[..., None, :]
 
 
-def step_positions(model, theta_true, positions, dw, dt, eta_true=None):
+def step_positions(model, theta_true, positions, dw, dt, eta_true=None, stat=None):
     """One Euler-Maruyama step; returns (new_positions, dx).
 
     dX = B(theta, x) dt + Sigma dW, with noise entering only the masked
-    components (encoded by zero rows of the diffusion).
+    components (encoded by zero rows of the diffusion).  `stat` is
+    `model.mean_field(positions)` when the caller already has it.
     """
-    drift = model.drift_ensemble(np.asarray(theta_true, dtype=float), positions)
+    drift = model.drift_ensemble(np.asarray(theta_true, dtype=float), positions, stat)
     dx = drift * dt + model.diffusion.apply(eta_true, positions, dw)
     return positions + dx, dx
 

@@ -214,6 +214,49 @@ def test_free_mask_pins_known_parameters():
     assert new.theta[0] != 0.5 and new.theta[1] != 3.0
 
 
+def test_update_rules_copy_unless_in_place():
+    m = make_model("linear")
+    rng = np.random.default_rng(3)
+    pos = rng.standard_normal((2, 5, 1))
+    dx = rng.standard_normal((2, 5, 1)) * 0.3
+    state = EstimatorState(theta=np.array([[1.5, 0.7], [2.0, 0.5]]))
+    before = state.copy()
+    new = update_averaged(state, m, 0, pos, dx, 0.1, const_sched(0.1, 0.1), 0.0)
+    assert new is not state and new.step_index == 1
+    assert np.array_equal(state.theta, before.theta) and state.step_index == 0
+    same = update_averaged(state, m, 0, pos, dx, 0.1, const_sched(0.1, 0.1), 0.0,
+                           in_place=True)
+    assert same is state and state.step_index == 1
+    assert np.array_equal(state.theta, new.theta)
+
+
+def test_keep_mask_leaves_a_replicate_untouched():
+    m = make_model("linear")
+    rng = np.random.default_rng(4)
+    pos = rng.standard_normal((3, 5, 1))
+    dx = rng.standard_normal((3, 5, 1)) * 0.3
+    box = Box(np.array([0.0, 0.0]), np.array([1.6, 1.0]))
+    opts = UpdateOptions(bounds=box, rmsprop=RmsPropConfig(0.9, 1e-8))
+    state = EstimatorState(theta=np.array([[1.5, 0.7], [1.5, 0.7], [1.5, 0.7]]))
+    keep = np.array([False, True, False])
+    free = update_averaged(state, m, 0, pos, dx, 0.1, const_sched(0.5, 0.5), 0.0, opts)
+    kept = update_averaged(state, m, 0, pos, dx, 0.1, const_sched(0.5, 0.5), 0.0, opts,
+                           keep=keep)
+    for field in ("theta", "precond_acc", "frozen"):
+        got, want = getattr(kept, field), getattr(free, field)
+        assert np.array_equal(got[~keep], want[~keep])
+        assert np.array_equal(got[keep], getattr(state, field)[keep])
+
+
+def test_constant_schedule_vector_is_computed_once():
+    sched = const_sched(0.008, 0.005)
+    v = sched.vector(0.0)
+    assert sched.vector(123.0) is v and not v.flags.writeable
+    assert np.array_equal(v, lr_value(sched, 5.0))
+    power = LearningRateSchedule("power-law", 0.5, beta=0.7)
+    assert power.vector(3.0) == pytest.approx([0.5 * 4.0**-0.7])
+
+
 # ---------------------------------------------------------------------------
 # Constraints and freezing
 

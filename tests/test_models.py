@@ -130,6 +130,31 @@ def test_drift_and_grad_mean_match_bruteforce(zoo_model):
     assert zoo_model.drift_ensemble(th, pos) == pytest.approx(brute_all, abs=1e-14)
 
 
+def test_shared_mean_field_statistic_is_bitwise_neutral(zoo_model):
+    # evaluators given the precomputed statistic return the same bytes as
+    # those computing it themselves, batched over replicates
+    rng = np.random.default_rng(13)
+    pos = rng.standard_normal((4, 9, zoo_model.d))
+    th = rng.standard_normal((4, zoo_model.p))
+    stat = zoo_model.mean_field(pos)
+    x = pos[:, 2, :]
+    for fn in (zoo_model.drift_mean, zoo_model.grad_mean):
+        assert fn(th, x, pos, stat).tobytes() == fn(th, x, pos).tobytes()
+    ens = zoo_model.drift_ensemble(th[0], pos, stat)
+    assert ens.tobytes() == zoo_model.drift_ensemble(th[0], pos).tobytes()
+
+
+def test_mean_field_statistics():
+    pos = np.array([[[0.0], [1.0], [2.0]]])
+    assert make_model("linear").mean_field(pos).tolist() == [[1.0]]
+    cbar, sbar = make_model("kuramoto").mean_field(pos)
+    assert cbar[0, 0] == pytest.approx(np.cos([0.0, 1.0, 2.0]).mean())
+    assert sbar[0, 0] == pytest.approx(np.sin([0.0, 1.0, 2.0]).mean())
+    fhn = np.array([[1.0, 5.0], [3.0, 7.0]])
+    assert make_model("fitzhugh-nagumo").mean_field(fhn) == 2.0
+    assert make_model("cucker-smale").mean_field(fhn) is None
+
+
 def test_drift_mean_permutation_invariant(zoo_model):
     rng = np.random.default_rng(11)
     pos = rng.standard_normal((6, zoo_model.d))
