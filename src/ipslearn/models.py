@@ -187,7 +187,9 @@ def _col(theta, k):
 def _rows(x, y, *rows):
     """Stack the (..., d) rows along a new axis -2 at the broadcast shape of
     x and y (np.stack of the broadcast rows, without the intermediates)."""
-    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    shape = np.shape(x)
+    if np.shape(y) != shape:
+        shape = np.broadcast_shapes(shape, np.shape(y))
     out = np.empty(shape[:-1] + (len(rows), shape[-1]))
     for k, row in enumerate(rows):
         out[..., k, :] = row
