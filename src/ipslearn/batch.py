@@ -119,43 +119,29 @@ class _RunningEstimator:
 
     def update(self, model, positions, dx, dqv, dt, t, stat, keep):
         """Advance the state by one step; replicates marked in `keep` stay put."""
-        s, state, opts = self.setup, self.state, self.options
+        s, state = self.setup, self.state
+        common = (s.schedule, t, self.options)
+        kw = {"keep": keep, "in_place": True}
         if s.kind == "averaged":
             est.update_averaged(
-                state, model, s.particle, positions, dx, dt, s.schedule, t, opts,
-                stat=stat, keep=keep, in_place=True,
+                state, model, s.particle, positions, dx, dt, *common, stat=stat, **kw
             )
         elif s.kind == "triplet":
             i, j, k = s.triplet
             est.update_three_particle(
-                state,
-                model,
-                positions[..., i, :],
-                positions[..., j, :],
-                positions[..., k, :],
-                dx[..., i, :],
-                dt,
-                s.schedule,
-                t,
-                opts,
-                keep=keep,
-                in_place=True,
+                state, model, positions[..., i, :], positions[..., j, :],
+                positions[..., k, :], dx[..., i, :], dt, *common, **kw,
             )
         elif s.kind == "averaged_m":
             est.update_m_averaged_full(
-                state, model, s.pi, positions, dx, dt, s.schedule, t, opts,
-                stat=stat, keep=keep, in_place=True,
+                state, model, s.pi, positions, dx, dt, *common, stat=stat, **kw
             )
         elif s.kind == "triplet_m":
             est.update_m_averaged_triplets(
-                state, model, self.triplets, positions, dx, dt, s.schedule, t, opts,
-                keep=keep, in_place=True,
+                state, model, self.triplets, positions, dx, dt, *common, **kw
             )
         else:  # diffusion
-            est.update_diffusion(
-                state, model, s.particle, positions, dqv, dt, s.schedule, t, opts,
-                keep=keep, in_place=True,
-            )
+            est.update_diffusion(state, model, s.particle, positions, dqv, dt, *common, **kw)
 
 
 def draw_initial_thetas(seeds, low, high):
