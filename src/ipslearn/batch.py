@@ -110,6 +110,7 @@ class _RunningEstimator:
         theta0 = np.asarray(setup.theta_init, dtype=float)
         if theta0.ndim == 1:
             theta0 = np.broadcast_to(theta0, (n_replicates, theta0.shape[0]))
+        # a copy: the state is updated in place, never the caller's theta_init
         self.state = EstimatorState(theta=theta0.copy())
         self.options = setup.options(model)
         self.triplets: TripletSet | None = None

@@ -145,7 +145,7 @@ def test_weighting_override_rejects_degenerate_inverse():
 
 @pytest.mark.parametrize(
     "key, value",
-    [("rms_rho", 5), ("rms_rho", 1.0), ("rms_rho", -0.1), ("rms_rho", True),
+    [("rms_rho", 5), ("rms_rho", 1.0), ("rms_rho", -0.1), ("rms_rho", False),
      ("rms_eps", 0.0), ("rms_eps", -1e-8), ("rms_eps", "small")],
 )
 def test_rmsprop_settings_out_of_range_rejected(key, value):

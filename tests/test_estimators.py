@@ -231,17 +231,21 @@ def test_update_rules_copy_unless_in_place():
 
 
 def test_keep_mask_leaves_a_replicate_untouched():
+    # replicates 0 and 3 start outside the box and would freeze, 1 and 2
+    # would move; 1 and 3 are kept
     m = make_model("linear")
     rng = np.random.default_rng(4)
-    pos = rng.standard_normal((3, 5, 1))
-    dx = rng.standard_normal((3, 5, 1)) * 0.3
+    pos = rng.standard_normal((4, 5, 1))
+    dx = rng.standard_normal((4, 5, 1)) * 0.3
     box = Box(np.array([0.0, 0.0]), np.array([1.6, 1.0]))
     opts = UpdateOptions(bounds=box, rmsprop=RmsPropConfig(0.9, 1e-8))
-    state = EstimatorState(theta=np.array([[1.5, 0.7], [1.5, 0.7], [1.5, 0.7]]))
-    keep = np.array([False, True, False])
-    free = update_averaged(state, m, 0, pos, dx, 0.1, const_sched(0.5, 0.5), 0.0, opts)
-    kept = update_averaged(state, m, 0, pos, dx, 0.1, const_sched(0.5, 0.5), 0.0, opts,
-                           keep=keep)
+    state = EstimatorState(theta=np.array([[5.0, 0.7], [1.5, 0.7], [1.5, 0.7], [5.0, 0.7]]))
+    keep = np.array([False, True, False, True])
+    sched = const_sched(0.01, 0.01)
+    free = update_averaged(state, m, 0, pos, dx, 0.1, sched, 0.0, opts)
+    assert free.frozen.tolist() == [True, False, False, True]
+    assert not np.array_equal(free.theta[1], state.theta[1])
+    kept = update_averaged(state, m, 0, pos, dx, 0.1, sched, 0.0, opts, keep=keep)
     for field in ("theta", "precond_acc", "frozen"):
         got, want = getattr(kept, field), getattr(free, field)
         assert np.array_equal(got[~keep], want[~keep])
