@@ -9,7 +9,7 @@ flat once its transient fits inside the horizon.
 import argparse
 import sys
 
-from ipslearn.config import load_config
+from ipslearn.config import ConfigError, load_config, parse_config
 from ipslearn.runner import run_sweep
 
 
@@ -19,9 +19,14 @@ def main():
     ap.add_argument("--out", default="results/error_vs_particles")
     ap.add_argument("--replicates", type=int, default=None)
     args = ap.parse_args()
-    config = load_config(args.config)
-    if args.replicates:
-        config.replicates = args.replicates
+    try:
+        config = load_config(args.config)
+        if args.replicates is not None:
+            # validated like the file itself, as the CLI's --replicates is
+            config = parse_config({**config.raw, "replicates": args.replicates})
+    except ConfigError as e:
+        print(e, file=sys.stderr)
+        return 2
     manifest = run_sweep(config, args.out)
     print(f"wrote {len(manifest['artifacts'])} artifacts to {args.out}")
     return 0

@@ -1,63 +1,3 @@
 """Simulation and online parameter estimation for interacting particle systems."""
 
 __version__ = "0.1.0"
-
-from .models import (  # noqa: F401
-    MODEL_ZOO,
-    Box,
-    ParamVector,
-    TruthSchedule,
-    make_model,
-    truth_at,
-    weight_matrix,
-)
-from .rng import RngStream, generate_increments  # noqa: F401
-from .sde import (  # noqa: F401
-    IncrementBatch,
-    MomentTracker,
-    ParticleEnsemble,
-    SimulationBlowup,
-    advance_step,
-    center_particles,
-    run_trajectory,
-)
-from .estimators import (  # noqa: F401
-    EstimatorState,
-    LearningRateSchedule,
-    TripletSet,
-    build_cyclic_triplets,
-    lr_value,
-    project_constraint,
-    rmsprop_precondition,
-    update_averaged,
-    update_diffusion,
-    update_m_averaged_full,
-    update_m_averaged_triplets,
-    update_three_particle,
-    validate_schedule,
-)
-from .objective import (  # noqa: F401
-    GridScan,
-    contrast_L,
-    contrast_ell,
-    grad_H,
-    grad_h,
-    grad_h_sym,
-    linear_model_analytic_objective,
-    surface_scan,
-)
-from .diagnostics import (  # noqa: F401
-    ReplicateSummary,
-    clt_rescaled_moments,
-    coupling_distance,
-    l2_error_sweep,
-    poc_rate,
-    rate_function_a,
-    rho_rate,
-    standardized_moments,
-    summarize_replicates,
-    truth_stationarity,
-)
-from .batch import EstimatorSetup, batch_seeds, run_batch  # noqa: F401
-from .config import ConfigError, ExperimentConfig, load_config  # noqa: F401
-from .runner import run_experiment, run_surface, run_sweep  # noqa: F401

@@ -1,14 +1,14 @@
-"""Stacked execution of independent replicates.
+"""Online estimators over stacked independent replicates.
 
-Replicates of one experiment share nothing but the model and the truth
-schedule, so they advance in lockstep as a (R, N, d) array with one noise
-stream per (replicate, particle).  The estimator kernels broadcast over the
+`run_batch` runs `sde.simulate` on one replicate per seed, as a (R, N, d)
+array with one noise stream per (replicate, particle), and attaches the
+estimators as its observer.  The estimator kernels broadcast over the
 replicate axis, which keeps long sweeps and large replicate counts fast
 without changing any per-replicate arithmetic.
 
-Replicates that blow up (or whose estimator diverges) are frozen in place,
-flagged with the offending step index, and excluded from aggregation; the
-run fails only if every replicate fails.
+Replicates that blow up are frozen in place, flagged with the offending
+step index, and excluded from aggregation; an estimator whose update turns
+non-finite is frozen.  The run fails only if every replicate fails.
 """
 
 from __future__ import annotations
@@ -27,14 +27,8 @@ from .estimators import (
     build_cyclic_triplets,
 )
 from .models import Box, InteractionModel, TruthSchedule, weight_matrix
-from .rng import (
-    PARAM_INIT_STREAM,
-    BlockedNoise,
-    InvalidConfiguration,
-    RngStream,
-    replicate_seed,
-)
-from .sde import BLOWUP_THRESHOLD, realized_qv, step_positions
+from .rng import PARAM_INIT_STREAM, InvalidConfiguration, RngStream, replicate_seed
+from .sde import realized_qv, simulate
 
 ESTIMATOR_KINDS = ("averaged", "triplet", "averaged_m", "triplet_m", "diffusion")
 
@@ -164,6 +158,62 @@ def draw_initial_thetas(seeds, low, high):
     return thetas, etas
 
 
+class _Estimators:
+    """Observer that runs a batch's estimators and their tail and record bookkeeping."""
+
+    def __init__(self, runners, model, dt, n_steps, record_every, tail_fraction):
+        self.runners = runners
+        self.model = model
+        self.dt = dt
+        self.needs_qv = any(r.needs_qv for r in runners)
+        self.record_every = record_every
+        self.tail_start = n_steps - max(1, int(round(tail_fraction * n_steps)))
+        self.tail_sums = [np.zeros_like(r.state.theta) for r in runners]
+        self.tail_count = 0
+        self.rec_steps = []
+        self.rec_theta = [[] for _ in runners]
+        self.rec_frozen = [[] for _ in runners]
+
+    def on_step(self, step, t, positions, dx, stat, keep):
+        runners = self.runners
+        dqv = realized_qv(dx) if self.needs_qv else None
+        for r in runners:
+            r.update(self.model, positions, dx, dqv, self.dt, t, stat, keep)
+
+        if step >= self.tail_start:
+            for k, r in enumerate(runners):
+                self.tail_sums[k] += r.state.theta
+            self.tail_count += 1
+
+        if self.record_every is not None and step % self.record_every == 0:
+            self.rec_steps.append(step)
+            for k, r in enumerate(runners):
+                self.rec_theta[k].append(r.state.theta.copy())
+                self.rec_frozen[k].append(r.state.frozen.copy())
+
+    def tracks(self, n_replicates):
+        steps = np.asarray(self.rec_steps, dtype=np.int64)
+        out = []
+        for k, r in enumerate(self.runners):
+            theta, frozen = r.state.theta, r.state.frozen
+            out.append(
+                EstimatorTrack(
+                    label=r.setup.label,
+                    kind=r.setup.kind,
+                    record_steps=steps,
+                    record_times=steps * self.dt,
+                    theta_path=np.asarray(self.rec_theta[k]) if self.rec_theta[k]
+                    else np.empty((0, n_replicates, theta.shape[-1])),
+                    frozen_path=np.asarray(self.rec_frozen[k]) if self.rec_frozen[k]
+                    else np.empty((0, n_replicates), dtype=bool),
+                    tail_mean=self.tail_sums[k] / max(self.tail_count, 1),
+                    final=theta.copy(),
+                    frozen_final=frozen.copy(),
+                )
+            )
+        return out
+
+
 def run_batch(
     model: InteractionModel,
     truth: TruthSchedule,
@@ -176,99 +226,17 @@ def run_batch(
     record_every: int | None = None,
     tail_fraction: float = 0.1,
 ) -> BatchResult:
-    if n_steps < 1:
-        raise InvalidConfiguration("n_steps must be >= 1")
-    if dt <= 0:
-        raise InvalidConfiguration("dt must be positive")
+    """Simulate one replicate per seed with the estimators observing every step."""
     seeds = tuple(int(s) for s in seeds)
-    R, N, d = len(seeds), n_particles, model.d
-
-    streams = [RngStream(s, i) for s in seeds for i in range(N)]
-    noise = BlockedNoise(streams, d, dt)
-    positions = noise.initial_positions().reshape(R, N, d)
-
-    runners = [_RunningEstimator(setup, model, R, N) for setup in estimator_setups]
-    needs_qv = any(r.needs_qv for r in runners)
-
-    active = np.ones(R, dtype=bool)
-    keep = None  # ~active once a replicate is excluded: it no longer moves
-    blowup_step = np.full(R, -1, dtype=np.int64)
-
-    tail_start = n_steps - max(1, int(round(tail_fraction * n_steps)))
-    tail_sums = [np.zeros_like(r.state.theta) for r in runners]
-    tail_count = 0
-
-    rec_steps = []
-    rec_theta = [[] for _ in runners]
-    rec_frozen = [[] for _ in runners]
-
-    theta_true_cache = None
-    truth_is_constant = truth.kind == "constant"
-
-    for step in range(n_steps):
-        t = step * dt
-        if truth_is_constant:
-            if theta_true_cache is None:
-                theta_true_cache = truth.at(0.0)
-            theta_true = theta_true_cache
-        else:
-            theta_true = truth.at(t)
-
-        stat = model.mean_field(positions)  # shared by the drift and every estimator
-        dw = noise.next_step().reshape(R, N, d)
-        new_pos, dx = step_positions(model, theta_true, positions, dw, dt, eta_true, stat)
-
-        # one pass: the max is NaN or inf, and fails the test, if any entry is
-        ok = np.abs(new_pos.reshape(R, -1)).max(axis=1) <= BLOWUP_THRESHOLD
-        newly_dead = active & ~ok
-        if newly_dead.any():
-            blowup_step[newly_dead] = step
-            active &= ok
-            if not active.any():
-                # everything blew up: freeze state and stop early
-                positions = np.where(newly_dead[:, None, None], positions, new_pos)
-                break
-            keep = ~active
-        if keep is not None:
-            np.copyto(new_pos, positions, where=keep[:, None, None])
-            dx[keep] = 0.0
-
-        dqv = realized_qv(dx) if needs_qv else None
-        for r in runners:
-            r.update(model, positions, dx, dqv, dt, t, stat, keep)
-
-        if step >= tail_start:
-            for k, r in enumerate(runners):
-                tail_sums[k] += r.state.theta
-            tail_count += 1
-
-        if record_every is not None and step % record_every == 0:
-            rec_steps.append(step)
-            for k, r in enumerate(runners):
-                rec_theta[k].append(r.state.theta.copy())
-                rec_frozen[k].append(r.state.frozen.copy())
-
-        positions = new_pos
-
-    tracks = []
-    for k, r in enumerate(runners):
-        steps_arr = np.asarray(rec_steps, dtype=np.int64)
-        tracks.append(
-            EstimatorTrack(
-                label=r.setup.label,
-                kind=r.setup.kind,
-                record_steps=steps_arr,
-                record_times=steps_arr * dt,
-                theta_path=np.asarray(rec_theta[k]) if rec_theta[k] else np.empty((0, R, r.state.theta.shape[-1])),
-                frozen_path=np.asarray(rec_frozen[k]) if rec_frozen[k] else np.empty((0, R), dtype=bool),
-                tail_mean=tail_sums[k] / max(tail_count, 1),
-                final=r.state.theta.copy(),
-                frozen_final=r.state.frozen.copy(),
-            )
-        )
+    R = len(seeds)
+    runners = [_RunningEstimator(setup, model, R, n_particles) for setup in estimator_setups]
+    estimators = _Estimators(runners, model, dt, n_steps, record_every, tail_fraction)
+    positions, excluded, blowup_step = simulate(
+        model, truth, n_particles, dt, n_steps, seeds, (estimators,), eta_true
+    )
     return BatchResult(
-        tracks=tracks,
-        excluded=~active,
+        tracks=estimators.tracks(R),
+        excluded=excluded,
         blowup_step=blowup_step,
         final_positions=positions,
         n_steps=n_steps,
@@ -279,58 +247,3 @@ def run_batch(
 
 def batch_seeds(base_seed: int, replicates: int):
     return tuple(replicate_seed(base_seed, r) for r in range(replicates))
-
-
-class OnlineEstimatorObserver:
-    """Single-trajectory observer wrapping the same update kernels.
-
-    Reference-path counterpart of the stacked runner, for tests and the
-    trajectory-level API; records the full estimate path.
-    """
-
-    def __init__(self, setup: EstimatorSetup, model, dt, n_particles):
-        self.setup = setup
-        self.model = model
-        self.dt = dt
-        theta0 = np.asarray(setup.theta_init, dtype=float)
-        if theta0.ndim != 1:
-            raise InvalidConfiguration("observer needs a single (p,) initial value")
-        self.state = EstimatorState(theta=theta0)
-        self.options = setup.options(model)
-        self.triplets = (
-            build_cyclic_triplets(setup.pi, n_particles) if setup.kind == "triplet_m" else None
-        )
-        self.path = []
-        self.frozen_path = []
-
-    def on_step(self, step, t, ensemble, increments, new_ensemble):
-        s = self.setup
-        pos, dx = ensemble.positions, increments.dX
-        if s.kind == "averaged":
-            self.state = est.update_averaged(
-                self.state, self.model, s.particle, pos, dx, self.dt, s.schedule, t, self.options
-            )
-        elif s.kind == "triplet":
-            i, j, k = s.triplet
-            self.state = est.update_three_particle(
-                self.state, self.model, pos[i], pos[j], pos[k], dx[i], self.dt,
-                s.schedule, t, self.options,
-            )
-        elif s.kind == "averaged_m":
-            self.state = est.update_m_averaged_full(
-                self.state, self.model, s.pi, pos, dx, self.dt, s.schedule, t, self.options
-            )
-        elif s.kind == "triplet_m":
-            self.state = est.update_m_averaged_triplets(
-                self.state, self.model, self.triplets, pos, dx, self.dt, s.schedule, t, self.options
-            )
-        else:
-            self.state = est.update_diffusion(
-                self.state, self.model, s.particle, pos, increments.dQV, self.dt,
-                s.schedule, t, self.options,
-            )
-        self.path.append(self.state.theta.copy())
-        self.frozen_path.append(bool(np.any(self.state.frozen)))
-
-    def finish(self):
-        pass

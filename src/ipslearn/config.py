@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -32,7 +33,7 @@ def _require(d, key, ctx, types=None):
     if key not in d:
         raise ConfigError(f"{ctx}.{key}", "missing required field")
     v = d[key]
-    if types is not None and not isinstance(v, types):
+    if types is not None and (isinstance(v, bool) or not isinstance(v, types)):
         raise ConfigError(f"{ctx}.{key}", f"expected {types}, got {type(v).__name__}")
     return v
 
@@ -43,20 +44,32 @@ def _check_keys(d, allowed, ctx):
         raise ConfigError(f"{ctx}.{sorted(unknown)[0]}", "unknown field")
 
 
-def _float(v, ctx):
-    if isinstance(v, bool):
-        raise ConfigError(ctx, "expected a number, got a bool")
-    try:
-        return float(v)
-    except (TypeError, ValueError):
-        raise ConfigError(ctx, "expected a number")
+def _int(v, ctx):
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(ctx, f"expected an integer, got {type(v).__name__}")
+    return v
 
 
-def _floats(v, ctx):
-    try:
-        return [float(x) for x in v]
-    except (TypeError, ValueError):
+def _float(v, ctx, infinite_ok=False):
+    """A JSON number as a float; NaN is always rejected, +-inf unless `infinite_ok`."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(ctx, f"expected a number, got {type(v).__name__}")
+    v = float(v)
+    if math.isnan(v) or (math.isinf(v) and not infinite_ok):
+        raise ConfigError(ctx, f"must be finite, got {v}")
+    return v
+
+
+def _floats(v, ctx, infinite_ok=False):
+    if not isinstance(v, list):
         raise ConfigError(ctx, "expected a list of numbers")
+    return [_float(x, ctx, infinite_ok) for x in v]
+
+
+def _ints(v, ctx):
+    if not isinstance(v, list):
+        raise ConfigError(ctx, "expected a list of integers")
+    return tuple(_int(i, ctx) for i in v)
 
 
 @dataclass
@@ -149,7 +162,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     if "sigma" in mdl:
         if model_id == "vol32":
             raise ConfigError("model.sigma", "vol32 takes eta_true, not a constant sigma")
-        model_params["sigma"] = float(mdl["sigma"])
+        model_params["sigma"] = _float(mdl["sigma"], "model.sigma")
 
     truth = _parse_truth(_require(data, "truth", "<root>", dict))
     model_probe = make_model(model_id, **model_params)
@@ -160,14 +173,14 @@ def parse_config(data: dict) -> ExperimentConfig:
     if model_probe.diffusion.parametric and eta_true is None:
         raise ConfigError("eta_true", f"{model_id} requires eta_true")
     if eta_true is not None:
-        eta_true = float(eta_true)
+        eta_true = _float(eta_true, "eta_true")
         if not model_probe.diffusion.parametric:
             raise ConfigError("eta_true", f"{model_id} has a constant diffusion")
 
     n_particles = _require(data, "n_particles", "<root>", int)
     if n_particles < 1:
         raise ConfigError("n_particles", "must be >= 1")
-    dt = float(_require(data, "dt", "<root>", (int, float)))
+    dt = _float(_require(data, "dt", "<root>"), "dt")
     if dt <= 0:
         raise ConfigError("dt", "must be positive")
     n_steps = _require(data, "n_steps", "<root>", int)
@@ -187,12 +200,26 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError("init.theta_low", "lower bound exceeds upper bound")
     eta_low = init.get("eta_low")
     eta_high = init.get("eta_high")
+    if eta_low is not None:
+        eta_low = _float(eta_low, "init.eta_low")
+    if eta_high is not None:
+        eta_high = _float(eta_high, "init.eta_high")
+
+    sweep = data.get("sweep")
+    sweep_list = None
+    if sweep is not None:
+        _check_keys(sweep, {"n_particles"}, "sweep")
+        sweep_list = list(_ints(_require(sweep, "n_particles", "sweep", list), "sweep.n_particles"))
+        if any(n < 1 for n in sweep_list):
+            raise ConfigError("sweep.n_particles", "entries must be >= 1")
+    # estimator indices must exist in every system size the config runs
+    n_min = min([n_particles] + (sweep_list or []))
 
     est_list = _require(data, "estimators", "<root>", list)
     if not est_list:
         raise ConfigError("estimators", "need at least one estimator")
     estimators = [
-        _parse_estimator(e, i, model_probe, n_particles) for i, e in enumerate(est_list)
+        _parse_estimator(e, i, model_probe, n_min) for i, e in enumerate(est_list)
     ]
     labels = [e.label for e in estimators]
     if len(set(labels)) != len(labels):
@@ -209,20 +236,12 @@ def parse_config(data: dict) -> ExperimentConfig:
     base_seed = _require(data, "base_seed", "<root>", int)
     if base_seed < 0:
         raise ConfigError("base_seed", "must be non-negative")
-    record_every = data.get("record_every", 1)
-    if not isinstance(record_every, int) or record_every < 1:
+    record_every = _int(data.get("record_every", 1), "record_every")
+    if record_every < 1:
         raise ConfigError("record_every", "must be a positive integer")
-    tail_fraction = float(data.get("tail_fraction", 0.1))
+    tail_fraction = _float(data.get("tail_fraction", 0.1), "tail_fraction")
     if not 0 < tail_fraction <= 1:
         raise ConfigError("tail_fraction", "must lie in (0, 1]")
-
-    sweep = data.get("sweep")
-    sweep_list = None
-    if sweep is not None:
-        _check_keys(sweep, {"n_particles"}, "sweep")
-        sweep_list = [int(n) for n in _require(sweep, "n_particles", "sweep", list)]
-        if any(n < 1 for n in sweep_list):
-            raise ConfigError("sweep.n_particles", "entries must be >= 1")
 
     surface = data.get("surface")
     if surface is not None:
@@ -234,7 +253,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         if kind not in ("L_iN", "L_ijkN"):
             raise ConfigError("surface.scan_kind", f"unknown kind {kind!r}")
         hz = _require(surface, "horizon_steps", "surface", int)
-        bi = surface.get("burn_in_steps", hz // 10)
+        bi = _int(surface.get("burn_in_steps", hz // 10), "surface.burn_in_steps")
         if not 0 <= bi < hz:
             raise ConfigError("surface.burn_in_steps", "need 0 <= burn_in < horizon")
         surface = {
@@ -253,8 +272,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         n_steps=n_steps,
         theta_init_low=theta_low,
         theta_init_high=theta_high,
-        eta_init_low=None if eta_low is None else float(eta_low),
-        eta_init_high=None if eta_high is None else float(eta_high),
+        eta_init_low=eta_low,
+        eta_init_high=eta_high,
         particle_init=particle_init,
         estimators=estimators,
         replicates=replicates,
@@ -279,14 +298,14 @@ def _parse_truth(d) -> TruthSchedule:
                 "changepoint",
                 _floats(_require(d, "start", "truth"), "truth.start"),
                 _floats(_require(d, "end", "truth"), "truth.end"),
-                switch_time=float(_require(d, "switch_time", "truth", (int, float))),
+                switch_time=_float(_require(d, "switch_time", "truth"), "truth.switch_time"),
             )
         if kind == "ramp":
             return TruthSchedule(
                 "ramp",
                 _floats(_require(d, "start", "truth"), "truth.start"),
                 _floats(_require(d, "end", "truth"), "truth.end"),
-                horizon=float(_require(d, "horizon", "truth", (int, float))),
+                horizon=_float(_require(d, "horizon", "truth"), "truth.horizon"),
             )
     except ConfigError:
         raise
@@ -296,6 +315,7 @@ def _parse_truth(d) -> TruthSchedule:
 
 
 def _parse_estimator(d, index, model, n_particles) -> EstimatorConfig:
+    """One estimator; its indices are checked against the smallest N of the run."""
     ctx = f"estimators[{index}]"
     if not isinstance(d, dict):
         raise ConfigError(ctx, "must be an object")
@@ -305,11 +325,11 @@ def _parse_estimator(d, index, model, n_particles) -> EstimatorConfig:
         raise ConfigError(f"{ctx}.kind", f"unknown kind {kind!r}")
     label = d.get("label", kind)
 
-    particle = d.get("particle", 0)
+    particle = _int(d.get("particle", 0), f"{ctx}.particle")
     if not 0 <= particle < n_particles:
         raise ConfigError(f"{ctx}.particle", f"index {particle} out of range for N={n_particles}")
 
-    triplet = tuple(d.get("triplet", (0, 1, 2)))
+    triplet = _ints(d.get("triplet", [0, 1, 2]), f"{ctx}.triplet")
     if kind == "triplet":
         if len(triplet) != 3 or len(set(triplet)) != 3:
             raise ConfigError(f"{ctx}.triplet", "need three distinct indices")
@@ -320,7 +340,7 @@ def _parse_estimator(d, index, model, n_particles) -> EstimatorConfig:
     if kind in ("averaged_m", "triplet_m"):
         if pi is None:
             raise ConfigError(f"{ctx}.pi", f"{kind} requires the index set pi")
-        pi = tuple(int(i) for i in pi)
+        pi = _ints(pi, f"{ctx}.pi")
         if len(set(pi)) != len(pi):
             raise ConfigError(f"{ctx}.pi", "indices must be distinct")
         if any(not 0 <= i < n_particles for i in pi):
@@ -333,14 +353,14 @@ def _parse_estimator(d, index, model, n_particles) -> EstimatorConfig:
     lr_kind = _require(lr, "kind", f"{ctx}.learning_rate", str)
     if lr_kind not in ("constant", "power-law"):
         raise ConfigError(f"{ctx}.learning_rate.kind", f"unknown kind {lr_kind!r}")
-    gamma0 = float(_require(lr, "gamma0", f"{ctx}.learning_rate", (int, float)))
+    gamma0 = _float(_require(lr, "gamma0", f"{ctx}.learning_rate"), f"{ctx}.learning_rate.gamma0")
     if gamma0 <= 0:
         raise ConfigError(f"{ctx}.learning_rate.gamma0", "must be positive")
     beta = lr.get("beta")
-    if lr_kind == "power-law":
-        if beta is None or not 0 < float(beta) <= 1:
-            raise ConfigError(f"{ctx}.learning_rate.beta", "power-law needs beta in (0, 1]")
-        beta = float(beta)
+    if beta is not None:
+        beta = _float(beta, f"{ctx}.learning_rate.beta")
+    if lr_kind == "power-law" and (beta is None or not 0 < beta <= 1):
+        raise ConfigError(f"{ctx}.learning_rate.beta", "power-law needs beta in (0, 1]")
     scale = lr.get("scale")
     n_par = 1 if kind == "diffusion" else model.p
     if scale is not None:
@@ -354,7 +374,7 @@ def _parse_estimator(d, index, model, n_particles) -> EstimatorConfig:
     if free is not None:
         if kind == "diffusion":
             raise ConfigError(f"{ctx}.free_params", "not applicable to the diffusion update")
-        free = tuple(int(i) for i in free)
+        free = _ints(free, f"{ctx}.free_params")
         if not free or any(not 0 <= i < model.p for i in free) or len(set(free)) != len(free):
             raise ConfigError(f"{ctx}.free_params", f"need distinct indices in [0, {model.p})")
 
@@ -363,8 +383,8 @@ def _parse_estimator(d, index, model, n_particles) -> EstimatorConfig:
     if (lower is None) != (upper is None):
         raise ConfigError(f"{ctx}.bounds_lower", "bounds must be given as a pair")
     if lower is not None:
-        lower = _floats(lower, f"{ctx}.bounds_lower")
-        upper = _floats(upper, f"{ctx}.bounds_upper")
+        lower = _floats(lower, f"{ctx}.bounds_lower", infinite_ok=True)
+        upper = _floats(upper, f"{ctx}.bounds_upper", infinite_ok=True)
         if len(lower) != n_par or len(upper) != n_par:
             raise ConfigError(f"{ctx}.bounds_lower", f"expected length {n_par}")
 

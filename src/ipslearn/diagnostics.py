@@ -12,9 +12,8 @@ import numpy as np
 from .batch import EstimatorSetup, batch_seeds, run_batch
 from .estimators import validate_schedule
 from .models import InteractionModel, TruthSchedule
-from .rng import InvalidConfiguration, particle_streams
-from .sde import run_trajectory, step_positions
-from .rng import BlockedNoise
+from .rng import InvalidConfiguration
+from .sde import PositionHistory, run_trajectory
 
 
 # ---------------------------------------------------------------------------
@@ -190,38 +189,29 @@ def coupling_distance(
 ):
     """Mean squared distance between matched particles of two system sizes.
 
-    Both systems share the first n_small noise streams and initial
-    conditions (synchronous coupling); the larger system stands in for the
-    mean-field limit.  Returns a (n_steps,) time series.
+    Both systems run from the same seed, so particle i of each is driven by
+    the same stream (seed, i): the matched particles share their initial
+    conditions and noise (synchronous coupling), and the larger system
+    stands in for the mean-field limit.  `initial_positions` (n_big, d)
+    replaces the stream draws; the small system takes its first n_small
+    rows.  Returns a (n_steps,) time series of the post-step distance.
     """
     if n_small > n_big:
         raise InvalidConfiguration("need n_small <= n_big")
-    streams_small = particle_streams(seed, n_small)
-    streams_big = particle_streams(seed, n_big)
-    noise_small = BlockedNoise(streams_small, model.d, dt)
-    noise_big = BlockedNoise(streams_big, model.d, dt)
-    if initial_positions is None:
-        pos_big = noise_big.initial_positions()
-        pos_small = pos_big[:n_small].copy()
-        # the small system's streams must consume their own init draws so the
-        # subsequent increments stay aligned with the big system's
-        noise_small.initial_positions()
-    else:
-        pos_big = np.array(initial_positions, dtype=float)
-        pos_small = pos_big[:n_small].copy()
-    theta_cache = truth.at(0.0) if truth.kind == "constant" else None
-    out = np.empty(n_steps)
-    for step in range(n_steps):
-        t = step * dt
-        theta = theta_cache if theta_cache is not None else truth.at(t)
-        dw_small = noise_small.next_step()
-        dw_big = noise_big.next_step()
-        dw_big[:n_small] = dw_small  # identical driving noise for matched particles
-        pos_small, _ = step_positions(model, theta, pos_small, dw_small, dt, eta_true)
-        pos_big, _ = step_positions(model, theta, pos_big, dw_big, dt, eta_true)
-        diff = pos_small - pos_big[:n_small]
-        out[step] = np.mean(np.sum(diff**2, axis=1))
-    return out
+    init = None if initial_positions is None else np.asarray(initial_positions, dtype=float)
+
+    def matched_path(n):
+        # step-start positions from step 1 on, plus the final ones: the
+        # post-step state of every step
+        hist = PositionHistory(n_steps, n_small, model.d, start=1)
+        final = run_trajectory(
+            model, truth, n, dt, n_steps, seed, observers=[hist], eta_true=eta_true,
+            initial_positions=None if init is None else init[:n],
+        )
+        return np.concatenate([hist.positions, final[None, :n_small]])
+
+    diff = matched_path(n_small) - matched_path(n_big)
+    return np.array([np.mean(np.sum(d**2, axis=1)) for d in diff])
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +236,11 @@ def truth_stationarity(
     count = 0
 
     class _Collector:
-        def on_step(self, step, t, ensemble, inc, new_ens):
+        def on_step(self, step, t, positions, dx, stat, keep):
             nonlocal count
-            theta0 = truth.at(t)
+            pos = positions[0]
             D = averaged_gradient(
-                model, theta0, ensemble.positions[particle], ensemble.positions,
-                inc.dX[particle], dt, W,
+                model, truth.at(t), pos[particle], pos, dx[0, particle], dt, W
             )
             upd = -schedule.value(t) * D
             sums[:] += upd

@@ -79,12 +79,6 @@ class LearningRateSchedule:
         return np.atleast_1d(self.value(t))
 
 
-def lr_value(schedule: LearningRateSchedule, t: float) -> np.ndarray:
-    if t < 0:
-        raise InvalidConfiguration("t must be non-negative")
-    return np.atleast_1d(schedule.value(t))
-
-
 @dataclass(frozen=True)
 class ScheduleReport:
     robbins_monro_ok: bool  # integral conditions for a.s. convergence

@@ -31,7 +31,7 @@ class DimensionMismatch(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Parameter vectors and admissible sets
+# Admissible parameter sets
 
 
 @dataclass(frozen=True)
@@ -59,20 +59,6 @@ class Box:
         """Elementwise-all membership over the last axis."""
         v = np.asarray(values)
         return ((v >= self.lower) & (v <= self.upper)).all(axis=-1)
-
-
-@dataclass(frozen=True)
-class ParamVector:
-    values: np.ndarray
-    admissible: Box
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size < 1:
-            raise DimensionMismatch("parameter vector must be 1-D and non-empty")
-        if v.size != self.admissible.lower.size:
-            raise DimensionMismatch("bounds do not match parameter dimension")
-        object.__setattr__(self, "values", v)
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +103,6 @@ class TruthSchedule:
     @classmethod
     def constant(cls, values) -> "TruthSchedule":
         return cls("constant", np.asarray(values, dtype=float))
-
-
-def truth_at(schedule: TruthSchedule, t: float) -> np.ndarray:
-    if t < 0:
-        raise InvalidConfiguration("t must be non-negative")
-    return schedule.at(t)
 
 
 # ---------------------------------------------------------------------------
@@ -257,24 +237,6 @@ class InteractionModel:
         xi = positions[..., :, None, :]
         xj = positions[..., None, :, :]
         return self.drift_pair(np.asarray(theta), xi, xj).mean(axis=-2)
-
-    # -- validation ----------------------------------------------------------
-
-    def check_point(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.d:
-            raise DimensionMismatch(
-                f"{self.model_id}: state dimension {x.shape[-1]} != {self.d}"
-            )
-        return x
-
-    def check_theta(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape[-1] != self.p:
-            raise DimensionMismatch(
-                f"{self.model_id}: parameter dimension {theta.shape[-1]} != {self.p}"
-            )
-        return theta
 
 
 def weight_matrix(model: InteractionModel, mode: str | None = None) -> np.ndarray:
@@ -618,47 +580,3 @@ def make_model(model_id: str, **kwargs) -> InteractionModel:
             f"unknown model {model_id!r}; available: {sorted(MODEL_ZOO)}"
         )
     return MODEL_ZOO[model_id](**kwargs)
-
-
-# ---------------------------------------------------------------------------
-# Checked evaluation helpers
-
-
-def eval_drift_pair(model, theta, x, y):
-    theta = model.check_theta(theta)
-    x = model.check_point(x)
-    y = model.check_point(y)
-    return model.drift_pair(theta, x, y)
-
-
-def eval_grad_pair(model, theta, x, y):
-    theta = model.check_theta(theta)
-    x = model.check_point(x)
-    y = model.check_point(y)
-    return model.grad_pair(theta, x, y)
-
-
-def eval_drift_mean(model, theta, i, positions):
-    theta = model.check_theta(theta)
-    positions = np.asarray(positions, dtype=float)
-    if not 0 <= i < positions.shape[-2]:
-        raise DimensionMismatch(f"particle index {i} out of range")
-    return model.drift_mean(theta, positions[..., i, :], positions)
-
-
-def eval_grad_mean(model, theta, i, positions):
-    theta = model.check_theta(theta)
-    positions = np.asarray(positions, dtype=float)
-    if not 0 <= i < positions.shape[-2]:
-        raise DimensionMismatch(f"particle index {i} out of range")
-    return model.grad_mean(theta, positions[..., i, :], positions)
-
-
-def eval_diffusion(model, eta, i, positions):
-    """Diffusion matrix at particle i; adds d_eta(sigma sigma^T) if parametric."""
-    positions = np.asarray(positions, dtype=float)
-    x = positions[..., i, :]
-    if not model.diffusion.parametric:
-        return model.diffusion.sigma
-    eta = np.asarray(eta, dtype=float)
-    return model.diffusion.matrix(eta, x), model.diffusion.d_eta_sigma_sq(eta, x)

@@ -128,15 +128,12 @@ def surface_scan(
     eta_true=None,
     particle: int = 0,
     triplet=(0, 1, 2),
-    fresh_per_point: bool = False,
     chunk: int = 20000,
 ) -> GridScan:
     """Time-averaged contrast over a parameter grid.
 
     One trajectory at the true parameter is recorded and replayed across all
-    grid points (shared-path mode, the default, is exactly reproducible and
-    variance-reduced); `fresh_per_point` simulates an independent trajectory
-    per grid point instead.
+    grid points, so the scan is exactly reproducible and variance-reduced.
     """
     if scan_kind not in ("L_iN", "L_ijkN"):
         raise InvalidConfiguration(f"unknown scan kind {scan_kind!r}")
@@ -147,20 +144,15 @@ def surface_scan(
     shape = tuple(len(a) for a in axes)
     values = np.empty(shape)
 
-    def record(point_seed):
-        hist = PositionHistory(horizon, n_particles, model.d, start=burn_in)
-        run_trajectory(
-            model, truth, n_particles, dt, horizon, point_seed,
-            observers=[hist], eta_true=eta_true,
-        )
-        return hist.positions
-
-    shared = None if fresh_per_point else record(seed)
+    hist = PositionHistory(horizon, n_particles, model.d, start=burn_in)
+    run_trajectory(
+        model, truth, n_particles, dt, horizon, seed, observers=[hist], eta_true=eta_true
+    )
+    pos = hist.positions
     W = weight_matrix(model)
     theta0 = np.asarray(theta_true, dtype=float)
-    for flat, idx in enumerate(itertools.product(*(range(len(a)) for a in axes))):
+    for idx in itertools.product(*(range(len(a)) for a in axes)):
         theta = np.array([axes[k][i] for k, i in enumerate(idx)])
-        pos = record(seed + 1 + flat) if fresh_per_point else shared
         total, count = 0.0, 0
         for s in range(0, pos.shape[0], chunk):
             block = pos[s : s + chunk]

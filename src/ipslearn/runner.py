@@ -156,19 +156,7 @@ def run_experiment(config: ExperimentConfig, out_dir, trajectory_only: bool = Fa
     if trajectory_only or config.dump_trajectory:
         artifacts += _write_trajectories(config, model, seeds, out, meta)
 
-    manifest = {
-        "config_name": config.name,
-        "config_hash": config.content_hash(),
-        "code_version": __version__,
-        "artifacts": [
-            {"name": p.name, "sha256": _sha256(p)} for p in sorted(artifacts)
-        ],
-    }
-    man_path = out / "manifest.json"
-    with open(man_path, "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    return manifest
+    return _finish_manifest(config, out, artifacts)
 
 
 def _write_estimates(config, model, result, out, meta):

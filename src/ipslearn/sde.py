@@ -1,19 +1,30 @@
 """Euler-Maruyama integration of the interacting particle system.
 
-A trajectory is advanced with a constant time step; each step emits the
-exact state increments, Brownian increments, and realized quadratic
-variation consumed by the online estimators.  Mean-field sums are evaluated
-in a fixed order so runs are bit-reproducible given (seed, config).
+`simulate` is the one time loop of the package.  It advances R independent
+replicates of N particles in lockstep as an (R, N, d) array, with one noise
+stream per (replicate, particle) keyed by (seed, particle index), so a
+replicate's path depends only on its seed and never on the replicates run
+alongside it.  Mean-field sums are evaluated in a fixed order, so runs are
+bit-reproducible given (seed, config).
+
+Everything that reads the simulation is an observer: an object with
+
+    on_step(step, t, positions, dx, stat, keep)
+
+called once per step with the (R, N, d) state at the start of the step, the
+increments dX applied over it, the shared `model.mean_field(positions)`, and
+`keep`, a bool (R,) mask of the replicates already excluded by the blow-up
+guard (None while there are none; their dX is zero and they no longer move).
+The batch estimators, trajectory dumps, surface scans, moment tracking and
+the coupling diagnostic are all observers of this loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .models import InteractionModel, TruthSchedule
-from .rng import BlockedNoise, InvalidConfiguration, RngStream, particle_streams
+from .rng import BlockedNoise, InvalidConfiguration, particle_streams
 
 BLOWUP_THRESHOLD = 1e6  # |x| guard; superlinear diffusions can explode under Euler
 
@@ -24,46 +35,6 @@ class SimulationBlowup(RuntimeError):
     def __init__(self, step: int, message: str = ""):
         self.step = step
         super().__init__(message or f"simulation blew up at step {step}")
-
-
-@dataclass(frozen=True)
-class ParticleEnsemble:
-    """Full system state at one time: N particles in R^d plus the clock."""
-
-    time: float
-    positions: np.ndarray  # (N, d)
-
-    @property
-    def n_particles(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def state_dim(self) -> int:
-        return self.positions.shape[1]
-
-    def validate(self):
-        if self.positions.ndim != 2 or min(self.positions.shape) < 1:
-            raise InvalidConfiguration("positions must be a non-empty N x d matrix")
-        if not np.all(np.isfinite(self.positions)):
-            raise InvalidConfiguration("non-finite particle positions")
-
-
-@dataclass(frozen=True)
-class IncrementBatch:
-    """One step's observation: dW, dX, and dQV = dX dX^T per particle."""
-
-    dW: np.ndarray  # (N, d)
-    dX: np.ndarray  # (N, d)
-    dQV: np.ndarray  # (N, d, d)
-
-    def validate(self, ensemble: ParticleEnsemble):
-        n, d = ensemble.positions.shape
-        if self.dW.shape != (n, d) or self.dX.shape != (n, d):
-            raise InvalidConfiguration("increment shapes do not match the ensemble")
-        if self.dQV.shape != (n, d, d):
-            raise InvalidConfiguration("dQV must be (N, d, d)")
-        if not np.allclose(self.dQV, np.swapaxes(self.dQV, -1, -2)):
-            raise InvalidConfiguration("dQV must be symmetric")
 
 
 def realized_qv(dx: np.ndarray) -> np.ndarray:
@@ -83,42 +54,73 @@ def step_positions(model, theta_true, positions, dw, dt, eta_true=None, stat=Non
     return positions + dx, dx
 
 
-def check_blowup(positions, step):
-    if not np.all(np.isfinite(positions)):
-        raise SimulationBlowup(step, f"non-finite state at step {step}")
-    if np.max(np.abs(positions)) > BLOWUP_THRESHOLD:
-        raise SimulationBlowup(step, f"|x| exceeded {BLOWUP_THRESHOLD:g} at step {step}")
-
-
-def advance_step(
-    ensemble: ParticleEnsemble,
+def simulate(
     model: InteractionModel,
-    theta_true,
+    truth: TruthSchedule,
+    n_particles: int,
     dt: float,
-    noise: BlockedNoise,
+    n_steps: int,
+    seeds,
+    observers=(),
     eta_true=None,
-    step: int = 0,
+    initial_positions: np.ndarray | None = None,
 ):
-    """Advance the ensemble one step, returning (new ensemble, increments)."""
+    """Run one replicate per seed; returns (positions, excluded, blowup_step).
+
+    Initial positions are each stream's first draws unless
+    `initial_positions` (R, N, d) is given.  A replicate with a non-finite
+    entry or one above BLOWUP_THRESHOLD in magnitude after a step is
+    excluded at that step: its blowup_step is the step index (-1 for clean
+    replicates), and from that step on it is marked in `keep`, with zero
+    dX, and keeps its last guarded state.  The loop stops, before calling
+    the observers, once every replicate is excluded.
+    """
+    if n_steps < 1:
+        raise InvalidConfiguration(f"n_steps must be >= 1, got {n_steps}")
     if dt <= 0:
         raise InvalidConfiguration(f"dt must be positive, got {dt}")
-    dw = noise.next_step()
-    new_pos, dx = step_positions(model, theta_true, ensemble.positions, dw, dt, eta_true)
-    check_blowup(new_pos, step)
-    new_ens = ParticleEnsemble(time=ensemble.time + dt, positions=new_pos)
-    return new_ens, IncrementBatch(dW=dw, dX=dx, dQV=realized_qv(dx))
+    R, N, d = len(seeds), n_particles, model.d
+    noise = BlockedNoise([st for s in seeds for st in particle_streams(s, N)], d, dt)
+    if initial_positions is None:
+        positions = noise.initial_positions().reshape(R, N, d)
+    else:
+        positions = np.array(initial_positions, dtype=float)
+        if positions.shape != (R, N, d):
+            raise InvalidConfiguration(f"initial positions must be {(R, N, d)}")
 
+    active = np.ones(R, dtype=bool)
+    keep = None  # ~active once a replicate is excluded: it no longer moves
+    blowup_step = np.full(R, -1, dtype=np.int64)
+    constant_truth = truth.kind == "constant"
+    theta_true = truth.at(0.0)
 
-def center_particles(ensemble: ParticleEnsemble) -> ParticleEnsemble:
-    """Project onto the zero-mean hyperplane: y_i = x_i - mean_j x_j."""
-    centered = ensemble.positions - ensemble.positions.mean(axis=0, keepdims=True)
-    return ParticleEnsemble(time=ensemble.time, positions=centered)
+    for step in range(n_steps):
+        t = step * dt
+        if not constant_truth:
+            theta_true = truth.at(t)
 
+        stat = model.mean_field(positions)  # shared by the drift and every observer
+        dw = noise.next_step().reshape(R, N, d)
+        new_pos, dx = step_positions(model, theta_true, positions, dw, dt, eta_true, stat)
 
-def initial_ensemble(noise: BlockedNoise, init: str = "standard-normal") -> np.ndarray:
-    if init != "standard-normal":
-        raise InvalidConfiguration(f"unknown initial law {init!r}")
-    return noise.initial_positions()
+        # one pass: the max is NaN or inf, and fails the test, if any entry is
+        ok = np.abs(new_pos.reshape(R, -1)).max(axis=1) <= BLOWUP_THRESHOLD
+        newly_dead = active & ~ok
+        if newly_dead.any():
+            blowup_step[newly_dead] = step
+            active &= ok
+            if not active.any():
+                break  # `positions` holds every replicate's last guarded state
+            keep = ~active
+        if keep is not None:
+            np.copyto(new_pos, positions, where=keep[:, None, None])
+            dx[keep] = 0.0
+
+        for obs in observers:
+            obs.on_step(step, t, positions, dx, stat, keep)
+        positions = new_pos
+
+    return positions, ~active, blowup_step
 
 
 def run_trajectory(
@@ -130,48 +132,28 @@ def run_trajectory(
     seed: int,
     observers=(),
     eta_true=None,
-    init: str = "standard-normal",
-    streams: list[RngStream] | None = None,
     initial_positions: np.ndarray | None = None,
-):
-    """Drive one trajectory, invoking each observer once per step.
+) -> np.ndarray:
+    """One replicate of `simulate`; returns the final (N, d) positions.
 
-    Observers implement on_step(step, t, ensemble, increments, new_ensemble)
-    and optionally finish(); they receive the increments actually applied,
-    so estimator updates are deterministic functions of the observation
-    stream.  On blowup, observers are finished (partial outputs flushed)
-    before the error propagates.
+    Observers see (1, N, d) arrays.  If the blow-up guard trips, observers
+    have received every step before it and SimulationBlowup carries the step.
     """
-    if n_steps < 1:
-        raise InvalidConfiguration(f"n_steps must be >= 1, got {n_steps}")
-    if streams is None:
-        streams = particle_streams(seed, n_particles)
-    noise = BlockedNoise(streams, model.d, dt)
-    if initial_positions is None:
-        positions = initial_ensemble(noise, init)
-    else:
-        positions = np.array(initial_positions, dtype=float)
-    ensemble = ParticleEnsemble(time=0.0, positions=positions)
-    try:
-        for step in range(n_steps):
-            t = step * dt
-            theta_true = truth.at(t)
-            new_ens, inc = advance_step(
-                ensemble, model, theta_true, dt, noise, eta_true=eta_true, step=step
-            )
-            for obs in observers:
-                obs.on_step(step, t, ensemble, inc, new_ens)
-            ensemble = new_ens
-    finally:
-        for obs in observers:
-            finish = getattr(obs, "finish", None)
-            if finish is not None:
-                finish()
-    return ensemble
+    if initial_positions is not None:
+        initial_positions = np.asarray(initial_positions, dtype=float)[None]
+    positions, excluded, blowup_step = simulate(
+        model, truth, n_particles, dt, n_steps, (seed,), observers, eta_true, initial_positions
+    )
+    if excluded[0]:
+        step = int(blowup_step[0])
+        raise SimulationBlowup(
+            step, f"|x| exceeded {BLOWUP_THRESHOLD:g} or became non-finite at step {step}"
+        )
+    return positions[0]
 
 
 # ---------------------------------------------------------------------------
-# Observers
+# Observers of single trajectories (replicate 0 of the positions they see)
 
 
 class TrajectoryRecorder:
@@ -181,28 +163,25 @@ class TrajectoryRecorder:
         self.record_every = record_every
         self.rows = []
 
-    def on_step(self, step, t, ensemble, increments, new_ensemble):
+    def on_step(self, step, t, positions, dx, stat, keep):
         if step % self.record_every:
             return
-        pos = ensemble.positions
+        pos = positions[0]
         for i in range(pos.shape[0]):
             for k in range(pos.shape[1]):
                 self.rows.append((step, t, i, k, pos[i, k]))
 
-    def finish(self):
-        pass
-
 
 class PositionHistory:
-    """Keeps the raw (T, N, d) position array (used by surface scans)."""
+    """Keeps the (T, n, d) step-start positions of the first n particles."""
 
     def __init__(self, n_steps, n_particles, d, start=0):
         self.start = start
         self.positions = np.empty((n_steps - start, n_particles, d))
 
-    def on_step(self, step, t, ensemble, increments, new_ensemble):
+    def on_step(self, step, t, positions, dx, stat, keep):
         if step >= self.start:
-            self.positions[step - self.start] = ensemble.positions
+            self.positions[step - self.start] = positions[0, : self.positions.shape[1]]
 
 
 class MomentTracker:
@@ -220,8 +199,8 @@ class MomentTracker:
         self.series = {k: np.empty(n_steps) for k in self.orders}
         self.n_filled = 0
 
-    def on_step(self, step, t, ensemble, increments, new_ensemble):
-        sq = np.sum(ensemble.positions**2, axis=1)
+    def on_step(self, step, t, positions, dx, stat, keep):
+        sq = np.sum(positions[0] ** 2, axis=1)
         for k in self.orders:
             self.series[k][step] = np.mean(sq ** (k / 2))
         self.n_filled = step + 1
@@ -238,6 +217,3 @@ class MomentTracker:
         if half == 0:
             return False
         return bool(np.mean(s[half:]) > self.growth_factor * np.mean(s[:half]))
-
-    def finish(self):
-        pass

@@ -272,6 +272,115 @@ def test_cli_rms_rho_out_of_range_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def _vol32(cfg):
+    cfg.update(model={"id": "vol32"}, eta_true=1.0,
+               truth={"kind": "constant", "values": [2.7, 2.3, 1.0]})
+    cfg["init"].update(theta_low=[1.0, 3.5, 0.0], theta_high=[1.5, 4.0, 0.2],
+                       eta_low=0.5, eta_high=1.5)
+    cfg["estimators"] = [{"kind": "diffusion",
+                          "learning_rate": {"kind": "constant", "gamma0": 0.01}}]
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def mutate(cfg):
+        target = cfg
+        for k in path:
+            target = target[k]
+        target[key] = value
+    return mutate
+
+
+def _both(*mutations):
+    def mutate(cfg):
+        for m in mutations:
+            m(cfg)
+    return mutate
+
+
+NAN, INF = float("nan"), float("inf")
+# (config mutation, field named by the error); written to disk as the JSON
+# tokens NaN / Infinity / true, as a user's file would carry them
+BAD_NUMBERS = {
+    "n_particles-bool": (_set("n_particles", True), "<root>.n_particles"),
+    "n_steps-bool": (_set("n_steps", True), "<root>.n_steps"),
+    "replicates-bool": (_set("replicates", True), "<root>.replicates"),
+    "base_seed-bool": (_set("base_seed", False), "<root>.base_seed"),
+    "record_every-bool": (_set("record_every", True), "record_every"),
+    "particle-bool": (_set("estimators", 0, "particle", True), "estimators[0].particle"),
+    "triplet-bool": (_set("estimators", 1, "triplet", [0, True, 2]), "estimators[1].triplet"),
+    "sweep-bool": (_set("sweep", {"n_particles": [3, True]}), "sweep.n_particles"),
+    "dt-nan": (_set("dt", NAN), "dt"),
+    "dt-inf": (_set("dt", INF), "dt"),
+    "gamma0-inf": (_set("estimators", 0, "learning_rate", "gamma0", INF),
+                   "estimators[0].learning_rate.gamma0"),
+    "gamma0-nan": (_set("estimators", 0, "learning_rate", "gamma0", NAN),
+                   "estimators[0].learning_rate.gamma0"),
+    "beta-nan": (_set("estimators", 0, "learning_rate",
+                      {"kind": "power-law", "gamma0": 1.0, "beta": NAN}),
+                 "estimators[0].learning_rate.beta"),
+    "eta_true-nan": (_both(_vol32, _set("eta_true", NAN)), "eta_true"),
+    "sigma-inf": (_set("model", "sigma", INF), "model.sigma"),
+    "sigma-nan": (_set("model", "sigma", NAN), "model.sigma"),
+    "tail_fraction-nan": (_set("tail_fraction", NAN), "tail_fraction"),
+    "truth-values-nan": (_set("truth", "values", [1.0, NAN]), "truth.values"),
+    "truth-values-inf": (_set("truth", "values", [-INF, 0.2]), "truth.values"),
+    "truth-switch_time-inf": (
+        _set("truth", {"kind": "changepoint", "start": [1.0, 0.2], "end": [1.5, 0.2],
+                       "switch_time": INF}), "truth.switch_time"),
+    "truth-horizon-nan": (
+        _set("truth", {"kind": "ramp", "start": [1.0, 0.2], "end": [1.5, 0.2],
+                       "horizon": NAN}), "truth.horizon"),
+    "theta_low-nan": (_set("init", "theta_low", [NAN, 0.5]), "init.theta_low"),
+    "theta_high-inf": (_set("init", "theta_high", [2.5, INF]), "init.theta_high"),
+    "eta_low-nan": (_both(_vol32, _set("init", "eta_low", NAN)), "init.eta_low"),
+    "eta_high-inf": (_both(_vol32, _set("init", "eta_high", INF)), "init.eta_high"),
+    "bounds-nan": (_both(_set("estimators", 0, "bounds_lower", [0.0, NAN]),
+                         _set("estimators", 0, "bounds_upper", [5.0, 5.0])),
+                   "estimators[0].bounds_lower"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+def test_cli_bool_or_non_finite_number_exits_2(tmp_path, capsys, case):
+    mutate, field = BAD_NUMBERS[case]
+    cfg = tiny_config()
+    mutate(cfg)
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    assert cli_main(["estimate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "validation"
+    assert payload["message"].startswith(f"{field}:")
+    assert not (tmp_path / "o").exists()
+
+
+def test_infinite_bounds_accepted():
+    cfg = tiny_config()
+    cfg["estimators"][0].update(bounds_lower=[-INF, 0.0], bounds_upper=[INF, INF])
+    parsed = parse_config(cfg)
+    assert parsed.estimators[0].bounds_lower == [-INF, 0.0]
+    assert parsed.estimators[0].bounds_upper == [INF, INF]
+
+
+@pytest.mark.parametrize("key, value", [("particle", 4), ("triplet", [0, 1, 4]), ("pi", [0, 4])])
+def test_estimator_indices_checked_against_every_sweep_size(tmp_path, capsys, key, value):
+    # index 4 exists at N = 5 but not in the sweep's N = 4
+    cfg = tiny_config(sweep={"n_particles": [4, 5]})
+    kind = {"particle": "averaged", "triplet": "triplet", "pi": "averaged_m"}[key]
+    cfg["estimators"][1].update(kind=kind, label="probe", **{key: value})
+    parsed = parse_config({**cfg, "sweep": {"n_particles": [5, 6]}})
+    assert parsed.sweep_n_particles == [5, 6]
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    assert cli_main(["sweep", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "validation"
+    assert payload["message"].startswith(f"estimators[1].{key}:")
+    assert "N=4" in payload["message"]
+
+
 @pytest.mark.parametrize(
     "flag, value, field", [("--replicates", "0", "replicates"), ("--seed", "-1", "base_seed")]
 )
@@ -349,3 +458,26 @@ def test_cli_entrypoint_via_subprocess(tmp_path):
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["artifacts"] > 0
+
+
+def test_error_vs_particles_script_validates_replicates(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "error_vs_particles.py"
+    cfg = tiny_config(sweep={"n_particles": [3]}, n_steps=20)
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+
+    def run(replicates):
+        return subprocess.run(
+            [sys.executable, str(script), "--config", str(p), "--out", str(tmp_path / "o"),
+             "--replicates", replicates],
+            capture_output=True, text=True,
+        )
+
+    bad = run("0")
+    assert bad.returncode == 2 and bad.stderr.startswith("replicates:")
+    good = run("3")
+    assert good.returncode == 0, good.stderr
+    meta = json.loads((tmp_path / "o" / "sweep.csv.meta.json").read_text())
+    # the artifacts carry the hash of the config that actually ran
+    assert meta["replicates"] == 3
+    assert meta["config_hash"] == parse_config({**cfg, "replicates": 3}).content_hash()

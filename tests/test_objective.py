@@ -186,16 +186,6 @@ def test_scan_minimum_lies_on_the_ridge():
     assert abs(pt.sum() - 1.2) <= 0.5 + 1e-9
 
 
-def test_fresh_per_point_mode_runs():
-    m = make_model("linear")
-    axes = (np.array([1.0, 1.4]), np.array([0.2]))
-    a = surface_scan(m, axes, 5, 0.1, 500, 50, "L_iN", seed=5, theta_true=[1.0, 0.2])
-    b = surface_scan(m, axes, 5, 0.1, 500, 50, "L_iN", seed=5, theta_true=[1.0, 0.2],
-                     fresh_per_point=True)
-    assert a.values.shape == b.values.shape == (2, 1)
-    assert not np.array_equal(a.values, b.values)
-
-
 def test_triplet_scan_kind_uses_polarised_contrast():
     m = make_model("linear")
     axes = (np.array([1.0, 1.6]), np.array([0.2, 0.8]))

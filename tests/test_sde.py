@@ -1,21 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
+from ipslearn.batch import run_batch
 from ipslearn.models import TruthSchedule, make_model
 from ipslearn.rng import BlockedNoise, InvalidConfiguration, particle_streams
 from ipslearn.sde import (
-    IncrementBatch,
+    BLOWUP_THRESHOLD,
     MomentTracker,
-    ParticleEnsemble,
     SimulationBlowup,
     TrajectoryRecorder,
-    advance_step,
-    center_particles,
     realized_qv,
     run_trajectory,
+    simulate,
+    step_positions,
 )
 
 
@@ -23,38 +20,57 @@ def _noise(seed, n, d, dt=0.1):
     return BlockedNoise(particle_streams(seed, n), d, dt)
 
 
+class Steps:
+    """Observer keeping a copy of everything the engine hands it."""
+
+    def __init__(self):
+        self.seen = []
+
+    def on_step(self, step, t, positions, dx, stat, keep):
+        self.seen.append((step, t, positions.copy(), dx.copy(), keep))
+
+
 def test_single_particle_linear_step_is_exact():
     # sigma = 0 removes the noise; with N = 1 the interaction term vanishes
     # (self term only), so x' = x - theta1*x*dt
     m = make_model("linear", sigma=0.0)
-    ens = ParticleEnsemble(time=0.0, positions=np.array([[2.0]]))
-    new, inc = advance_step(ens, m, np.array([1.0, 0.2]), 0.1, _noise(1, 1, 1))
-    assert new.positions[0, 0] == pytest.approx(1.8, abs=0)
-    assert inc.dX[0, 0] == pytest.approx(-0.2, abs=0)
-    assert new.time == pytest.approx(0.1)
+    obs = Steps()
+    final = run_trajectory(m, TruthSchedule.constant([1.0, 0.2]), 1, 0.1, 1, seed=1,
+                           observers=[obs], initial_positions=np.array([[2.0]]))
+    assert final[0, 0] == pytest.approx(1.8, abs=0)
+    [(step, t, positions, dx, keep)] = obs.seen
+    assert (step, t, keep) == (0, 0.0, None)
+    assert positions.tolist() == [[[2.0]]]
+    assert dx[0, 0, 0] == pytest.approx(-0.2, abs=0)
 
 
 def test_kuramoto_equal_phases_pure_noise():
     # sin(0) = 0: with all phases equal the drift cancels exactly and the
     # increment is sigma*dW bitwise
     m = make_model("kuramoto", sigma=1.3)
-    ens = ParticleEnsemble(time=0.0, positions=np.full((6, 1), 0.42))
-    new, inc = advance_step(ens, m, np.array([1.5]), 0.1, _noise(3, 6, 1))
-    assert np.array_equal(inc.dX, 1.3 * inc.dW)
+    dw = _noise(3, 6, 1).next_step()
+    _, dx = step_positions(m, np.array([1.5]), np.full((6, 1), 0.42), dw, 0.1)
+    assert np.array_equal(dx, 1.3 * dw)
 
 
 def test_increment_reconstruction_bitwise(zoo_model):
-    # dX must reconstruct exactly from the drift at the pre-step state and
-    # the emitted Brownian increments, in the same arithmetic order
+    # the dX handed to observers must reconstruct exactly from the drift at
+    # the step-start state and the stream's Brownian increments, in the same
+    # arithmetic order, and the next step must start from x + dX
     rng = np.random.default_rng(5)
     theta = rng.standard_normal(zoo_model.p) * 0.3
     eta = np.array([0.7]) if zoo_model.diffusion.parametric else None
-    ens = ParticleEnsemble(time=0.0, positions=rng.standard_normal((5, zoo_model.d)))
-    new, inc = advance_step(ens, zoo_model, theta, 0.1, _noise(8, 5, zoo_model.d), eta_true=eta)
-    drift = zoo_model.drift_ensemble(theta, ens.positions)
-    noise_term = zoo_model.diffusion.apply(eta, ens.positions, inc.dW)
-    assert np.array_equal(inc.dX, drift * 0.1 + noise_term)
-    assert np.array_equal(new.positions, ens.positions + inc.dX)
+    obs = Steps()
+    final = run_trajectory(zoo_model, TruthSchedule.constant(theta), 5, 0.1, 4, seed=8,
+                           observers=[obs], eta_true=eta)
+    noise = _noise(8, 5, zoo_model.d)
+    noise.initial_positions()
+    ends = [positions for _, _, positions, _, _ in obs.seen[1:]] + [final[None]]
+    for (_, _, positions, dx, _), end in zip(obs.seen, ends):
+        drift = zoo_model.drift_ensemble(theta, positions)
+        noise_term = zoo_model.diffusion.apply(eta, positions, noise.next_step()[None])
+        assert np.array_equal(dx, drift * 0.1 + noise_term)
+        assert np.array_equal(end, positions + dx)
 
 
 def test_qv_is_symmetric_psd():
@@ -65,40 +81,6 @@ def test_qv_is_symmetric_psd():
     for i in range(4):
         assert np.array_equal(qv[i], qv[i].T)
         assert np.all(np.linalg.eigvalsh(qv[i]) >= -1e-15)
-
-
-def test_increment_batch_validation():
-    ens = ParticleEnsemble(time=0.0, positions=np.zeros((3, 1)))
-    good = IncrementBatch(np.zeros((3, 1)), np.zeros((3, 1)), np.zeros((3, 1, 1)))
-    good.validate(ens)
-    bad = IncrementBatch(np.zeros((2, 1)), np.zeros((3, 1)), np.zeros((3, 1, 1)))
-    with pytest.raises(InvalidConfiguration):
-        bad.validate(ens)
-
-
-# ---------------------------------------------------------------------------
-# Centering
-
-
-def test_center_small_example():
-    ens = ParticleEnsemble(time=0.0, positions=np.array([[1.0], [3.0]]))
-    assert np.array_equal(center_particles(ens).positions, np.array([[-1.0], [1.0]]))
-
-
-def test_center_idempotent():
-    rng = np.random.default_rng(2)
-    ens = ParticleEnsemble(time=0.0, positions=rng.standard_normal((10, 3)))
-    once = center_particles(ens)
-    twice = center_particles(once)
-    assert once.positions == pytest.approx(twice.positions, abs=1e-15)
-
-
-@settings(max_examples=25, deadline=None)
-@given(arrays(float, (50, 2), elements=st.floats(-100, 100)))
-def test_center_zero_column_sums(mat):
-    ens = ParticleEnsemble(time=0.0, positions=mat)
-    col_sums = center_particles(ens).positions.sum(axis=0)
-    assert np.all(np.abs(col_sums) < 1e-12 * max(1.0, np.abs(mat).max()))
 
 
 def test_interaction_only_drift_sums_to_zero():
@@ -113,21 +95,60 @@ def test_interaction_only_drift_sums_to_zero():
     assert abs(total) < 1e-10 * 20
 
 
-def test_centered_kuramoto_increments_stay_centered():
-    m = make_model("kuramoto")
-    truth = TruthSchedule.constant([1.5])
+# ---------------------------------------------------------------------------
+# The engine
 
-    class Check:
-        max_dev = 0.0
 
-        def on_step(self, step, t, ens, inc, new_ens):
-            centered = center_particles(new_ens).positions
-            recentred = new_ens.positions - new_ens.positions.mean(axis=0)
-            self.max_dev = max(self.max_dev, np.abs(centered - recentred).max())
+def test_each_replicate_equals_its_own_run(zoo_model):
+    # streams are keyed by (seed, particle): a replicate's path does not
+    # depend on the replicates run alongside it
+    rng = np.random.default_rng(17)
+    truth = TruthSchedule.constant(rng.standard_normal(zoo_model.p) * 0.3)
+    eta = 0.7 if zoo_model.diffusion.parametric else None
+    seeds = (31, 32, 33)
+    batch, excluded, blowup_step = simulate(zoo_model, truth, 6, 0.05, 60, seeds, eta_true=eta)
+    assert not excluded.any() and np.all(blowup_step == -1)
+    for r, seed in enumerate(seeds):
+        alone = run_trajectory(zoo_model, truth, 6, 0.05, 60, seed, eta_true=eta)
+        assert alone.tobytes() == batch[r].tobytes()
 
-    chk = Check()
-    run_trajectory(m, truth, 10, 0.1, 50, seed=4, observers=[chk])
-    assert chk.max_dev == 0.0
+
+def test_simulate_rejects_misshapen_initial_positions():
+    m = make_model("linear")
+    with pytest.raises(InvalidConfiguration):
+        simulate(m, TruthSchedule.constant([1.0, 0.2]), 3, 0.1, 5, (1, 2),
+                 initial_positions=np.zeros((3, 1)))
+
+
+def test_excluded_replicates_keep_their_last_guarded_state():
+    # vol32 with a large eta: every replicate blows up, at steps 7, 53 and 5;
+    # each must report the state before its blow-up step, inside the guard
+    m = make_model("vol32")
+    res = run_batch(m, TruthSchedule.constant([2.7, 2.3, 1.0]), 10, 0.2, 500, [1, 2, 3],
+                    eta_true=1.5)
+    assert res.excluded.all()
+    assert res.blowup_step.tolist() == [7, 53, 5]
+    assert np.abs(res.final_positions).max(axis=(1, 2)).max() <= BLOWUP_THRESHOLD
+
+
+def test_excluded_replicates_stop_moving_and_observers_see_keep():
+    # replicates excluded at steps 7 and 5 freeze; the third runs on with
+    # zero increments for the other two
+    m = make_model("vol32")
+    truth = TruthSchedule.constant([2.7, 2.3, 1.0])
+    obs = Steps()
+    final, excluded, blowup_step = simulate(m, truth, 10, 0.2, 20, (1, 3, 4), [obs],
+                                            eta_true=1.5)
+    assert blowup_step[0] == 7 and blowup_step[1] == 5
+    assert excluded.tolist() == [True, True, False]
+    for step, _, positions, dx, keep in obs.seen:
+        dead = blowup_step[:2] <= step
+        assert (keep is None) == (not dead.any())
+        if keep is not None:
+            assert keep[:2].tolist() == dead.tolist() and not keep[2]
+            assert np.all(dx[keep] == 0.0)
+    assert np.array_equal(final[0], obs.seen[7][2][0])
+    assert np.array_equal(final[1], obs.seen[5][2][1])
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +177,21 @@ def test_exchangeability_under_stream_permutation():
     # trajectories; equality is up to rounding, since the mean-field sum
     # accumulates in a different order
     m = make_model("kuramoto")
-    truth = TruthSchedule.constant([1.5])
+    theta = np.array([1.5])
+
+    def run(order):
+        noise = BlockedNoise([particle_streams(6, 4)[i] for i in order], 1, 0.1)
+        pos = noise.initial_positions()
+        for _ in range(200):
+            pos, _ = step_positions(m, theta, pos, noise.next_step(), 0.1)
+        return pos
+
+    base = run(range(4))
     perm = [2, 0, 3, 1]
-    base = run_trajectory(m, truth, 4, 0.1, 200, seed=6)
-    streams = [particle_streams(6, 4)[i] for i in perm]
-    permuted = run_trajectory(m, truth, 4, 0.1, 200, seed=6, streams=streams)
-    assert permuted.positions == pytest.approx(base.positions[perm], abs=1e-10)
+    assert run(perm) == pytest.approx(base[perm], abs=1e-10)
+    # the plain loop above is the engine's arithmetic, bit for bit
+    engine = run_trajectory(m, TruthSchedule.constant(theta), 4, 0.1, 200, seed=6)
+    assert engine.tobytes() == base.tobytes()
 
 
 def test_changepoint_truth_applied_at_switch_step():
@@ -169,14 +199,14 @@ def test_changepoint_truth_applied_at_switch_step():
     # with the larger rate kicking in exactly from step 5
     m = make_model("linear", sigma=0.0)
     truth = TruthSchedule("changepoint", [1.0, 0.0], [3.0, 0.0], switch_time=0.5)
-    ens = run_trajectory(
+    final = run_trajectory(
         m, truth, 1, 0.1, 10, seed=1, initial_positions=np.array([[1.0]])
     )
     expect = 1.0
     for k in range(10):
         rate = 1.0 if k * 0.1 < 0.5 else 3.0
         expect *= 1.0 - rate * 0.1
-    assert ens.positions[0, 0] == pytest.approx(expect, rel=1e-14)
+    assert final[0, 0] == pytest.approx(expect, rel=1e-14)
 
 
 def test_blowup_raises_with_step_and_flushes_observers():
