@@ -29,25 +29,32 @@ class ConfigError(ValueError):
         super().__init__(f"{field_name}: {message}")
 
 
+def _path(ctx, key):
+    """Field path of `key` inside `ctx`; top-level fields have an empty ctx."""
+    return f"{ctx}.{key}" if ctx else key
+
+
+def _typed(v, ctx, types):
+    """`v` if it has the JSON type `types`; a bool passes only as `bool`."""
+    if not isinstance(v, types) or (isinstance(v, bool) and types is not bool):
+        raise ConfigError(ctx, f"expected {types.__name__}, got {type(v).__name__}")
+    return v
+
+
 def _require(d, key, ctx, types=None):
     if key not in d:
-        raise ConfigError(f"{ctx}.{key}", "missing required field")
-    v = d[key]
-    if types is not None and (isinstance(v, bool) or not isinstance(v, types)):
-        raise ConfigError(f"{ctx}.{key}", f"expected {types}, got {type(v).__name__}")
-    return v
+        raise ConfigError(_path(ctx, key), "missing required field")
+    return d[key] if types is None else _typed(d[key], _path(ctx, key), types)
 
 
 def _check_keys(d, allowed, ctx):
     unknown = set(d) - set(allowed)
     if unknown:
-        raise ConfigError(f"{ctx}.{sorted(unknown)[0]}", "unknown field")
+        raise ConfigError(_path(ctx, sorted(unknown)[0]), "unknown field")
 
 
 def _int(v, ctx):
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(ctx, f"expected an integer, got {type(v).__name__}")
-    return v
+    return _typed(v, ctx, int)
 
 
 def _float(v, ctx, infinite_ok=False):
@@ -149,11 +156,11 @@ _EST_KEYS = {
 def parse_config(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("<root>", "config must be a JSON object")
-    _check_keys(data, _TOP_KEYS, "<root>")
+    _check_keys(data, _TOP_KEYS, "")
 
-    name = _require(data, "name", "<root>", str)
+    name = _require(data, "name", "", str)
 
-    mdl = _require(data, "model", "<root>", dict)
+    mdl = _require(data, "model", "", dict)
     _check_keys(mdl, {"id", "sigma"}, "model")
     model_id = _require(mdl, "id", "model", str)
     if model_id not in MODEL_ZOO:
@@ -163,8 +170,10 @@ def parse_config(data: dict) -> ExperimentConfig:
         if model_id == "vol32":
             raise ConfigError("model.sigma", "vol32 takes eta_true, not a constant sigma")
         model_params["sigma"] = _float(mdl["sigma"], "model.sigma")
+        if model_params["sigma"] <= 0:
+            raise ConfigError("model.sigma", "must be positive")
 
-    truth = _parse_truth(_require(data, "truth", "<root>", dict))
+    truth = _parse_truth(_require(data, "truth", "", dict))
     model_probe = make_model(model_id, **model_params)
     if truth.start.size != model_probe.p:
         raise ConfigError("truth", f"expected {model_probe.p} parameters for {model_id}")
@@ -174,20 +183,22 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError("eta_true", f"{model_id} requires eta_true")
     if eta_true is not None:
         eta_true = _float(eta_true, "eta_true")
+        if eta_true <= 0:
+            raise ConfigError("eta_true", "must be positive")
         if not model_probe.diffusion.parametric:
             raise ConfigError("eta_true", f"{model_id} has a constant diffusion")
 
-    n_particles = _require(data, "n_particles", "<root>", int)
+    n_particles = _require(data, "n_particles", "", int)
     if n_particles < 1:
         raise ConfigError("n_particles", "must be >= 1")
-    dt = _float(_require(data, "dt", "<root>"), "dt")
+    dt = _float(_require(data, "dt", ""), "dt")
     if dt <= 0:
         raise ConfigError("dt", "must be positive")
-    n_steps = _require(data, "n_steps", "<root>", int)
+    n_steps = _require(data, "n_steps", "", int)
     if n_steps < 1:
         raise ConfigError("n_steps", "must be >= 1")
 
-    init = _require(data, "init", "<root>", dict)
+    init = _require(data, "init", "", dict)
     _check_keys(init, {"particles", "theta_low", "theta_high", "eta_low", "eta_high"}, "init")
     particle_init = init.get("particles", "standard-normal")
     if particle_init != "standard-normal":
@@ -204,18 +215,20 @@ def parse_config(data: dict) -> ExperimentConfig:
         eta_low = _float(eta_low, "init.eta_low")
     if eta_high is not None:
         eta_high = _float(eta_high, "init.eta_high")
+    if eta_low is not None and eta_high is not None and eta_low > eta_high:
+        raise ConfigError("init.eta_low", "lower bound exceeds upper bound")
 
     sweep = data.get("sweep")
     sweep_list = None
     if sweep is not None:
-        _check_keys(sweep, {"n_particles"}, "sweep")
+        _check_keys(_typed(sweep, "sweep", dict), {"n_particles"}, "sweep")
         sweep_list = list(_ints(_require(sweep, "n_particles", "sweep", list), "sweep.n_particles"))
         if any(n < 1 for n in sweep_list):
             raise ConfigError("sweep.n_particles", "entries must be >= 1")
     # estimator indices must exist in every system size the config runs
     n_min = min([n_particles] + (sweep_list or []))
 
-    est_list = _require(data, "estimators", "<root>", list)
+    est_list = _require(data, "estimators", "", list)
     if not est_list:
         raise ConfigError("estimators", "need at least one estimator")
     estimators = [
@@ -230,10 +243,10 @@ def parse_config(data: dict) -> ExperimentConfig:
         if eta_low is None or eta_high is None:
             raise ConfigError("init.eta_low", "diffusion estimator needs an eta init box")
 
-    replicates = _require(data, "replicates", "<root>", int)
+    replicates = _require(data, "replicates", "", int)
     if replicates < 1:
         raise ConfigError("replicates", "must be >= 1")
-    base_seed = _require(data, "base_seed", "<root>", int)
+    base_seed = _require(data, "base_seed", "", int)
     if base_seed < 0:
         raise ConfigError("base_seed", "must be non-negative")
     record_every = _int(data.get("record_every", 1), "record_every")
@@ -245,7 +258,8 @@ def parse_config(data: dict) -> ExperimentConfig:
 
     surface = data.get("surface")
     if surface is not None:
-        _check_keys(surface, {"axes", "scan_kind", "horizon_steps", "burn_in_steps"}, "surface")
+        surface_keys = {"axes", "scan_kind", "horizon_steps", "burn_in_steps"}
+        _check_keys(_typed(surface, "surface", dict), surface_keys, "surface")
         axes = _require(surface, "axes", "surface", list)
         if len(axes) != model_probe.p:
             raise ConfigError("surface.axes", f"expected {model_probe.p} axes")
@@ -256,10 +270,10 @@ def parse_config(data: dict) -> ExperimentConfig:
         bi = _int(surface.get("burn_in_steps", hz // 10), "surface.burn_in_steps")
         if not 0 <= bi < hz:
             raise ConfigError("surface.burn_in_steps", "need 0 <= burn_in < horizon")
-        surface = {
-            "axes": [_floats(a, "surface.axes") for a in axes],
-            "scan_kind": kind, "horizon_steps": hz, "burn_in_steps": bi,
-        }
+        axes = [_floats(a, "surface.axes") for a in axes]
+        if not all(axes):
+            raise ConfigError("surface.axes", "every axis needs at least one value")
+        surface = {"axes": axes, "scan_kind": kind, "horizon_steps": hz, "burn_in_steps": bi}
 
     return ExperimentConfig(
         name=name,
@@ -280,7 +294,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         base_seed=base_seed,
         record_every=record_every,
         tail_fraction=tail_fraction,
-        dump_trajectory=bool(data.get("dump_trajectory", False)),
+        dump_trajectory=_typed(data.get("dump_trajectory", False), "dump_trajectory", bool),
         sweep_n_particles=sweep_list,
         surface=surface,
         raw=data,
@@ -323,7 +337,7 @@ def _parse_estimator(d, index, model, n_particles) -> EstimatorConfig:
     kind = _require(d, "kind", ctx, str)
     if kind not in ESTIMATOR_KINDS:
         raise ConfigError(f"{ctx}.kind", f"unknown kind {kind!r}")
-    label = d.get("label", kind)
+    label = _typed(d.get("label", kind), f"{ctx}.label", str)
 
     particle = _int(d.get("particle", 0), f"{ctx}.particle")
     if not 0 <= particle < n_particles:
@@ -387,6 +401,8 @@ def _parse_estimator(d, index, model, n_particles) -> EstimatorConfig:
         upper = _floats(upper, f"{ctx}.bounds_upper", infinite_ok=True)
         if len(lower) != n_par or len(upper) != n_par:
             raise ConfigError(f"{ctx}.bounds_lower", f"expected length {n_par}")
+        if any(lo > hi for lo, hi in zip(lower, upper)):
+            raise ConfigError(f"{ctx}.bounds_lower", "lower bound exceeds upper bound")
 
     rms_rho = _float(d.get("rms_rho", 0.99), f"{ctx}.rms_rho")
     if not 0.0 <= rms_rho < 1.0:
@@ -419,7 +435,7 @@ def _parse_estimator(d, index, model, n_particles) -> EstimatorConfig:
         beta=beta,
         scale=scale,
         free_params=free,
-        rmsprop=bool(d.get("rmsprop", False)),
+        rmsprop=_typed(d.get("rmsprop", False), f"{ctx}.rmsprop", bool),
         rms_rho=rms_rho,
         rms_eps=rms_eps,
         bounds_lower=lower,

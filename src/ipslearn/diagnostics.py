@@ -114,12 +114,6 @@ class SweepCell:
 class SweepTable:
     cells: tuple
 
-    def lookup(self, n, estimator, param) -> SweepCell:
-        for c in self.cells:
-            if (c.n_particles, c.estimator, c.param) == (n, estimator, param):
-                return c
-        raise KeyError((n, estimator, param))
-
 
 def l2_error_sweep(
     model: InteractionModel,

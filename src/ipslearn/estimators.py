@@ -12,18 +12,12 @@ single trajectory and a stacked array of replicates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .models import Box, weight_matrix
 from .rng import InvalidConfiguration
-
-
-class EstimatorDivergence(RuntimeError):
-    def __init__(self, step, message=""):
-        self.step = step
-        super().__init__(message or f"estimator diverged at step {step}")
 
 
 # ---------------------------------------------------------------------------
@@ -231,21 +225,12 @@ def rmsprop_precondition(raw_update, state: EstimatorState, lr_vec, cfg: RmsProp
     return raw_update / (np.sqrt(acc) + cfg.eps), acc
 
 
-def project_constraint(state: EstimatorState, bounds: Box | None) -> EstimatorState:
-    """Freeze-at-boundary rule: estimates leaving the box stop for good."""
-    if bounds is None:
-        return state
-    outside = ~bounds.contains(state.theta)
-    if not np.any(outside):
-        return state
-    frozen = state.frozen | outside
-    return replace(state, frozen=frozen)
-
-
 def _apply_raw_update(state, raw, lr_vec, options, keep=None):
     """Common tail of every update rule: mask, precondition, freeze, clamp.
 
-    Works in place on `state`'s arrays and returns `state`.  `keep` (bool,
+    A replicate, or an unbatched state, freezes for good on a non-finite raw
+    step or on a proposal outside the bounds, keeping its last value.  Works
+    in place on `state`'s arrays and returns `state`.  `keep` (bool,
     batch-shaped) marks replicates that must not change at all this step.
     """
     if options.free_mask is not None:
@@ -255,9 +240,6 @@ def _apply_raw_update(state, raw, lr_vec, options, keep=None):
     finite = np.isfinite(raw).all(axis=-1)
     if not finite.all():
         freeze = ~finite
-        if freeze.ndim == 0:
-            raise EstimatorDivergence(state.step_index)
-        # batched runs freeze the diverged replicate and keep going
         raw = np.where(freeze[..., None], 0.0, raw)
         hold = hold | freeze
     step = raw

@@ -1,13 +1,23 @@
 """Model zoo for weakly interacting particle systems.
 
-Each model supplies the pairwise drift b(theta, x, y), its parameter
-gradient g = d_theta b, the diffusion specification, a noise mask, the
-residual weighting mode, and the admissible parameter set.  The drift of
-particle i in an N-particle system is the empirical-measure average
+A model declares its pairwise drift b(theta, x, y) and parameter gradient
+g = d_theta b (`drift_pair`, `grad_pair`), which coordinates carry noise
+(`noisy`), its residual weighting mode, and its sizes and parameter names.
+The drift of particle i in an N-particle system is the empirical-measure
+average
 
     B_i(theta, x) = (1/N) sum_j b(theta, x_i, x_j),
 
 with the self term j = i included.
+
+The mean-field forms (`drift_mean`, `grad_mean`, `drift_ensemble`) follow
+from the pair drift:
+
+- linear, double-well, vol32 and FitzHugh-Nagumo have a b that is affine in
+  y, so the average is b evaluated at the empirical mean (`MeanPositionModel`);
+- Kuramoto writes the average of sin(x - x_j) in closed form from the mean
+  cosine and sine;
+- Cucker-Smale averages the pair drift over the ensemble, O(N) per particle.
 
 All evaluators broadcast over leading batch axes: theta has shape (..., p),
 states have shape (..., d), and ensembles have shape (..., N, d).
@@ -111,7 +121,7 @@ class TruthSchedule:
 
 @dataclass(frozen=True)
 class ConstantDiffusion:
-    """Constant matrix diffusion; rows outside the noise mask are zero."""
+    """Constant matrix diffusion; noiseless coordinates have zero rows."""
 
     sigma: np.ndarray
 
@@ -144,10 +154,6 @@ class PowerStateDiffusion:
     def apply(self, eta, positions, dw):
         return eta * np.abs(positions) ** self.exponent * dw
 
-    def matrix(self, eta, x):
-        """Diffusion coefficient at a single state, as a (d, d) matrix."""
-        return np.atleast_2d(eta * np.abs(x) ** self.exponent)
-
     def sigma_sq(self, eta, x):
         return eta**2 * np.abs(x) ** (2 * self.exponent)
 
@@ -177,11 +183,19 @@ def _rows(x, y, *rows):
 
 
 class InteractionModel:
-    """Base class: generic mean-field evaluators built from the pair drift.
+    """Base class: a model declared by its pair drift.
 
-    Subclasses define drift_pair / grad_pair and may override the mean-field
-    evaluators with closed forms (the generic ones are O(N) per point and
-    serve as brute-force oracles in tests).
+    A subclass sets `model_id`, the sizes `p` and `d`, `param_names`, its
+    `weighting`, and `noisy`, the coordinates driven by noise, and defines
+    drift_pair / grad_pair.  The constructor builds the constant diffusion
+    diag(sigma on the noisy coordinates, 0 elsewhere) and the unbounded
+    parameter box.
+
+    The mean-field forms here average the pair drift over the ensemble, O(N)
+    per particle; Cucker-Smale uses them as they are.  Subclasses whose
+    average has a closed form override them and `mean_field`.  Each model of
+    the zoo also has `drift_ensemble`, the drift of every particle at once,
+    which the simulator calls.
     """
 
     model_id: str = ""
@@ -189,11 +203,14 @@ class InteractionModel:
     d: int = 0
     param_names: tuple = ()
     weighting: str = "inverse-diffusion"  # or "identity"
-    noise_mask: np.ndarray = None
-    diffusion = None
-    theta_bounds: Box = None
+    noisy: tuple = (True,)
     eta_bounds: Box | None = None
     eta_names: tuple = ()
+
+    def __init__(self, sigma=1.0):
+        self.sigma_value = float(sigma)
+        self.diffusion = ConstantDiffusion(np.diag(np.where(self.noisy, self.sigma_value, 0.0)))
+        self.theta_bounds = Box.unbounded(self.p)
 
     # -- pairwise ----------------------------------------------------------
 
@@ -228,51 +245,55 @@ class InteractionModel:
         xe = np.asarray(x)[..., None, :]
         return self.grad_pair(t, xe, positions).mean(axis=-3)
 
+
+class MeanPositionModel(InteractionModel):
+    """A pair drift affine in y, so B(theta, x, mu_N) = b(theta, x, mean_j x_j).
+
+    Every mean-field form is the pair drift or gradient evaluated at the
+    empirical mean, which `mean_field` supplies.
+    """
+
+    def mean_field(self, positions):
+        return positions.mean(axis=-2)
+
+    def drift_mean(self, theta, x, positions, stat=None):
+        return self.drift_pair(theta, x, self._stat(positions, stat))
+
+    def grad_mean(self, theta, x, positions, stat=None):
+        return self.grad_pair(theta, x, self._stat(positions, stat))
+
     def drift_ensemble(self, theta, positions, stat=None):
         """Mean-field drift of every particle, shape (..., N, d).
 
         theta is a plain (p,) vector here: the simulator always advances the
         whole ensemble under one parameter value.
         """
-        xi = positions[..., :, None, :]
-        xj = positions[..., None, :, :]
-        return self.drift_pair(np.asarray(theta), xi, xj).mean(axis=-2)
+        return self.drift_pair(theta, positions, self._stat(positions, stat)[..., None, :])
 
 
 def weight_matrix(model: InteractionModel, mode: str | None = None) -> np.ndarray:
-    """Residual weighting: (sigma sigma^T)^-1 on the masked block, or identity.
+    """Residual weighting: (sigma sigma^T)^-1, or the identity.
 
-    `mode` overrides the model's default weighting.  Identity-weighting
-    models never touch the inverse, so a singular sigma block (degenerate
-    noise) is fine there.
+    `mode` overrides the model's default weighting.  The inverse-weighted
+    models have noise on every coordinate; the degenerate-noise models are
+    identity-weighted and never touch the inverse.
     """
     if (mode or model.weighting) == "identity":
         return np.eye(model.d)
     sigma = model.diffusion.sigma
-    mask = np.asarray(model.noise_mask, dtype=bool)
-    sub = sigma[np.ix_(mask, mask)]
-    inv = np.linalg.inv(sub @ sub.T)
-    out = np.zeros((model.d, model.d))
-    out[np.ix_(mask, mask)] = inv
-    return out
+    return np.linalg.inv(sigma @ sigma.T)
 
 
 # ---------------------------------------------------------------------------
 # The zoo
 
 
-class LinearModel(InteractionModel):
+class LinearModel(MeanPositionModel):
     """b(theta, x, y) = -theta1*x - theta2*(x - y), d = 1."""
 
     model_id = "linear"
     p, d = 2, 1
     param_names = ("theta1", "theta2")
-
-    def __init__(self, sigma=1.0):
-        self.sigma_value = float(sigma)
-        self.diffusion = ConstantDiffusion(np.array([[self.sigma_value]]))
-        self.noise_mask = np.array([True])
-        self.theta_bounds = Box.unbounded(self.p)
 
     def drift_pair(self, theta, x, y):
         return -_col(theta, 0) * x - _col(theta, 1) * (x - y)
@@ -280,23 +301,8 @@ class LinearModel(InteractionModel):
     def grad_pair(self, theta, x, y):
         return _rows(x, y, -x, -(x - y))
 
-    def mean_field(self, positions):
-        return positions.mean(axis=-2)
 
-    def drift_mean(self, theta, x, positions, stat=None):
-        xbar = self._stat(positions, stat)
-        return -_col(theta, 0) * x - _col(theta, 1) * (x - xbar)
-
-    def grad_mean(self, theta, x, positions, stat=None):
-        xbar = self._stat(positions, stat)
-        return _rows(x, xbar, -x, -(x - xbar))
-
-    def drift_ensemble(self, theta, positions, stat=None):
-        xbar = self._stat(positions, stat)[..., None, :]
-        return -theta[0] * positions - theta[1] * (positions - xbar)
-
-
-class DoubleWellModel(InteractionModel):
+class DoubleWellModel(MeanPositionModel):
     """b = -(theta1*x^3 - theta2*x) - theta3*(x - y), d = 1.
 
     Bistable confinement with quadratic interaction; the mean-field limit
@@ -307,37 +313,14 @@ class DoubleWellModel(InteractionModel):
     p, d = 3, 1
     param_names = ("theta1", "theta2", "theta3")
 
-    def __init__(self, sigma=1.0):
-        self.sigma_value = float(sigma)
-        self.diffusion = ConstantDiffusion(np.array([[self.sigma_value]]))
-        self.noise_mask = np.array([True])
-        self.theta_bounds = Box.unbounded(self.p)
-
     def drift_pair(self, theta, x, y):
         return -(_col(theta, 0) * x**3 - _col(theta, 1) * x) - _col(theta, 2) * (x - y)
 
     def grad_pair(self, theta, x, y):
         return _rows(x, y, -(x**3), x, -(x - y))
 
-    def mean_field(self, positions):
-        return positions.mean(axis=-2)
 
-    def drift_mean(self, theta, x, positions, stat=None):
-        xbar = self._stat(positions, stat)
-        return -(_col(theta, 0) * x**3 - _col(theta, 1) * x) - _col(theta, 2) * (x - xbar)
-
-    def grad_mean(self, theta, x, positions, stat=None):
-        xbar = self._stat(positions, stat)
-        return _rows(x, xbar, -(x**3), x, -(x - xbar))
-
-    def drift_ensemble(self, theta, positions, stat=None):
-        xbar = self._stat(positions, stat)[..., None, :]
-        return -(theta[0] * positions**3 - theta[1] * positions) - theta[2] * (
-            positions - xbar
-        )
-
-
-class FitzHughNagumoModel(InteractionModel):
+class FitzHughNagumoModel(MeanPositionModel):
     """Coupled neurons: state (v, w) = (voltage, recovery), noise on v only.
 
         dv = [theta1*(v - v^3/3 - w) - theta2*(v - v_j)] dt + sigma dW
@@ -350,12 +333,7 @@ class FitzHughNagumoModel(InteractionModel):
     p, d = 4, 2
     param_names = ("theta1", "theta2", "theta3", "theta4")
     weighting = "identity"
-
-    def __init__(self, sigma=1.0):
-        self.sigma_value = float(sigma)
-        self.diffusion = ConstantDiffusion(np.array([[self.sigma_value, 0.0], [0.0, 0.0]]))
-        self.noise_mask = np.array([True, False])
-        self.theta_bounds = Box.unbounded(self.p)
+    noisy = (True, False)
 
     def drift_pair(self, theta, x, y):
         v, w = x[..., 0], x[..., 1]
@@ -369,43 +347,17 @@ class FitzHughNagumoModel(InteractionModel):
 
     def grad_pair(self, theta, x, y):
         v, w = x[..., 0], x[..., 1]
-        vj = np.broadcast_to(y[..., 0], v.shape) if y[..., 0].shape != v.shape else y[..., 0]
-        v, w, vj = np.broadcast_arrays(v, w, vj)
-        zero = np.zeros_like(v)
-        one = np.ones_like(v)
-        rows = [
-            np.stack([v - v**3 / 3.0 - w, zero], axis=-1),
-            np.stack([-(v - vj), zero], axis=-1),
-            np.stack([zero, one], axis=-1),
-            np.stack([zero, -w], axis=-1),
-        ]
-        return np.stack(rows, axis=-2)
+        vj = y[..., 0]
+        out = np.zeros(np.broadcast_shapes(v.shape, vj.shape) + (4, 2))
+        out[..., 0, 0] = v - v**3 / 3.0 - w
+        out[..., 1, 0] = -(v - vj)
+        out[..., 2, 1] = 1.0
+        out[..., 3, 1] = -w
+        return out
 
     def mean_field(self, positions):
-        """Mean voltage (...,): only the v coordinate interacts."""
-        return positions[..., 0].mean(axis=-1)
-
-    def drift_mean(self, theta, x, positions, stat=None):
-        vbar = self._stat(positions, stat)
-        v, w = x[..., 0], x[..., 1]
-        b1 = (
-            np.asarray(theta)[..., 0] * (v - v**3 / 3.0 - w)
-            - np.asarray(theta)[..., 1] * (v - vbar)
-        )
-        b2 = v + np.asarray(theta)[..., 2] - np.asarray(theta)[..., 3] * w
-        return np.stack([b1, b2], axis=-1)
-
-    def grad_mean(self, theta, x, positions, stat=None):
-        vbar = self._stat(positions, stat)[..., None]
-        ybar = np.concatenate([vbar, vbar], axis=-1)  # only component 0 is read
-        return self.grad_pair(theta, x, ybar)
-
-    def drift_ensemble(self, theta, positions, stat=None):
-        v, w = positions[..., 0], positions[..., 1]
-        vbar = self._stat(positions, stat)[..., None]
-        b1 = theta[0] * (v - v**3 / 3.0 - w) - theta[1] * (v - vbar)
-        b2 = v + theta[2] - theta[3] * w
-        return np.stack([b1, b2], axis=-1)
+        """Mean voltage, shape (..., 1): only the v coordinate interacts."""
+        return positions[..., :1].mean(axis=-2)
 
 
 class KuramotoModel(InteractionModel):
@@ -418,16 +370,6 @@ class KuramotoModel(InteractionModel):
     model_id = "kuramoto"
     p, d = 1, 1
     param_names = ("theta1",)
-
-    def __init__(self, sigma=1.0):
-        self.sigma_value = float(sigma)
-        self.diffusion = ConstantDiffusion(np.array([[self.sigma_value]]))
-        self.noise_mask = np.array([True])
-        self.theta_bounds = Box.unbounded(self.p)
-
-    @property
-    def critical_coupling(self):
-        return self.sigma_value**2
 
     def drift_pair(self, theta, x, y):
         return -_col(theta, 0) * np.sin(x - y)
@@ -471,12 +413,7 @@ class CuckerSmaleModel(InteractionModel):
     p, d = 3, 2
     param_names = ("theta1", "theta2", "theta3")
     weighting = "identity"
-
-    def __init__(self, sigma=1.0):
-        self.sigma_value = float(sigma)
-        self.diffusion = ConstantDiffusion(np.array([[0.0, 0.0], [0.0, self.sigma_value]]))
-        self.noise_mask = np.array([False, True])
-        self.theta_bounds = Box.unbounded(self.p)
+    noisy = (False, True)
 
     @staticmethod
     def _psi(theta3, u):
@@ -501,15 +438,14 @@ class CuckerSmaleModel(InteractionModel):
         u = (q - qj) ** 2
         psi = self._psi(t3, u)
         dv = v - vj
-        zero = np.zeros(np.broadcast_shapes(q.shape, dv.shape, t2.shape))
-        rows = [
-            np.stack([zero, np.broadcast_to(-q, zero.shape)], axis=-1),
-            np.stack([zero, -psi * dv + zero], axis=-1),
-            np.stack([zero, t2 * np.log1p(u) * psi * dv + zero], axis=-1),
-        ]
-        return np.stack(rows, axis=-2)
+        out = np.zeros(np.broadcast_shapes(q.shape, dv.shape, t2.shape) + (3, 2))
+        out[..., 0, 1] = -q
+        out[..., 1, 1] = -psi * dv
+        out[..., 2, 1] = t2 * np.log1p(u) * psi * dv
+        return out
 
     def drift_ensemble(self, theta, positions, stat=None):
+        """Mean-field drift of every particle, shape (..., N, d), via (..., N, N) pairs."""
         q, v = positions[..., 0], positions[..., 1]
         u = (q[..., :, None] - q[..., None, :]) ** 2
         psi = self._psi(theta[2], u)
@@ -518,7 +454,7 @@ class CuckerSmaleModel(InteractionModel):
         return np.stack([v, b2], axis=-1)
 
 
-class Vol32Model(InteractionModel):
+class Vol32Model(MeanPositionModel):
     """Mean-field 3/2 volatility: b = -x*(theta1*|x| - theta2) - theta3*(x - y),
     diffusion sigma(eta, x) = eta * |x|^(3/2), d = 1.
 
@@ -534,7 +470,6 @@ class Vol32Model(InteractionModel):
 
     def __init__(self):
         self.diffusion = PowerStateDiffusion(exponent=1.5)
-        self.noise_mask = np.array([True])
         self.theta_bounds = Box.unbounded(self.p)
         self.eta_bounds = Box(np.array([0.0]), np.array([np.inf]))
 
@@ -543,25 +478,6 @@ class Vol32Model(InteractionModel):
 
     def grad_pair(self, theta, x, y):
         return _rows(x, y, -x * np.abs(x), x, -(x - y))
-
-    def mean_field(self, positions):
-        return positions.mean(axis=-2)
-
-    def drift_mean(self, theta, x, positions, stat=None):
-        xbar = self._stat(positions, stat)
-        return -x * (_col(theta, 0) * np.abs(x) - _col(theta, 1)) - _col(theta, 2) * (
-            x - xbar
-        )
-
-    def grad_mean(self, theta, x, positions, stat=None):
-        xbar = self._stat(positions, stat)
-        return _rows(x, xbar, -x * np.abs(x), x, -(x - xbar))
-
-    def drift_ensemble(self, theta, positions, stat=None):
-        xbar = self._stat(positions, stat)[..., None, :]
-        return -positions * (theta[0] * np.abs(positions) - theta[1]) - theta[2] * (
-            positions - xbar
-        )
 
 
 MODEL_ZOO = {

@@ -1,10 +1,15 @@
+import copy
+import functools
 import json
+import operator
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipslearn.cli import main as cli_main
 from ipslearn.config import ConfigError, bundled_config_names, load_config, parse_config
@@ -302,11 +307,11 @@ def _both(*mutations):
 NAN, INF = float("nan"), float("inf")
 # (config mutation, field named by the error); written to disk as the JSON
 # tokens NaN / Infinity / true, as a user's file would carry them
-BAD_NUMBERS = {
-    "n_particles-bool": (_set("n_particles", True), "<root>.n_particles"),
-    "n_steps-bool": (_set("n_steps", True), "<root>.n_steps"),
-    "replicates-bool": (_set("replicates", True), "<root>.replicates"),
-    "base_seed-bool": (_set("base_seed", False), "<root>.base_seed"),
+BAD_INPUTS = {
+    "n_particles-bool": (_set("n_particles", True), "n_particles"),
+    "n_steps-bool": (_set("n_steps", True), "n_steps"),
+    "replicates-bool": (_set("replicates", True), "replicates"),
+    "base_seed-bool": (_set("base_seed", False), "base_seed"),
     "record_every-bool": (_set("record_every", True), "record_every"),
     "particle-bool": (_set("estimators", 0, "particle", True), "estimators[0].particle"),
     "triplet-bool": (_set("estimators", 1, "triplet", [0, True, 2]), "estimators[1].triplet"),
@@ -339,12 +344,27 @@ BAD_NUMBERS = {
     "bounds-nan": (_both(_set("estimators", 0, "bounds_lower", [0.0, NAN]),
                          _set("estimators", 0, "bounds_upper", [5.0, 5.0])),
                    "estimators[0].bounds_lower"),
+    "sigma-zero": (_set("model", "sigma", 0), "model.sigma"),
+    "sigma-negative": (_set("model", "sigma", -1.0), "model.sigma"),
+    "eta_true-negative": (_both(_vol32, _set("eta_true", -1.0)), "eta_true"),
+    "eta-box-reversed": (_both(_vol32, _set("init", "eta_low", 2.0),
+                               _set("init", "eta_high", 1.5)), "init.eta_low"),
+    "dump_trajectory-string": (_set("dump_trajectory", "false"), "dump_trajectory"),
+    "rmsprop-string": (_set("estimators", 0, "rmsprop", "no"), "estimators[0].rmsprop"),
+    "label-int": (_set("estimators", 0, "label", 7), "estimators[0].label"),
+    "sweep-int": (_set("sweep", 5), "sweep"),
+    "surface-int": (_set("surface", 5), "surface"),
+    "surface-empty-axis": (_set("surface", {"axes": [[], [0.1]], "horizon_steps": 10}),
+                           "surface.axes"),
+    "bounds-reversed": (_both(_set("estimators", 0, "bounds_lower", [0.0, 5.0]),
+                              _set("estimators", 0, "bounds_upper", [5.0, 0.0])),
+                        "estimators[0].bounds_lower"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_cli_bool_or_non_finite_number_exits_2(tmp_path, capsys, case):
-    mutate, field = BAD_NUMBERS[case]
+    mutate, field = BAD_INPUTS[case]
     cfg = tiny_config()
     mutate(cfg)
     p = tmp_path / "c.json"
@@ -354,6 +374,55 @@ def test_cli_bool_or_non_finite_number_exits_2(tmp_path, capsys, case):
     assert payload["error"] == "validation"
     assert payload["message"].startswith(f"{field}:")
     assert not (tmp_path / "o").exists()
+
+
+def _fields(node, path="", keys=()):
+    """(key chain, field path) of every value below `node`.
+
+    An element of a list of numbers or of lists is reported under the list's
+    path, which is what its error names.
+    """
+    if isinstance(node, dict):
+        children = [(k, f"{path}.{k}" if path else k) for k in node]
+    elif isinstance(node, list):
+        children = [(i, f"{path}[{i}]" if isinstance(v, dict) else path)
+                    for i, v in enumerate(node)]
+    else:
+        return []
+    out = []
+    for key, child in children:
+        out.append((keys + (key,), child))
+        out.extend(_fields(node[key], child, keys + (key,)))
+    return out
+
+
+def _json_type(v):
+    for kind, types in (("bool", bool), ("string", str), ("list", list), ("object", dict)):
+        if isinstance(v, types):
+            return kind
+    return "number"
+
+
+WRONG_TYPE_VALUES = {
+    "string": st.text(max_size=4),
+    "bool": st.booleans(),
+    "list": st.lists(st.integers(0, 3), max_size=3),
+    "object": st.dictionaries(st.sampled_from(["kind", "values", "x"]), st.integers(), max_size=2),
+}
+BUNDLED_RAW = {name: load_config(name).raw for name in bundled_config_names()}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_wrong_json_type_in_a_bundled_config_names_the_field(data):
+    cfg = copy.deepcopy(BUNDLED_RAW[data.draw(st.sampled_from(sorted(BUNDLED_RAW)))])
+    keys, field = data.draw(st.sampled_from(_fields(cfg)))
+    parent = functools.reduce(operator.getitem, keys[:-1], cfg)
+    kinds = sorted(set(WRONG_TYPE_VALUES) - {_json_type(parent[keys[-1]])})
+    parent[keys[-1]] = data.draw(WRONG_TYPE_VALUES[data.draw(st.sampled_from(kinds))])
+    with pytest.raises(ConfigError) as e:
+        parse_config(cfg)
+    assert e.value.field.startswith(field), (keys, parent[keys[-1]], str(e.value))
 
 
 def test_infinite_bounds_accepted():

@@ -11,7 +11,6 @@ from ipslearn.estimators import (
     TripletSet,
     UpdateOptions,
     build_cyclic_triplets,
-    project_constraint,
     rmsprop_precondition,
     update_averaged,
     update_diffusion,
@@ -264,13 +263,6 @@ def test_constant_schedule_vector_is_computed_once():
 # Constraints and freezing
 
 
-def test_project_constraint_freezes_outside():
-    box = Box(np.array([0.0, 0.0]), np.array([np.inf, np.inf]))
-    state = EstimatorState(theta=np.array([-0.1, 0.5]))
-    frozen = project_constraint(state, box)
-    assert bool(frozen.frozen)
-
-
 def test_boundary_freeze_is_absorbing():
     m = make_model("linear")
     box = Box(np.array([0.0, 0.0]), np.array([np.inf, np.inf]))
@@ -288,6 +280,33 @@ def test_boundary_freeze_is_absorbing():
             frozen_at = state.theta.copy()
     assert frozen_at is not None
     assert np.array_equal(state.theta, frozen_at)
+
+
+def test_non_finite_gradient_freezes_an_unbatched_state():
+    # one rule for every state shape: the estimate stops at its last value,
+    # as one replicate of a batch does
+    m = make_model("linear")
+    pos = np.array([[1.0], [0.5]])
+    bad_dx = np.array([[np.inf], [0.0]])
+    good_dx = np.array([[0.2], [-0.1]])
+    sched = const_sched(0.01, 0.01)
+    state = EstimatorState(theta=np.array([1.5, 0.7]))
+    state = update_averaged(state, m, 0, pos, bad_dx, 0.1, sched, 0.0)
+    assert state.frozen.shape == () and bool(state.frozen)
+    assert state.theta.tolist() == [1.5, 0.7] and state.step_index == 1
+    state = update_averaged(state, m, 0, pos, good_dx, 0.1, sched, 0.1)
+    assert state.theta.tolist() == [1.5, 0.7] and bool(state.frozen)
+    alone = update_averaged(
+        EstimatorState(theta=np.array([1.5, 0.7])), m, 0, pos, good_dx, 0.1, sched, 0.0
+    )
+    batch = update_averaged(
+        EstimatorState(theta=np.array([[1.5, 0.7], [1.5, 0.7]])),
+        m, 0, np.stack([pos, pos]), np.stack([bad_dx, good_dx]), 0.1, sched, 0.0,
+    )
+    assert batch.frozen.tolist() == [True, False]
+    assert batch.theta[0].tolist() == [1.5, 0.7]
+    assert np.array_equal(batch.theta[1], alone.theta) and not bool(alone.frozen)
+    assert alone.theta.tolist() != [1.5, 0.7]
 
 
 def test_unbounded_never_freezes():

@@ -138,7 +138,7 @@ def test_mean_field_statistics():
     assert cbar[0, 0] == pytest.approx(np.cos([0.0, 1.0, 2.0]).mean())
     assert sbar[0, 0] == pytest.approx(np.sin([0.0, 1.0, 2.0]).mean())
     fhn = np.array([[1.0, 5.0], [3.0, 7.0]])
-    assert make_model("fitzhugh-nagumo").mean_field(fhn) == 2.0
+    assert make_model("fitzhugh-nagumo").mean_field(fhn).tolist() == [2.0]
     assert make_model("cucker-smale").mean_field(fhn) is None
 
 
@@ -182,11 +182,29 @@ def test_constant_diffusion_returned():
     assert m.diffusion.sigma == pytest.approx(np.eye(1))
 
 
+INV_SQ = 1.0 / (0.7 * 0.7)
+
+
+@pytest.mark.parametrize("model_id, sigma, weight", [
+    ("linear", [[0.7]], [[INV_SQ]]),
+    ("double-well", [[0.7]], [[INV_SQ]]),
+    ("kuramoto", [[0.7]], [[INV_SQ]]),
+    ("fitzhugh-nagumo", [[0.7, 0.0], [0.0, 0.0]], np.eye(2)),
+    ("cucker-smale", [[0.0, 0.0], [0.0, 0.7]], np.eye(2)),
+])
+def test_constant_sigma_constructor(model_id, sigma, weight):
+    # sigma sits on the noisy coordinates only; the weighting inverts the
+    # full-noise models and is the identity for the degenerate ones
+    m = make_model(model_id, sigma=0.7)
+    assert np.array_equal(m.diffusion.sigma, sigma)
+    assert np.array_equal(weight_matrix(m), weight)
+
+
 def test_vol32_diffusion_values():
     m = make_model("vol32")
     eta = np.array([0.7])
-    sig = m.diffusion.matrix(eta, np.array([-2.0]))
-    assert sig == pytest.approx(np.array([[0.7 * 2.0**1.5]]), rel=1e-12)
+    sig_sq = m.diffusion.sigma_sq(eta, np.array([-2.0]))
+    assert sig_sq == pytest.approx([0.49 * 2.0**3], rel=1e-12)
     dsig1 = m.diffusion.d_eta_sigma_sq(eta, np.array([1.0]))
     assert dsig1 == pytest.approx([1.4], rel=1e-12)
 
