@@ -10,6 +10,12 @@ The sha256 of every file each run writes must match
 `data/bundled_digests.json`, so any change to the simulated paths, the
 estimates or the artifact formats shows here, file by file.
 
+One more case, `fitzhugh_nagumo_dense`, records and dumps every step
+(`record_every: 1`, `dump_trajectory: true`) at 150 steps and 2
+replicates, so that each `estimates_rNNN.csv` (1 200 rows) and
+`trajectory_rNNN.csv` (15 000 rows) spans several of the CSV writer's
+row blocks.
+
 Regenerate (only when outputs are meant to move, and say why):
 
     PYTHONPATH=src python tests/test_bundled_digests.py --write
@@ -31,10 +37,18 @@ from ipslearn.config import _bundled_text, bundled_config_names, parse_config
 DIGESTS = Path(__file__).with_name("data") / "bundled_digests.json"
 MAX_STEPS = 300
 
+# case name -> (bundled config, overrides)
+CASES = {name: (name, {}) for name in bundled_config_names()}
+CASES["fitzhugh_nagumo_dense"] = (
+    "fitzhugh_nagumo",
+    {"n_steps": 150, "replicates": 2, "record_every": 1, "dump_trajectory": True},
+)
 
-def short_copy(name) -> dict:
-    """The bundled config with at most MAX_STEPS steps and surface horizon."""
-    data = json.loads(_bundled_text(name))
+
+def short_copy(case) -> dict:
+    """The case's config with at most MAX_STEPS steps and surface horizon."""
+    name, overrides = CASES[case]
+    data = {**json.loads(_bundled_text(name)), **overrides}
     data["n_steps"] = min(data["n_steps"], MAX_STEPS)
     surface = data.get("surface")
     if surface is not None and surface["horizon_steps"] > MAX_STEPS:
@@ -63,17 +77,17 @@ def runs_for(data) -> dict:
     return runs
 
 
-def digests_of(name, root: Path) -> dict:
+def digests_of(case, root: Path) -> dict:
     """{run: {file name: sha256}} of every file each run writes under `root`."""
-    data = short_copy(name)
-    cfg_path = root / f"{name}.json"
+    data = short_copy(case)
+    cfg_path = root / f"{case}.json"
     cfg_path.write_text(json.dumps(data))
     out = {}
     for run, argv in runs_for(data).items():
         run_dir = root / run
         with redirect_stdout(StringIO()):
             code = cli_main([argv[0], "--config", str(cfg_path), "--out", str(run_dir), *argv[1:]])
-        assert code == 0, f"{name} {run} exited {code}"
+        assert code == 0, f"{case} {run} exited {code}"
         out[run] = {
             p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(run_dir.iterdir())
@@ -81,7 +95,7 @@ def digests_of(name, root: Path) -> dict:
     return out
 
 
-@pytest.mark.parametrize("name", bundled_config_names())
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_bundled_config_digests(name, tmp_path):
     want = json.loads(DIGESTS.read_text())[name]
     got = digests_of(name, tmp_path)
@@ -97,9 +111,9 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_bundled_digests.py --write")
     data = {}
-    for name in bundled_config_names():
+    for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
-            data[name] = digests_of(name, Path(tmp))
+            data[case] = digests_of(case, Path(tmp))
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS}")
