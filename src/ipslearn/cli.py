@@ -12,6 +12,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .batch import batch_seeds, draw_initial_thetas
 from .config import ConfigError, load_config, parse_config
 from .diagnostics import clt_rescaled_moments, coupling_distance
@@ -107,25 +109,29 @@ def _cmd_diagnose(args):
             model, config.truth, config.n_particles, config.dt, config.n_steps,
             config.base_seed, observers=[tracker], eta_true=config.eta_true,
         )
-        rows = []
-        for order in tracker.orders:
-            series = tracker.series[order][: tracker.n_filled]
-            for step, v in enumerate(series):
-                rows.append((step, step * config.dt, order, v))
+        n = tracker.n_filled
+        step = np.tile(np.arange(n), len(tracker.orders))
         path = out / "moments.csv"
-        write_csv(path, ["step", "time", "order", "value"], rows)
+        write_csv(path, ["step", "time", "order", "value"], [
+            step, step * config.dt, np.repeat(tracker.orders, n),
+            np.concatenate([tracker.series[order][:n] for order in tracker.orders]),
+        ])
         write_sidecar(path, {**meta, "growth_detected": tracker.growth_detected()})
     elif args.mode == "coupling":
-        rows = []
-        for n_small in args.n_small:
-            series = coupling_distance(
+        # one (n_steps,) series per n_small, each a block of rows
+        series = np.array([
+            coupling_distance(
                 model, config.truth, n_small, args.n_big, config.dt,
                 config.n_steps, config.base_seed, eta_true=config.eta_true,
             )
-            for step, v in enumerate(series):
-                rows.append((step, step * config.dt, n_small, args.n_big, v))
+            for n_small in args.n_small
+        ]).reshape(-1)
+        step = np.tile(np.arange(config.n_steps), len(args.n_small))
         path = out / "coupling.csv"
-        write_csv(path, ["step", "time", "n_small", "n_big", "mean_sq_distance"], rows)
+        write_csv(path, ["step", "time", "n_small", "n_big", "mean_sq_distance"], [
+            step, step * config.dt, np.repeat(args.n_small, config.n_steps),
+            np.full(len(step), args.n_big), series,
+        ])
         write_sidecar(path, meta)
     else:  # clt
         seeds = batch_seeds(config.base_seed, config.replicates)
@@ -139,13 +145,11 @@ def _cmd_diagnose(args):
         )
         free = setups[0].free_mask
         names = [n for k, n in enumerate(model.param_names) if free is None or free[k]]
-        rows = [
-            (names[k], summary.variance[k], summary.skewness[k],
-             summary.excess_kurtosis[k], summary.replicates)
-            for k in range(len(names))
-        ]
         path = out / "clt.csv"
-        write_csv(path, ["param", "variance", "skewness", "excess_kurtosis", "replicates"], rows)
+        write_csv(path, ["param", "variance", "skewness", "excess_kurtosis", "replicates"], [
+            names, summary.variance, summary.skewness, summary.excess_kurtosis,
+            [summary.replicates] * len(names),
+        ])
         write_sidecar(path, meta)
     print(f"wrote {path}")
     return 0

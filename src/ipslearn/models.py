@@ -208,8 +208,7 @@ class InteractionModel:
     eta_names: tuple = ()
 
     def __init__(self, sigma=1.0):
-        self.sigma_value = float(sigma)
-        self.diffusion = ConstantDiffusion(np.diag(np.where(self.noisy, self.sigma_value, 0.0)))
+        self.diffusion = ConstantDiffusion(np.diag(np.where(self.noisy, float(sigma), 0.0)))
         self.theta_bounds = Box.unbounded(self.p)
 
     # -- pairwise ----------------------------------------------------------

@@ -22,7 +22,10 @@ from .estimators import RmsPropConfig
 from .models import Box, weight_matrix
 from .objective import surface_scan
 from .rng import GENERATOR_NAME, replicate_seed
-from .sde import TrajectoryRecorder, run_trajectory
+from .sde import PositionHistory, run_trajectory
+
+
+CSV_BLOCK_ROWS = 1024  # rows formatted per write; larger blocks raise peak memory, not speed
 
 
 def _fmt(v):
@@ -35,11 +38,38 @@ def _fmt(v):
     return str(v)
 
 
-def write_csv(path: Path, header, rows):
+def _format_column(col):
+    """The CSV text of each value of one column, as `_fmt` would give it.
+
+    numpy bool, integer and float columns are converted once per column;
+    anything else (strings, Python lists that mix ints and floats) value by
+    value.
+    """
+    if isinstance(col, np.ndarray):
+        if col.dtype.kind == "b":
+            return ["1" if v else "0" for v in col.tolist()]
+        if col.dtype.kind in "iu":
+            return list(map(str, col.tolist()))
+        if col.dtype.kind == "f":
+            return list(map(repr, col.tolist()))
+    return [_fmt(v) for v in col]
+
+
+def write_csv(path: Path, header, columns):
+    """Write equal-length `columns` under `header`, one CSV row per index.
+
+    Floats are written as Python's shortest round-trip repr, bools as 1/0
+    and integers in decimal.
+    """
+    n_rows = len(columns[0]) if len(columns) else 0
+    if len(columns) != len(header) or any(len(col) != n_rows for col in columns):
+        raise ValueError(f"{path.name}: need {len(header)} columns of equal length")
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            stop = start + CSV_BLOCK_ROWS
+            block = [_format_column(col[start:stop]) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def write_sidecar(csv_path: Path, meta: dict):
@@ -160,25 +190,22 @@ def run_experiment(config: ExperimentConfig, out_dir, trajectory_only: bool = Fa
 
 
 def _write_estimates(config, model, result, out, meta):
+    tracks = result.tracks
+    names = [_param_names(model, track.kind) for track in tracks]
+    # rows run over estimators, then recorded steps, then parameters
+    step = np.concatenate([np.repeat(tr.record_steps, len(nm)) for tr, nm in zip(tracks, names)])
+    time = np.concatenate([np.repeat(tr.record_times, len(nm)) for tr, nm in zip(tracks, names)])
+    label = [tr.label for tr, nm in zip(tracks, names) for _ in range(len(tr.record_steps) * len(nm))]
+    param = [name for tr, nm in zip(tracks, names) for _ in tr.record_steps for name in nm]
     paths = []
     for r in range(config.replicates):
-        rows = []
-        for track in result.tracks:
-            names = _param_names(model, track.kind)
-            for si, step in enumerate(track.record_steps):
-                for pi_, pname in enumerate(names):
-                    rows.append(
-                        (
-                            int(step),
-                            track.record_times[si],
-                            track.label,
-                            pname,
-                            track.theta_path[si, r, pi_],
-                            bool(track.frozen_path[si, r]),
-                        )
-                    )
+        value = np.concatenate([tr.theta_path[:, r, :].reshape(-1) for tr in tracks])
+        frozen = np.concatenate(
+            [np.repeat(tr.frozen_path[:, r], len(nm)) for tr, nm in zip(tracks, names)]
+        )
         path = out / f"estimates_r{r:03d}.csv"
-        write_csv(path, ["step", "time", "estimator_id", "param", "value", "frozen"], rows)
+        write_csv(path, ["step", "time", "estimator_id", "param", "value", "frozen"],
+                  [step, time, label, param, value, frozen])
         side = write_sidecar(path, {**meta, "replicate": r,
                                     "seed": replicate_seed(config.base_seed, r),
                                     "record_every": config.record_every})
@@ -188,32 +215,29 @@ def _write_estimates(config, model, result, out, meta):
 
 def _write_summary(config, model, result, out, meta):
     theta0 = config.truth.at((config.n_steps - 1) * config.dt)
-    rows = []
+    names, summaries = [], []
     for track in result.tracks:
-        names = _param_names(model, track.kind)
         true_vals = np.array([config.eta_true]) if track.kind == "diffusion" else theta0
-        summaries = summarize_replicates(track, true_vals, result.excluded, result.blowup_step)
-        for s in summaries:
-            for pi_, pname in enumerate(names):
-                rows.append(
-                    (
-                        s.replicate_id,
-                        s.estimator,
-                        pname,
-                        s.final_theta[pi_],
-                        s.tail_mean[pi_],
-                        s.sq_error_truth[pi_],
-                        s.sq_error_pooled[pi_],
-                        s.excluded,
-                        s.blowup_step,
-                    )
-                )
+        names.append(_param_names(model, track.kind))
+        summaries.append(summarize_replicates(track, true_vals, result.excluded, result.blowup_step))
+    # rows run over estimators, then replicates, then parameters
+    rows = [(s, name) for ss, nm in zip(summaries, names) for s in ss for name in nm]
+
+    def values(field):
+        return np.concatenate([np.stack([getattr(s, field) for s in ss]).reshape(-1)
+                               for ss in summaries])
+
+    columns = [
+        [s.replicate_id for s, _ in rows], [s.estimator for s, _ in rows], [n for _, n in rows],
+        values("final_theta"), values("tail_mean"), values("sq_error_truth"),
+        values("sq_error_pooled"), [s.excluded for s, _ in rows], [s.blowup_step for s, _ in rows],
+    ]
     path = out / "summary.csv"
     write_csv(
         path,
         ["replicate", "estimator_id", "param", "final", "tail_mean",
          "sq_error_truth", "sq_error_pooled", "excluded", "blowup_step"],
-        rows,
+        columns,
     )
     side = write_sidecar(path, {**meta, "tail_fraction": config.tail_fraction,
                                 "replicates": config.replicates})
@@ -223,13 +247,20 @@ def _write_summary(config, model, result, out, meta):
 def _write_trajectories(config, model, seeds, out, meta):
     paths = []
     for r, seed in enumerate(seeds):
-        rec = TrajectoryRecorder(record_every=config.record_every)
+        hist = PositionHistory(config.n_steps, config.n_particles, model.d,
+                               record_every=config.record_every)
         run_trajectory(
             model, config.truth, config.n_particles, config.dt, config.n_steps,
-            seed, observers=[rec], eta_true=config.eta_true,
+            seed, observers=[hist], eta_true=config.eta_true,
         )
+        # rows run over recorded steps, then particles, then coordinates
+        n_rec, n, d = hist.positions.shape
+        step = np.repeat(hist.steps, n * d)
+        particle = np.tile(np.repeat(np.arange(n), d), n_rec)
+        coord = np.tile(np.arange(d), n_rec * n)
         path = out / f"trajectory_r{r:03d}.csv"
-        write_csv(path, ["step", "time", "particle", "coord", "value"], rec.rows)
+        write_csv(path, ["step", "time", "particle", "coord", "value"],
+                  [step, step * config.dt, particle, coord, hist.positions.reshape(-1)])
         side = write_sidecar(path, {**meta, "replicate": r, "seed": seed,
                                     "record_every": config.record_every})
         paths += [path, side]
@@ -263,12 +294,10 @@ def run_sweep(config: ExperimentConfig, out_dir) -> dict:
         eta_true=config.eta_true,
         tail_fraction=config.tail_fraction,
     )
-    rows = [
-        (c.n_particles, c.estimator, c.param, c.mse, c.stderr, c.excluded_count)
-        for c in table.cells
-    ]
+    fields = ("n_particles", "estimator", "param", "mse", "stderr", "excluded_count")
     path = out / "sweep.csv"
-    write_csv(path, ["N", "estimator", "param", "mse", "stderr", "excluded_count"], rows)
+    write_csv(path, ["N", "estimator", "param", "mse", "stderr", "excluded_count"],
+              [[getattr(c, f) for c in table.cells] for f in fields])
     meta = base_metadata(config)
     side = write_sidecar(path, {**meta, "n_steps": config.n_steps,
                                 "replicates": config.replicates,
@@ -296,15 +325,11 @@ def run_surface(config: ExperimentConfig, out_dir) -> dict:
         config.truth.at(0.0),
         eta_true=config.eta_true,
     )
-    import itertools
-
-    rows = []
-    for idx in itertools.product(*(range(len(a)) for a in scan.axes)):
-        point = [scan.axes[k][i] for k, i in enumerate(idx)]
-        rows.append((*point, scan.values[idx]))
+    # one row per grid point, the last axis varying fastest
+    grid = np.meshgrid(*scan.axes, indexing="ij")
     header = [f"theta_{k+1}" for k in range(len(scan.axes))] + ["value"]
     path = out / "surface.csv"
-    write_csv(path, header, rows)
+    write_csv(path, header, [g.reshape(-1) for g in grid] + [scan.values.reshape(-1)])
     meta = base_metadata(config)
     side = write_sidecar(path, {**meta, "scan_kind": scan.scan_kind,
                                 "horizon_steps": scan.horizon,

@@ -16,7 +16,10 @@ increments dX applied over it, the shared `model.mean_field(positions)`, and
 `keep`, a bool (R,) mask of the replicates already excluded by the blow-up
 guard (None while there are none; their dX is zero and they no longer move).
 The batch estimators, trajectory dumps, surface scans, moment tracking and
-the coupling diagnostic are all observers of this loop.
+the coupling diagnostic are all observers of this loop.  The observers here
+keep what they see as numpy arrays (`PositionHistory` the recorded
+positions, `MomentTracker` one series per order), so the artifact writers
+format whole columns instead of per-value rows.
 """
 
 from __future__ import annotations
@@ -156,41 +159,32 @@ def run_trajectory(
 # Observers of single trajectories (replicate 0 of the positions they see)
 
 
-class TrajectoryRecorder:
-    """Collects (step, time, particle, coord, value) rows for the state dump."""
-
-    def __init__(self, record_every: int = 1):
-        self.record_every = record_every
-        self.rows = []
-
-    def on_step(self, step, t, positions, dx, stat, keep):
-        if step % self.record_every:
-            return
-        pos = positions[0]
-        for i in range(pos.shape[0]):
-            for k in range(pos.shape[1]):
-                self.rows.append((step, t, i, k, pos[i, k]))
-
-
 class PositionHistory:
-    """Keeps the (T, n, d) step-start positions of the first n particles."""
+    """Keeps the step-start positions of the first n particles as an array.
 
-    def __init__(self, n_steps, n_particles, d, start=0):
+    `positions` is (T, n, d), one entry per step in `steps`: every
+    `record_every`-th step from `start` up to n_steps.  Entries of steps
+    the run did not reach (it blew up first) stay NaN.
+    """
+
+    def __init__(self, n_steps, n_particles, d, start=0, record_every=1):
         self.start = start
-        self.positions = np.empty((n_steps - start, n_particles, d))
+        self.record_every = record_every
+        self.steps = np.arange(start, n_steps, record_every)
+        self.positions = np.full((len(self.steps), n_particles, d), np.nan)
 
     def on_step(self, step, t, positions, dx, stat, keep):
-        if step >= self.start:
-            self.positions[step - self.start] = positions[0, : self.positions.shape[1]]
+        k, off = divmod(step - self.start, self.record_every)
+        if k >= 0 and not off:
+            self.positions[k] = positions[0, : self.positions.shape[1]]
 
 
 class MomentTracker:
     """Tracks ensemble-mean |x|^(2k) per step for a set of orders.
 
-    Exposes the per-step series, its running supremum, the cumulative time
-    average, and a coarse growth flag (second-half mean exceeding the
-    first-half mean by `growth_factor`), which catches drifting moments
-    before the hard blowup guard trips.
+    Exposes the per-step series and a coarse growth flag (second-half mean
+    exceeding the first-half mean by `growth_factor`), which catches
+    drifting moments before the hard blowup guard trips.
     """
 
     def __init__(self, n_steps, orders=(2, 4), growth_factor=2.0):
@@ -204,12 +198,6 @@ class MomentTracker:
         for k in self.orders:
             self.series[k][step] = np.mean(sq ** (k / 2))
         self.n_filled = step + 1
-
-    def running_max(self, order):
-        return np.maximum.accumulate(self.series[order][: self.n_filled])
-
-    def time_average(self, order, burn_in=0):
-        return float(np.mean(self.series[order][burn_in : self.n_filled]))
 
     def growth_detected(self, order=2):
         s = self.series[order][: self.n_filled]

@@ -44,7 +44,7 @@ def replayed_information(config, phi, start_time=0.0):
             info += phi(positions) ** 2 * config.dt
         dw = noise.next_step().reshape(R, N, d)
         positions, _ = step_positions(model, config.truth.at(t), positions, dw, config.dt)
-    return info / model.sigma_value**2, positions
+    return info / model.diffusion.sigma[0, 0] ** 2, positions
 
 
 def hit_rate_cap(info, tol):

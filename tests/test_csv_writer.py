@@ -1,0 +1,120 @@
+"""The columnar CSV writer against the per-value row writer it replaced.
+
+`row_writer` and `fmt` below are the previous writer, kept as the oracle:
+`runner.write_csv` over columns must write the same bytes as `row_writer`
+over the rows those columns make, whatever the mix of numpy and Python
+values, and whether the rows fill a whole number of the writer's row
+blocks or not.
+"""
+
+import math
+from contextlib import redirect_stdout
+from io import StringIO
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ipslearn.cli import main as cli_main
+from ipslearn.runner import CSV_BLOCK_ROWS, write_csv
+
+
+def fmt(v):
+    if isinstance(v, (bool, np.bool_)):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def row_writer(path, header, rows):
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(fmt(v) for v in row) + "\n")
+
+
+def assert_same_bytes(tmp_path, columns):
+    header = [f"c{k}" for k in range(len(columns))]
+    write_csv(tmp_path / "columns.csv", header, columns)
+    row_writer(tmp_path / "rows.csv", header, zip(*columns))
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e16, 1e-5,
+                  0.1, 1.7976931348623157e308, 2.0**53 + 2.0]
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
+INT64 = st.one_of(st.sampled_from([-(2**63), 2**63 - 1, 0, -1]),
+                  st.integers(min_value=-(2**63), max_value=2**63 - 1))
+TEXT = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8)
+# a JSON surface axis: Python ints and floats side by side, such as [0, 0.5]
+MIXED = st.one_of(st.integers(-(10**20), 10**20), FLOATS, st.sampled_from([0, 0.5, 1, -0.0]))
+
+
+def column(kind, values):
+    """One column of `kind` drawn from a list of values of that kind."""
+    if kind == "float64":
+        return np.array(values, dtype=np.float64)
+    if kind == "float32":
+        with np.errstate(over="ignore"):  # doubles beyond float32 become inf
+            return np.array(values, dtype=np.float64).astype(np.float32)
+    if kind == "int64":
+        return np.array(values, dtype=np.int64)
+    if kind == "uint8":
+        return np.array(values, dtype=np.int64).astype(np.uint8)
+    if kind == "bool":
+        return np.array(values, dtype=bool)
+    return list(values)  # Python bools, strings, mixed ints and floats
+
+
+ELEMENTS = {
+    "float64": FLOATS, "float32": FLOATS, "int64": INT64, "uint8": INT64,
+    "bool": st.booleans(), "py_bool": st.booleans(), "str": TEXT, "mixed": MIXED,
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_columns_write_the_bytes_of_the_row_writer(data, tmp_path_factory):
+    n = data.draw(st.integers(0, 40), label="rows")
+    kinds = data.draw(st.lists(st.sampled_from(sorted(ELEMENTS)), min_size=1, max_size=6))
+    columns = [
+        column(kind, data.draw(st.lists(ELEMENTS[kind], min_size=n, max_size=n), label=kind))
+        for kind in kinds
+    ]
+    assert_same_bytes(tmp_path_factory.mktemp("csv"), columns)
+
+
+@pytest.mark.parametrize("n", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+def test_block_boundaries(n, tmp_path):
+    rng = np.random.default_rng(n)
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    floats[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[:n]
+    columns = [
+        np.arange(n, dtype=np.int64) - 2**62,
+        floats,
+        rng.random(n) < 0.5,
+        [f"p{i % 7}" for i in range(n)],
+        [i if i % 2 else i / 2 for i in range(n)],
+    ]
+    assert_same_bytes(tmp_path, columns)
+    lines = (tmp_path / "columns.csv").read_text().split("\n")
+    assert len(lines) == n + 2 and lines[-1] == ""  # header, n rows, final newline
+
+
+def test_columns_must_match_the_header_and_each_other(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "a.csv", ["x", "y"], [np.zeros(3), np.zeros(2)])
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "a.csv", ["x", "y"], [np.zeros(3)])
+
+
+def test_coupling_without_sizes_writes_the_header_only(tmp_path):
+    with redirect_stdout(StringIO()):
+        code = cli_main(["diagnose", "--config", "linear_fig1", "--mode", "coupling",
+                         "--n-small", "--out", str(tmp_path)])
+    assert code == 0
+    assert (tmp_path / "coupling.csv").read_bytes() == b"step,time,n_small,n_big,mean_sq_distance\n"

@@ -7,8 +7,8 @@ from ipslearn.rng import BlockedNoise, InvalidConfiguration, particle_streams
 from ipslearn.sde import (
     BLOWUP_THRESHOLD,
     MomentTracker,
+    PositionHistory,
     SimulationBlowup,
-    TrajectoryRecorder,
     realized_qv,
     run_trajectory,
     simulate,
@@ -166,10 +166,22 @@ def test_run_trajectory_deterministic():
     truth = TruthSchedule.constant([1.0, 0.2])
     recs = []
     for _ in range(2):
-        rec = TrajectoryRecorder()
+        rec = PositionHistory(100, 5, 1)
         run_trajectory(m, truth, 5, 0.1, 100, seed=12, observers=[rec])
-        recs.append(rec.rows)
-    assert recs[0] == recs[1]
+        recs.append(rec.positions)
+    assert recs[0].tobytes() == recs[1].tobytes()
+
+
+def test_position_history_record_stride():
+    # every 7th step from step 3 of 100: steps 3, 10, ..., 94, the same
+    # positions a full history holds at those steps
+    m = make_model("fitzhugh-nagumo")
+    truth = TruthSchedule.constant([0.5, 0.3, 0.7, 1.0])
+    full = PositionHistory(100, 4, 2)
+    thinned = PositionHistory(100, 4, 2, start=3, record_every=7)
+    run_trajectory(m, truth, 6, 0.1, 100, seed=5, observers=[full, thinned])
+    assert thinned.steps.tolist() == list(range(3, 100, 7))
+    assert thinned.positions.tobytes() == full.positions[3::7].tobytes()
 
 
 def test_exchangeability_under_stream_permutation():
@@ -212,13 +224,16 @@ def test_changepoint_truth_applied_at_switch_step():
 def test_blowup_raises_with_step_and_flushes_observers():
     m = make_model("vol32")
     truth = TruthSchedule.constant([2.7, 2.3, 1.0])
-    rec = TrajectoryRecorder()
+    rec = PositionHistory(2000, 5, 1)
     with pytest.raises(SimulationBlowup) as exc:
         # eta far above stable range at this step size explodes quickly
         run_trajectory(m, truth, 5, 0.5, 2000, seed=2, observers=[rec],
                        eta_true=8.0)
-    assert 0 <= exc.value.step < 2000
-    assert len(rec.rows) > 0  # partial output was delivered before the error
+    step = exc.value.step
+    assert 0 < step < 2000
+    # partial output was delivered before the error; later steps stay NaN
+    assert np.isfinite(rec.positions[:step]).all()
+    assert np.isnan(rec.positions[step:]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -244,4 +259,4 @@ def test_growth_flag_trips_on_expanding_dynamics():
     tracker = MomentTracker(200)
     run_trajectory(m, truth, 10, 0.1, 200, seed=8, observers=[tracker])
     assert tracker.growth_detected(2)
-    assert tracker.running_max(2)[-1] >= tracker.series[2][0]
+    assert tracker.series[2][-1] > tracker.series[2][0]
