@@ -18,8 +18,8 @@ guard (None while there are none; their dX is zero and they no longer move).
 The batch estimators, trajectory dumps, surface scans, moment tracking and
 the coupling diagnostic are all observers of this loop.  The observers here
 keep what they see as numpy arrays (`PositionHistory` the recorded
-positions, `MomentTracker` one series per order), so the artifact writers
-format whole columns instead of per-value rows.
+positions, `MomentTracker` one series per order), which the artifact
+writers turn into CSV columns.
 """
 
 from __future__ import annotations
