@@ -17,7 +17,9 @@ from the pair drift:
   y, so the average is b evaluated at the empirical mean (`MeanPositionModel`);
 - Kuramoto writes the average of sin(x - x_j) in closed form from the mean
   cosine and sine;
-- Cucker-Smale averages the pair drift over the ensemble, O(N) per particle.
+- Cucker-Smale averages the pair drift over the ensemble, O(N) per particle;
+  its `drift_ensemble` evaluates the (N, N) pair terms in chunks of at most
+  PAIR_BLOCK_BYTES (256 KiB), so its working set does not grow with R or N.
 
 All evaluators broadcast over leading batch axes: theta has shape (..., p),
 states have shape (..., d), and ensembles have shape (..., N, d).
@@ -34,6 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import InvalidConfiguration
+
+# Scratch budget of one chunk of the Cucker-Smale pair kernel: two such
+# buffers bound its per-step working set, whatever R and N.
+PAIR_BLOCK_BYTES = 256 * 1024
 
 
 class DimensionMismatch(ValueError):
@@ -406,6 +412,9 @@ class CuckerSmaleModel(InteractionModel):
              + sigma dW
 
     with communication rate psi(theta3, u) = (1 + u)^(-theta3).
+
+    `drift_ensemble` costs O(N^2) per step per replicate, in row blocks of
+    bounded memory: two scratch buffers of at most PAIR_BLOCK_BYTES each.
     """
 
     model_id = "cucker-smale"
@@ -444,12 +453,37 @@ class CuckerSmaleModel(InteractionModel):
         return out
 
     def drift_ensemble(self, theta, positions, stat=None):
-        """Mean-field drift of every particle, shape (..., N, d), via (..., N, N) pairs."""
+        """Mean-field drift of every particle, shape (..., N, d).
+
+        The (N, N) pair terms are evaluated in chunks of at most
+        PAIR_BLOCK_BYTES: several whole replicates when one replicate's
+        8 N^2 bytes fit, otherwise a block of rows i of one replicate.  A row
+        always holds all N columns j, so each mean over j sums the same
+        contiguous row as the full (..., N, N) evaluation, bit for bit.
+        """
         q, v = positions[..., 0], positions[..., 1]
-        u = (q[..., :, None] - q[..., None, :]) ** 2
-        psi = self._psi(theta[2], u)
-        inter = (psi * (v[..., :, None] - v[..., None, :])).mean(axis=-1)
-        b2 = -theta[0] * q - theta[1] * inter
+        n = q.shape[-1]
+        qs, vs = q.reshape(-1, n), v.reshape(-1, n)
+        cells = PAIR_BLOCK_BYTES // 8
+        reps = min(len(qs), max(1, cells // (n * n)))
+        rows = min(n, max(1, cells // n))
+        u_buf = np.empty((reps, rows, n))
+        w_buf = np.empty((reps, rows, n))
+        inter = np.empty(qs.shape)
+        for r in range(0, len(qs), reps):
+            for i in range(0, n, rows):
+                qi, vi = qs[r : r + reps, i : i + rows], vs[r : r + reps, i : i + rows]
+                k, b = qi.shape
+                u, w = u_buf[:k, :b], w_buf[:k, :b]
+                # psi = _psi(theta3, (q_i - q_j)**2), computed in place
+                np.subtract(qi[..., None], qs[r : r + k, None, :], out=u)
+                u **= 2
+                u += 1.0
+                np.power(u, -theta[2], out=u)
+                np.subtract(vi[..., None], vs[r : r + k, None, :], out=w)
+                w *= u
+                w.mean(axis=-1, out=inter[r : r + k, i : i + b])
+        b2 = -theta[0] * q - theta[1] * inter.reshape(q.shape)
         return np.stack([v, b2], axis=-1)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,46 @@ def test_cucker_smale_exponent_gradient():
     assert g[2, 1] == pytest.approx(expected, rel=1e-12)
     fd = fd_grad_pair(m, th, x, y)
     assert g[2, 1] == pytest.approx(fd[2, 1], rel=1e-6)
+
+
+def _full_pair_drift(model, theta, positions):
+    """Oracle: the Cucker-Smale ensemble drift over whole (..., N, N) pair arrays."""
+    q, v = positions[..., 0], positions[..., 1]
+    u = (q[..., :, None] - q[..., None, :]) ** 2
+    psi = model._psi(theta[2], u)
+    inter = (psi * (v[..., :, None] - v[..., None, :])).mean(axis=-1)
+    b2 = -theta[0] * q - theta[1] * inter
+    return np.stack([v, b2], axis=-1)
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (3,)])
+@pytest.mark.parametrize("n", [1, 2, 50, 64, 65, 66, 131, 500, 1200])
+def test_cucker_smale_row_blocks_match_full_pairs_bitwise(lead, n):
+    # one chunk, several replicates per chunk, row blocks with a ragged last
+    # block (N = 500 and 1200): the same bits as the full evaluation
+    m = make_model("cucker-smale")
+    pos = np.random.default_rng(n).standard_normal(lead + (n, 2))
+    pos[..., n // 2, :] = pos[..., 0, :]  # coincident particles
+    for t3 in (0.0, 0.5, 1.7):
+        th = np.array([0.4, 1.3, t3])
+        got, want = m.drift_ensemble(th, pos), _full_pair_drift(m, th, pos)
+        assert got.shape == want.shape == lead + (n, 2)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("r,n", [(2, 2000), (400, 50)])
+def test_cucker_smale_drift_memory_is_bounded(r, n):
+    # a single full (R, N, N) temporary is 64 MB at R = 2, N = 2000 (row
+    # blocks) and 8 MB at R = 400, N = 50 (chunks of whole replicates)
+    m = make_model("cucker-smale")
+    pos = np.random.default_rng(0).standard_normal((r, n, 2))
+    tracemalloc.start()
+    try:
+        m.drift_ensemble(np.array([0.4, 1.3, 0.5]), pos)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_gradients_match_finite_differences(zoo_model):
