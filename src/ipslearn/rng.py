@@ -20,6 +20,9 @@ PARAM_INIT_STREAM = 2**63
 
 GENERATOR_NAME = "numpy-philox4x64"
 
+# Byte budget of a BlockedNoise buffer; it bounds the block length.
+NOISE_BUFFER_BYTES = 4 * 1024 * 1024
+
 _U64 = np.uint64
 _MASK64 = (1 << 64) - 1
 
@@ -63,23 +66,14 @@ def particle_streams(seed: int, n_particles: int, first: int = 0) -> list[RngStr
     return [RngStream(seed, first + i) for i in range(n_particles)]
 
 
-def generate_increments(rng: RngStream, n: int, d: int, dt: float) -> np.ndarray:
-    """Draw an n-by-d matrix of i.i.d. Normal(0, dt) Brownian increments.
-
-    Deterministic given (seed, stream_id, position in the stream).
-    """
-    if dt <= 0:
-        raise InvalidConfiguration(f"dt must be positive, got {dt}")
-    if n < 1 or d < 1:
-        raise InvalidConfiguration("n and d must be >= 1")
-    return rng.standard_normals((n, d)) * math.sqrt(dt)
-
-
 class BlockedNoise:
     """Per-step (S, d) Gaussian increments from S streams, drawn in blocks.
 
     Drawing a block of steps per stream amortises generator-call overhead;
-    the per-stream value sequence is identical to drawing one step at a time.
+    the per-stream value sequence is identical to drawing one step at a time,
+    whatever the block length.  The buffer is laid out (block, S, d), so a
+    step is one contiguous slice, and holds at most NOISE_BUFFER_BYTES
+    (4 MiB): the block shrinks to fit, but never below 16 steps.
     """
 
     def __init__(self, streams: list[RngStream], d: int, dt: float, block: int = 512):
@@ -88,9 +82,9 @@ class BlockedNoise:
         self.streams = streams
         self.d = d
         self.sqrt_dt = math.sqrt(dt)
-        self.block = block
-        self._buf = np.empty((len(streams), block, d))
-        self._pos = block  # force a refill on first use
+        self.block = min(block, max(16, NOISE_BUFFER_BYTES // (8 * len(streams) * d)))
+        self._buf = np.empty((self.block, len(streams), d))
+        self._pos = self.block  # force a refill on first use
 
     def initial_positions(self) -> np.ndarray:
         """Draw (S, d) standard normals, one d-vector per stream.
@@ -106,9 +100,9 @@ class BlockedNoise:
     def next_step(self) -> np.ndarray:
         if self._pos == self.block:
             for k, s in enumerate(self.streams):
-                self._buf[k] = s.standard_normals((self.block, self.d))
+                self._buf[:, k] = s.standard_normals((self.block, self.d))
             self._buf *= self.sqrt_dt
             self._pos = 0
-        out = self._buf[:, self._pos, :].copy()
+        out = self._buf[self._pos].copy()
         self._pos += 1
         return out

@@ -1,25 +1,32 @@
+import math
+
 import numpy as np
 import pytest
 
 from ipslearn.rng import (
+    NOISE_BUFFER_BYTES,
     BlockedNoise,
     InvalidConfiguration,
     RngStream,
-    generate_increments,
     particle_streams,
     replicate_seed,
 )
 
 
+def increments(rng, n, d, dt):
+    """Oracle: n steps of Normal(0, dt) increments drawn straight from one stream."""
+    return rng.standard_normals((n, d)) * math.sqrt(dt)
+
+
 def test_same_key_reproduces_bitwise():
-    a = generate_increments(RngStream(1, 0), 2, 1, 0.1)
-    b = generate_increments(RngStream(1, 0), 2, 1, 0.1)
+    a = increments(RngStream(1, 0), 2, 1, 0.1)
+    b = increments(RngStream(1, 0), 2, 1, 0.1)
     assert np.array_equal(a, b)
 
 
 def test_distinct_streams_differ():
-    a = generate_increments(RngStream(1, 0), 100, 1, 0.1)
-    b = generate_increments(RngStream(1, 1), 100, 1, 0.1)
+    a = increments(RngStream(1, 0), 100, 1, 0.1)
+    b = increments(RngStream(1, 1), 100, 1, 0.1)
     assert not np.array_equal(a, b)
     # crude independence check: empirical correlation is small
     r = np.corrcoef(a.ravel(), b.ravel())[0, 1]
@@ -28,14 +35,14 @@ def test_distinct_streams_differ():
 
 def test_nonpositive_dt_rejected():
     with pytest.raises(InvalidConfiguration):
-        generate_increments(RngStream(1), 2, 1, 0.0)
+        BlockedNoise(particle_streams(1, 2), 1, 0.0)
     with pytest.raises(InvalidConfiguration):
-        generate_increments(RngStream(1), 2, 1, -0.1)
+        BlockedNoise(particle_streams(1, 2), 1, -0.1)
 
 
 def test_increment_variance_matches_dt():
     # Monte Carlo oracle: sample variance of Normal(0, dt) draws
-    draws = generate_increments(RngStream(7, 0), 10**6, 1, 0.1)
+    draws = increments(RngStream(7, 0), 10**6, 1, 0.1)
     assert abs(draws.var() - 0.1) < 0.001
     assert abs(draws.mean()) < 0.001
 
@@ -43,12 +50,59 @@ def test_increment_variance_matches_dt():
 def test_blocked_noise_matches_direct_draws():
     # block size must not change the per-stream value sequence
     dt = 0.1
-    direct = [generate_increments(RngStream(5, i), 70, 2, dt) for i in range(3)]
+    direct = [increments(RngStream(5, i), 70, 2, dt) for i in range(3)]
     noise = BlockedNoise(particle_streams(5, 3), d=2, dt=dt, block=16)
     for step in range(70):
         dw = noise.next_step()
         for i in range(3):
             assert np.array_equal(dw[i], direct[i][step])
+
+
+def _steps(noise, n):
+    return np.stack([noise.next_step() for _ in range(n)])
+
+
+@pytest.mark.parametrize("block", [1, 16, 512])
+def test_stream_values_do_not_depend_on_block(block):
+    # every stream's increments, bit for bit, at any block length
+    dt, n = 0.03, 1100
+    direct = np.stack([increments(RngStream(4, i), n, 2, dt) for i in range(3)], axis=1)
+    noise = BlockedNoise(particle_streams(4, 3), d=2, dt=dt, block=block)
+    assert noise.block == block
+    assert _steps(noise, n).view(np.uint64).tolist() == direct.view(np.uint64).tolist()
+
+
+def test_byte_capped_block_keeps_stream_values():
+    # 3000 streams of d = 2 cap the block at 4 MiB // (8 * 6000) = 87 steps
+    dt, n = 0.5, 200
+    streams = 3000
+    noise = BlockedNoise(particle_streams(8, streams), d=2, dt=dt)
+    assert noise.block == NOISE_BUFFER_BYTES // (8 * streams * 2) == 87
+    got = _steps(noise, n)
+    for i in (0, 1, 1234, streams - 1):
+        want = increments(RngStream(8, i), n, 2, dt)
+        assert got[:, i].view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("streams,d", [(1, 1), (1000, 1), (1024, 2), (2000, 2), (4096, 8)])
+def test_noise_buffer_stays_within_its_byte_budget(streams, d):
+    # the block never drops below 16, so the cap holds whenever 16 steps fit
+    assert 16 * 8 * streams * d <= NOISE_BUFFER_BYTES
+    noise = BlockedNoise([RngStream(1, i) for i in range(streams)], d=d, dt=0.1)
+    assert 16 <= noise.block <= 512
+    assert noise._buf.nbytes <= NOISE_BUFFER_BYTES
+
+
+def test_next_step_returns_an_array_the_caller_owns():
+    # 40 steps span two refills of a 16-step block; no refill or write by the
+    # caller may reach a step already handed out
+    noise = BlockedNoise(particle_streams(2, 4), d=2, dt=0.1, block=16)
+    steps = [noise.next_step() for _ in range(40)]
+    assert all(s.flags.owndata and not np.shares_memory(s, noise._buf) for s in steps)
+    steps[0][:] = np.nan
+    again = BlockedNoise(particle_streams(2, 4), d=2, dt=0.1, block=16)
+    want = [again.next_step() for _ in range(40)]
+    assert [s.tobytes() for s in steps[1:]] == [w.tobytes() for w in want[1:]]
 
 
 def test_initial_positions_consume_streams_first():
