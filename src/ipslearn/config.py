@@ -338,6 +338,9 @@ def _parse_estimator(d, index, model, n_particles) -> EstimatorConfig:
     if kind not in ESTIMATOR_KINDS:
         raise ConfigError(f"{ctx}.kind", f"unknown kind {kind!r}")
     label = _typed(d.get("label", kind), f"{ctx}.label", str)
+    if any(c in label for c in ',"\r\n'):
+        # labels are written unquoted into CSV rows
+        raise ConfigError(f"{ctx}.label", f"no comma, quote or line break allowed: {label!r}")
 
     particle = _int(d.get("particle", 0), f"{ctx}.particle")
     if not 0 <= particle < n_particles:

@@ -352,6 +352,10 @@ BAD_INPUTS = {
     "dump_trajectory-string": (_set("dump_trajectory", "false"), "dump_trajectory"),
     "rmsprop-string": (_set("estimators", 0, "rmsprop", "no"), "estimators[0].rmsprop"),
     "label-int": (_set("estimators", 0, "label", 7), "estimators[0].label"),
+    "label-comma": (_set("estimators", 1, "label", "a,b"), "estimators[1].label"),
+    "label-quote": (_set("estimators", 0, "label", 'say "hi"'), "estimators[0].label"),
+    "label-newline": (_set("estimators", 1, "label", "a\nb"), "estimators[1].label"),
+    "label-cr": (_set("estimators", 0, "label", "a\rb"), "estimators[0].label"),
     "sweep-int": (_set("sweep", 5), "sweep"),
     "surface-int": (_set("surface", 5), "surface"),
     "surface-empty-axis": (_set("surface", {"axes": [[], [0.1]], "horizon_steps": 10}),
