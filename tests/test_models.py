@@ -86,6 +86,14 @@ def test_cucker_smale_row_blocks_match_full_pairs_bitwise(lead, n):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def test_cucker_smale_ragged_replicate_chunk_matches_full_pairs_bitwise():
+    # at N = 50 a chunk holds 13 whole replicates, so R = 30 ends on a chunk of 4
+    m = make_model("cucker-smale")
+    pos = np.random.default_rng(5).standard_normal((30, 50, 2))
+    th = np.array([0.4, 1.3, 1.7])
+    assert m.drift_ensemble(th, pos).tobytes() == _full_pair_drift(m, th, pos).tobytes()
+
+
 @pytest.mark.parametrize("r,n", [(2, 2000), (400, 50)])
 def test_cucker_smale_drift_memory_is_bounded(r, n):
     # a single full (R, N, N) temporary is 64 MB at R = 2, N = 2000 (row

@@ -62,9 +62,10 @@ def _steps(noise, n):
     return np.stack([noise.next_step() for _ in range(n)])
 
 
-@pytest.mark.parametrize("block", [1, 16, 512])
+@pytest.mark.parametrize("block", [1, 512])
 def test_stream_values_do_not_depend_on_block(block):
-    # every stream's increments, bit for bit, at any block length
+    # every stream's increments, bit for bit, over several refills; block 16
+    # is the case above
     dt, n = 0.03, 1100
     direct = np.stack([increments(RngStream(4, i), n, 2, dt) for i in range(3)], axis=1)
     noise = BlockedNoise(particle_streams(4, 3), d=2, dt=dt, block=block)
