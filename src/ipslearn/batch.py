@@ -2,7 +2,7 @@
 
 `run_batch` runs `sde.simulate` on one replicate per seed, as a (R, N, d)
 array with one noise stream per (replicate, particle), and attaches the
-estimators as its observer.  The estimator kernels broadcast over the
+estimators as its observer.  The estimator update rules broadcast over the
 replicate axis, which keeps long sweeps and large replicate counts fast
 without changing any per-replicate arithmetic.
 
@@ -22,7 +22,6 @@ from .estimators import (
     EstimatorState,
     LearningRateSchedule,
     RmsPropConfig,
-    TripletSet,
     UpdateOptions,
     build_cyclic_triplets,
 )
@@ -30,7 +29,15 @@ from .models import Box, InteractionModel, TruthSchedule, weight_matrix
 from .rng import PARAM_INIT_STREAM, InvalidConfiguration, RngStream, replicate_seed
 from .sde import realized_qv, simulate
 
-ESTIMATOR_KINDS = ("averaged", "triplet", "averaged_m", "triplet_m", "diffusion")
+# estimator kind -> name of its update rule in `estimators`
+RULES = {
+    "averaged": "update_averaged",
+    "triplet": "update_three_particle",
+    "averaged_m": "update_m_averaged_full",
+    "triplet_m": "update_m_averaged_triplets",
+    "diffusion": "update_diffusion",
+}
+ESTIMATOR_KINDS = tuple(RULES)
 
 
 @dataclass
@@ -54,16 +61,6 @@ class EstimatorSetup:
             raise InvalidConfiguration(f"unknown estimator kind {self.kind!r}")
         if not self.label:
             self.label = self.kind
-
-    def options(self, model) -> UpdateOptions:
-        """Update options with the weight matrix resolved once, for every step."""
-        mask = None
-        if self.free_mask is not None:
-            mask = np.asarray(self.free_mask, dtype=float)
-        weight = self.weight if self.weight is not None else weight_matrix(model)
-        return UpdateOptions(
-            bounds=self.bounds, free_mask=mask, rmsprop=self.rmsprop, weight=weight
-        )
 
 
 @dataclass
@@ -97,46 +94,36 @@ class BatchResult:
 
 
 class _RunningEstimator:
-    """One estimator of a batch; its state arrays are updated in place."""
+    """One estimator of a batch: its update rule, the options resolved for
+    it once, and its state, which the rule updates in place."""
 
-    def __init__(self, setup: EstimatorSetup, model, n_replicates, n_particles):
+    def __init__(self, setup: EstimatorSetup, model, dt, n_replicates, n_particles):
         self.setup = setup
+        kind = setup.kind
+        if kind == "diffusion" and not model.diffusion.parametric:
+            raise InvalidConfiguration(f"{model.model_id} has no diffusion parameters")
         theta0 = np.asarray(setup.theta_init, dtype=float)
         if theta0.ndim == 1:
             theta0 = np.broadcast_to(theta0, (n_replicates, theta0.shape[0]))
         # a copy: the state is updated in place, never the caller's theta_init
         self.state = EstimatorState(theta=theta0.copy())
-        self.options = setup.options(model)
-        self.triplets: TripletSet | None = None
-        if setup.kind == "triplet_m":
-            self.triplets = build_cyclic_triplets(setup.pi, n_particles)
-        self.needs_qv = setup.kind == "diffusion"
-
-    def update(self, model, positions, dx, dqv, dt, t, stat, keep):
-        """Advance the state by one step; replicates marked in `keep` stay put."""
-        s, state = self.setup, self.state
-        common = (s.schedule, t, self.options)
-        kw = {"keep": keep, "in_place": True}
-        if s.kind == "averaged":
-            est.update_averaged(
-                state, model, s.particle, positions, dx, dt, *common, stat=stat, **kw
-            )
-        elif s.kind == "triplet":
-            i, j, k = s.triplet
-            est.update_three_particle(
-                state, model, positions[..., i, :], positions[..., j, :],
-                positions[..., k, :], dx[..., i, :], dt, *common, **kw,
-            )
-        elif s.kind == "averaged_m":
-            est.update_m_averaged_full(
-                state, model, s.pi, positions, dx, dt, *common, stat=stat, **kw
-            )
-        elif s.kind == "triplet_m":
-            est.update_m_averaged_triplets(
-                state, model, self.triplets, positions, dx, dt, *common, **kw
-            )
-        else:  # diffusion
-            est.update_diffusion(state, model, s.particle, positions, dqv, dt, *common, **kw)
+        self.options = UpdateOptions(
+            model=model,
+            dt=dt,
+            schedule=setup.schedule,
+            weight=setup.weight if setup.weight is not None else weight_matrix(model),
+            particles=tuple(sorted(setup.pi)) if kind == "averaged_m" else (setup.particle,),
+            triplets=build_cyclic_triplets(setup.pi, n_particles) if kind == "triplet_m"
+            else (tuple(setup.triplet),),
+            free_mask=None if setup.free_mask is None
+            else np.asarray(setup.free_mask, dtype=float),
+            bounds=setup.bounds,
+            rmsprop=setup.rmsprop,
+        )
+        # looked up by name when the run starts, so a wrapper put on the
+        # module attribute sees every call
+        self.rule = getattr(est, RULES[kind])
+        self.needs_qv = kind == "diffusion"
 
 
 def draw_initial_thetas(seeds, low, high):
@@ -161,9 +148,8 @@ def draw_initial_thetas(seeds, low, high):
 class _Estimators:
     """Observer that runs a batch's estimators and their tail and record bookkeeping."""
 
-    def __init__(self, runners, model, dt, n_steps, record_every, tail_fraction):
+    def __init__(self, runners, dt, n_steps, record_every, tail_fraction):
         self.runners = runners
-        self.model = model
         self.dt = dt
         self.needs_qv = any(r.needs_qv for r in runners)
         self.record_every = record_every
@@ -178,7 +164,7 @@ class _Estimators:
         runners = self.runners
         dqv = realized_qv(dx) if self.needs_qv else None
         for r in runners:
-            r.update(self.model, positions, dx, dqv, self.dt, t, stat, keep)
+            r.rule(r.state, r.options, positions, dx, dqv, stat, t, keep)
 
         if step >= self.tail_start:
             for k, r in enumerate(runners):
@@ -229,8 +215,10 @@ def run_batch(
     """Simulate one replicate per seed with the estimators observing every step."""
     seeds = tuple(int(s) for s in seeds)
     R = len(seeds)
-    runners = [_RunningEstimator(setup, model, R, n_particles) for setup in estimator_setups]
-    estimators = _Estimators(runners, model, dt, n_steps, record_every, tail_fraction)
+    runners = [
+        _RunningEstimator(setup, model, dt, R, n_particles) for setup in estimator_setups
+    ]
+    estimators = _Estimators(runners, dt, n_steps, record_every, tail_fraction)
     positions, excluded, blowup_step = simulate(
         model, truth, n_particles, dt, n_steps, seeds, (estimators,), eta_true
     )

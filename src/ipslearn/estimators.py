@@ -6,7 +6,7 @@ step start.  The core residual is B(theta)*dt - dx (or its pairwise
 counterpart), weighted by (sigma sigma^T)^-1 or the identity depending on
 the model's weighting mode.
 
-Update kernels broadcast over leading batch axes, so the same code serves a
+Update rules broadcast over leading batch axes, so the same code serves a
 single trajectory and a stacked array of replicates.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Box, weight_matrix
+from .models import Box
 from .rng import InvalidConfiguration
 
 
@@ -113,22 +113,7 @@ def validate_schedule(schedule: LearningRateSchedule) -> ScheduleReport:
 # Cyclic triplets
 
 
-@dataclass(frozen=True)
-class TripletSet:
-    """Ordered (i, j, k) index triples with three distinct members each."""
-
-    triplets: tuple
-
-    def __post_init__(self):
-        for t in self.triplets:
-            if len(t) != 3 or len(set(t)) != 3:
-                raise InvalidConfiguration(f"triplet {t} must have three distinct indices")
-
-    def __len__(self):
-        return len(self.triplets)
-
-
-def build_cyclic_triplets(pi, n: int) -> TripletSet:
+def build_cyclic_triplets(pi, n: int) -> tuple:
     """Cyclic triplets C(Pi) of an ordered index subset Pi of [0, n).
 
     For |Pi| >= 3 the triples are (i_l, i_{l+1}, i_{l+2}) with indices taken
@@ -149,10 +134,8 @@ def build_cyclic_triplets(pi, n: int) -> TripletSet:
             raise InvalidConfiguration("need at least 3 particles to form triplets")
         aux = [i for i in range(n) if i not in pi]
         extended = pi + aux[: 3 - len(pi)]
-        cyc = _cyclic(extended)
-        keep = tuple(t for t in cyc if t[0] in pi)
-        return TripletSet(keep)
-    return TripletSet(_cyclic(pi))
+        return tuple(t for t in _cyclic(extended) if t[0] in pi)
+    return _cyclic(pi)
 
 
 def _cyclic(idx):
@@ -171,12 +154,10 @@ class EstimatorState:
     Fields carry arbitrary leading batch axes; `frozen` is boolean with the
     batch shape (a 0-d array for a single trajectory).  Once frozen flips to
     True it never reverts and all later updates pass through unchanged.
-    The update kernel writes into these arrays in place; the functional
-    update rules hand it a copy.
+    The update rules write into these arrays in place.
     """
 
     theta: np.ndarray
-    step_index: int = 0
     precond_acc: np.ndarray | None = None
     frozen: np.ndarray | None = None
 
@@ -188,11 +169,6 @@ class EstimatorState:
             self.frozen = np.zeros(self.theta.shape[:-1], dtype=bool)
         self.frozen = np.asarray(self.frozen, dtype=bool)
 
-    def copy(self) -> "EstimatorState":
-        return EstimatorState(
-            self.theta.copy(), self.step_index, self.precond_acc.copy(), self.frozen.copy()
-        )
-
 
 @dataclass(frozen=True)
 class RmsPropConfig:
@@ -202,15 +178,18 @@ class RmsPropConfig:
 
 @dataclass(frozen=True)
 class UpdateOptions:
-    """Per-estimator behaviour shared by all update rules."""
+    """Everything an update rule reads apart from the step's data, resolved
+    once when a run starts."""
 
+    model: object
+    dt: float
+    schedule: LearningRateSchedule
+    weight: np.ndarray | None = None  # (d, d) weighting of the drift residual
+    particles: tuple = (0,)  # (particle,), or the sorted Pi of the M-averaged form
+    triplets: tuple = ()  # ((i, j, k),), or C(Pi) of the M-averaged form
+    free_mask: np.ndarray | None = None  # float; zero entries are known, never updated
     bounds: Box | None = None
-    free_mask: np.ndarray | None = None  # False entries are known, never updated
     rmsprop: RmsPropConfig | None = None
-    weight: np.ndarray | None = None  # override of the model weighting matrix
-
-    def weight_for(self, model) -> np.ndarray:
-        return self.weight if self.weight is not None else weight_matrix(model)
 
 
 def rmsprop_precondition(raw_update, state: EstimatorState, lr_vec, cfg: RmsPropConfig):
@@ -225,14 +204,17 @@ def rmsprop_precondition(raw_update, state: EstimatorState, lr_vec, cfg: RmsProp
     return raw_update / (np.sqrt(acc) + cfg.eps), acc
 
 
-def _apply_raw_update(state, raw, lr_vec, options, keep=None):
-    """Common tail of every update rule: mask, precondition, freeze, clamp.
+def _apply_raw_update(state, D, t, options, keep=None):
+    """Common tail of every update rule: step, mask, precondition, freeze, clamp.
 
-    A replicate, or an unbatched state, freezes for good on a non-finite raw
-    step or on a proposal outside the bounds, keeping its last value.  Works
-    in place on `state`'s arrays and returns `state`.  `keep` (bool,
-    batch-shaped) marks replicates that must not change at all this step.
+    The raw step is -gamma(t) * D.  A replicate, or an unbatched state,
+    freezes for good on a non-finite raw step or on a proposal outside the
+    bounds, keeping its last value.  Works in place on `state`'s arrays.
+    `keep` (bool, batch-shaped) marks replicates that must not change at all
+    this step.
     """
+    lr_vec = options.schedule.vector(t)
+    raw = -lr_vec * D
     if options.free_mask is not None:
         raw = raw * options.free_mask
     hold = state.frozen if keep is None else state.frozen | keep
@@ -256,8 +238,6 @@ def _apply_raw_update(state, raw, lr_vec, options, keep=None):
         np.copyto(state.precond_acc, acc, where=move)
     if freeze is not None:
         np.logical_or(state.frozen, freeze if keep is None else freeze & ~keep, out=state.frozen)
-    state.step_index += 1
-    return state
 
 
 def _weighted(G, W, resid):
@@ -287,137 +267,85 @@ def triplet_gradient(model, theta, x_i, x_j, x_k, dx_i, dt, W):
     return _weighted(g, W, b * dt - dx_i)
 
 
-def m_full_gradient(model, theta, pi, positions, dX, dt, W, stat=None):
-    """Mean of the averaged gradient over the primary indices Pi.
+def _mean(terms):
+    """Mean of a list of arrays, summed in list order."""
+    return sum(terms[1:], terms[0]) / len(terms)
 
-    Pi is sorted internally so the accumulation order (hence the float
-    result) is independent of the order Pi was supplied in.  The ensemble
-    statistic is computed once for all of Pi.
-    """
-    if stat is None:
-        stat = model.mean_field(positions)
-    total = None
-    for i in sorted(pi):
-        g = averaged_gradient(
-            model, theta, positions[..., i, :], positions, dX[..., i, :], dt, W, stat
+
+def _averaged_mean(state, o, positions, dx, stat):
+    """Mean of the averaged gradient over the particles of `o`."""
+    return _mean([
+        averaged_gradient(
+            o.model, state.theta, positions[..., i, :], positions, dx[..., i, :], o.dt, o.weight,
+            stat,
         )
-        total = g if total is None else total + g
-    return total / len(pi)
+        for i in o.particles
+    ])
 
 
-def m_triplet_gradient(model, theta, triplets: TripletSet, positions, dX, dt, W):
-    """Mean of the three-particle gradient over the cyclic triplets C(Pi)."""
-    total = None
-    for (i, j, k) in triplets.triplets:
-        g = triplet_gradient(
-            model,
-            theta,
-            positions[..., i, :],
-            positions[..., j, :],
-            positions[..., k, :],
-            dX[..., i, :],
-            dt,
-            W,
+def _triplet_mean(state, o, positions, dx):
+    """Mean of the three-particle gradient over the triplets of `o`."""
+    return _mean([
+        triplet_gradient(
+            o.model, state.theta, positions[..., i, :], positions[..., j, :],
+            positions[..., k, :], dx[..., i, :], o.dt, o.weight,
         )
-        total = g if total is None else total + g
-    return total / len(triplets)
-
-
-def diffusion_gradient(model, eta, x_i, dqv_i, dt):
-    """d_eta(sigma sigma^T) [sigma sigma^T(eta, x) dt - dQV_i], scalar noise.
-
-    The fixed point is the realized quadratic variation matching the model's
-    instantaneous variance.
-    """
-    sig_sq = model.diffusion.sigma_sq(eta, x_i)
-    d_eta = model.diffusion.d_eta_sigma_sq(eta, x_i)
-    return d_eta * (sig_sq * dt - dqv_i)
+        for i, j, k in o.triplets
+    ])
 
 
 # ---------------------------------------------------------------------------
-# Single-step update operations
+# Update rules
 #
-# Each takes the ensemble state at the step start, the increments realised
-# over the step of length dt, and the step-start time t (where the schedule
-# is evaluated), and returns the new estimator state: a copy, or `state`
-# itself updated in place with in_place=True.  `keep` marks replicates to
-# leave untouched; `stat` is the ensemble's model.mean_field(positions).
+# One per estimator kind, all with the signature
+#
+#     rule(state, options, positions, dx, dqv, stat, t, keep=None)
+#
+# Each forms its kind's gradient estimate D from the ensemble at the step
+# start (`positions`, (..., N, d)), the increments realised over the step
+# (`dx`; `dqv` = realized_qv(dx), read only by the diffusion rule) and the
+# ensemble statistic `stat` = model.mean_field(positions), then hands D to
+# `_apply_raw_update`, which advances `state` in place with the schedule
+# evaluated at the step-start time t.  `keep` marks replicates to leave
+# untouched.  A rule with a single particle or triplet is its M-averaged
+# form over that one index: the mean of one term is the term itself.
 
 
-def _finish(state, D, lr, options, keep, in_place):
-    return _apply_raw_update(state if in_place else state.copy(), -lr * D, lr, options, keep)
-
-
-def update_averaged(
-    state, model, particle, positions, dx, dt, schedule, t, options=UpdateOptions(),
-    *, stat=None, keep=None, in_place=False,
-):
+def update_averaged(state, options, positions, dx, dqv, stat, t, keep=None):
     """Full-observation update from one particle's residual against the
     empirical-measure drift."""
-    lr = schedule.vector(t)
-    D = averaged_gradient(
-        model,
-        state.theta,
-        positions[..., particle, :],
-        positions,
-        dx[..., particle, :],
-        dt,
-        options.weight_for(model),
-        stat,
-    )
-    return _finish(state, D, lr, options, keep, in_place)
+    _apply_raw_update(state, _averaged_mean(state, options, positions, dx, stat), t, options, keep)
 
 
-def update_three_particle(
-    state, model, x_i, x_j, x_k, dx_i, dt, schedule, t, options=UpdateOptions(),
-    *, keep=None, in_place=False,
-):
-    """Three-particle update; deliberately takes the three observed states
-    and the increment of the first, never the full ensemble."""
-    lr = schedule.vector(t)
-    D = triplet_gradient(
-        model, state.theta, x_i, x_j, x_k, dx_i, dt, options.weight_for(model)
-    )
-    return _finish(state, D, lr, options, keep, in_place)
+def update_three_particle(state, options, positions, dx, dqv, stat, t, keep=None):
+    """Three-particle update; reads only the states of its triplet (i, j, k)
+    and the increment of i, never the full ensemble."""
+    _apply_raw_update(state, _triplet_mean(state, options, positions, dx), t, options, keep)
 
 
-def update_m_averaged_full(
-    state, model, pi, positions, dX, dt, schedule, t, options=UpdateOptions(),
-    *, stat=None, keep=None, in_place=False,
-):
-    """Single update from the averaged drift over the primary indices Pi."""
-    lr = schedule.vector(t)
-    D = m_full_gradient(
-        model, state.theta, pi, positions, dX, dt, options.weight_for(model), stat
-    )
-    return _finish(state, D, lr, options, keep, in_place)
+def update_m_averaged_full(state, options, positions, dx, dqv, stat, t, keep=None):
+    """Single update from the mean averaged gradient over the primary indices
+    Pi.  Pi is held sorted, so the summation order (hence the float result)
+    does not depend on the order Pi was supplied in."""
+    _apply_raw_update(state, _averaged_mean(state, options, positions, dx, stat), t, options, keep)
 
 
-def update_m_averaged_triplets(
-    state, model, triplets, positions, dX, dt, schedule, t, options=UpdateOptions(),
-    *, keep=None, in_place=False,
-):
-    """Single update from the mean three-particle drift over C(Pi)."""
-    lr = schedule.vector(t)
-    D = m_triplet_gradient(
-        model, state.theta, triplets, positions, dX, dt, options.weight_for(model)
-    )
-    return _finish(state, D, lr, options, keep, in_place)
+def update_m_averaged_triplets(state, options, positions, dx, dqv, stat, t, keep=None):
+    """Single update from the mean three-particle gradient over C(Pi)."""
+    _apply_raw_update(state, _triplet_mean(state, options, positions, dx), t, options, keep)
 
 
-def update_diffusion(
-    state, model, particle, positions, dqv, dt, schedule, t, options=UpdateOptions(),
-    *, keep=None, in_place=False,
-):
+def update_diffusion(state, options, positions, dx, dqv, stat, t, keep=None):
     """Diffusion-parameter update matching realized quadratic variation.
 
-    For scalar noise: eta <- eta - delta * d_eta(sigma^2) * (sigma^2 dt - dQV).
-    Requires a parametric diffusion and the dQV stream.
+    For scalar noise: eta <- eta - delta * d_eta(sigma^2) * (sigma^2 dt - dQV),
+    whose fixed point is the realized quadratic variation matching the
+    model's instantaneous variance.  Needs a parametric diffusion.
     """
-    if not model.diffusion.parametric:
-        raise InvalidConfiguration(f"{model.model_id} has no diffusion parameters")
-    lr = schedule.vector(t)
-    x_i = positions[..., particle, :]
-    dqv_i = dqv[..., particle, :, 0]  # scalar-noise models: dQV is (..., N, 1, 1)
-    D = diffusion_gradient(model, state.theta, x_i, dqv_i, dt)
-    return _finish(state, D, lr, options, keep, in_place)
+    (i,) = options.particles
+    x_i = positions[..., i, :]
+    dqv_i = dqv[..., i, :, 0]  # scalar-noise models: dQV is (..., N, 1, 1)
+    diffusion = options.model.diffusion
+    sig_sq = diffusion.sigma_sq(state.theta, x_i)
+    D = diffusion.d_eta_sigma_sq(state.theta, x_i) * (sig_sq * options.dt - dqv_i)
+    _apply_raw_update(state, D, t, options, keep)

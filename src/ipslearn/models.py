@@ -42,10 +42,6 @@ from .rng import InvalidConfiguration
 PAIR_BLOCK_BYTES = 256 * 1024
 
 
-class DimensionMismatch(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Admissible parameter sets
 
@@ -61,7 +57,7 @@ class Box:
         lo = np.asarray(self.lower, dtype=float)
         hi = np.asarray(self.upper, dtype=float)
         if lo.shape != hi.shape:
-            raise DimensionMismatch("bound shapes differ")
+            raise InvalidConfiguration("bound shapes differ")
         if np.any(lo > hi):
             raise InvalidConfiguration("lower bound exceeds upper bound")
         object.__setattr__(self, "lower", lo)

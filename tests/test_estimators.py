@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipslearn.batch import EstimatorSetup, batch_seeds, run_batch
+import ipslearn.batch
+import ipslearn.estimators as est
+from ipslearn.batch import RULES, EstimatorSetup, batch_seeds, run_batch
 from ipslearn.estimators import (
     EstimatorState,
     LearningRateSchedule,
     RmsPropConfig,
-    TripletSet,
     UpdateOptions,
     build_cyclic_triplets,
     rmsprop_precondition,
@@ -19,7 +20,7 @@ from ipslearn.estimators import (
     update_three_particle,
     validate_schedule,
 )
-from ipslearn.models import Box, TruthSchedule, make_model
+from ipslearn.models import Box, TruthSchedule, make_model, weight_matrix
 from ipslearn.rng import InvalidConfiguration
 
 
@@ -27,31 +28,41 @@ def const_sched(*scale):
     return LearningRateSchedule("constant", 1.0, scale=np.array(scale, dtype=float))
 
 
+def options(model, schedule, **kw):
+    """Update options at dt = 0.1 with the model's own weighting."""
+    return UpdateOptions(model, 0.1, schedule, weight_matrix(model), **kw)
+
+
+def apply(rule, theta, opts, pos, dx, t=0.0, dqv=None, keep=None):
+    """A fresh state at `theta` after one call of `rule`."""
+    s = EstimatorState(theta=np.array(theta, dtype=float))
+    rule(s, opts, pos, dx, dqv, opts.model.mean_field(pos), t, keep)
+    return s
+
+
 # ---------------------------------------------------------------------------
 # Cyclic triplets
 
 
 def test_cyclic_triplets_standard():
-    assert build_cyclic_triplets([2, 5, 7], 10).triplets == ((2, 5, 7), (5, 7, 2), (7, 2, 5))
+    assert build_cyclic_triplets([2, 5, 7], 10) == ((2, 5, 7), (5, 7, 2), (7, 2, 5))
 
 
 def test_cyclic_triplets_full_small_system():
-    assert build_cyclic_triplets([0, 1, 2], 3).triplets == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    assert build_cyclic_triplets([0, 1, 2], 3) == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 def test_cyclic_triplets_extend_singleton():
     # Pi = {4} is extended with the smallest free indices {0, 1}; only the
     # cyclic triple starting in Pi is kept
-    ts = build_cyclic_triplets([4], 10)
-    assert ts.triplets == ((4, 0, 1),)
-    assert len(ts) == 1
+    assert build_cyclic_triplets([4], 10) == ((4, 0, 1),)
 
 
 def test_cyclic_triplets_extend_pair():
     ts = build_cyclic_triplets([4, 2], 10)
     assert len(ts) == 2
-    assert all(t[0] in (4, 2) for t in ts.triplets)
-    for t in ts.triplets:
+    assert all(t[0] in (4, 2) for t in ts)
+    for t in ts:
         assert len(set(t)) == 3
 
 
@@ -66,11 +77,6 @@ def test_cyclic_triplets_rejects_bad_input():
         build_cyclic_triplets([], 5)
 
 
-def test_triplet_set_rejects_repeated_indices():
-    with pytest.raises(InvalidConfiguration):
-        TripletSet(((0, 1, 1),))
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_cyclic_triplets_properties(data):
@@ -79,13 +85,11 @@ def test_cyclic_triplets_properties(data):
     pi = data.draw(st.permutations(range(n)).map(lambda p: tuple(p[:m])))
     ts = build_cyclic_triplets(pi, n)
     assert len(ts) == len(pi)
-    assert tuple(t[0] for t in ts.triplets if t[0] in pi) == tuple(
-        t[0] for t in ts.triplets
-    )
-    for t in ts.triplets:
+    assert tuple(t[0] for t in ts if t[0] in pi) == tuple(t[0] for t in ts)
+    for t in ts:
         assert len(set(t)) == 3 and all(0 <= i < n for i in t)
     if len(pi) >= 3:
-        assert tuple(t[0] for t in ts.triplets) == pi
+        assert tuple(t[0] for t in ts) == pi
 
 
 # ---------------------------------------------------------------------------
@@ -97,40 +101,36 @@ def test_update_averaged_single_particle_step():
     # G vanishes and B(theta) = -theta1*x; with dx produced by the truth
     # drift (no noise), the residual is (theta01 - theta1)*x*dt
     m = make_model("linear", sigma=1.0)
-    state = EstimatorState(theta=np.array([1.5, 0.7]))
     pos = np.array([[1.0]])
     dx = np.array([[-1.0 * 1.0 * 0.1]])  # truth theta0 = (1.0, 0.2), N=1
-    sched = const_sched(8e-3, 5e-3)
-    new = update_averaged(state, m, 0, pos, dx, 0.1, sched, 0.0)
+    new = apply(update_averaged, [1.5, 0.7], options(m, const_sched(8e-3, 5e-3)), pos, dx)
     resid = (-1.5 * 0.1) - (-0.1)  # = -0.05
     assert new.theta[0] == pytest.approx(1.5 - 8e-3 * (-1.0) * resid, abs=1e-15)
     assert new.theta[0] == pytest.approx(1.4996, abs=1e-12)
     assert new.theta[1] == 0.7  # G's interaction entry is zero
-    assert new.step_index == 1
 
 
 def test_update_averaged_zero_rate_is_identity():
     m = make_model("linear")
-    state = EstimatorState(theta=np.array([1.5, 0.7]))
     pos = np.array([[1.0], [0.5]])
     dx = np.array([[0.2], [-0.1]])
     sched = LearningRateSchedule("constant", 1e-300)  # gamma must be positive
-    new = update_averaged(state, m, 0, pos, dx, 0.1, sched, 0.0)
-    assert new.theta == pytest.approx(state.theta, abs=1e-290)
+    new = apply(update_averaged, [1.5, 0.7], options(m, sched), pos, dx)
+    assert new.theta == pytest.approx([1.5, 0.7], abs=1e-290)
 
 
 def test_update_three_particle_hand_step():
-    # g uses (x_i - x_j), the drift residual uses (x_i - x_k)
+    # g uses (x_i - x_j), the drift residual uses (x_i - x_k); the rule reads
+    # only particles i, j and k
     m = make_model("linear", sigma=1.0)
-    state = EstimatorState(theta=np.array([1.5, 0.7]))
-    x_i, x_j, x_k = np.array([1.0]), np.array([0.0]), np.array([2.0])
-    dx_i = np.array([-0.1])
-    sched = const_sched(8e-3, 5e-3)
-    new = update_three_particle(state, m, x_i, x_j, x_k, dx_i, 0.1, sched, 0.0)
+    pos = np.array([[1.0], [0.0], [2.0], [np.nan]])
+    dx = np.array([[-0.1], [np.nan], [np.nan], [np.nan]])
+    opts = options(m, const_sched(8e-3, 5e-3), triplets=((0, 1, 2),))
+    new = apply(update_three_particle, [1.5, 0.7], opts, pos, dx)
     b = -1.5 * 1.0 - 0.7 * (1.0 - 2.0)  # = -0.8
     resid = b * 0.1 - (-0.1)  # = 0.02
     g = np.array([-1.0, -(1.0 - 0.0)])
-    want = state.theta - np.array([8e-3, 5e-3]) * g * resid
+    want = np.array([1.5, 0.7]) - np.array([8e-3, 5e-3]) * g * resid
     assert new.theta == pytest.approx(want, abs=1e-15)
 
 
@@ -139,14 +139,9 @@ def test_m_triplet_with_single_triple_reduces_exactly():
     rng = np.random.default_rng(4)
     pos = rng.standard_normal((10, 1))
     dx = rng.standard_normal((10, 1)) * 0.1
-    sched = const_sched(8e-3, 5e-3)
-    state = EstimatorState(theta=np.array([1.5, 0.7]))
-    ts = build_cyclic_triplets([4], 10)
-    via_m = update_m_averaged_triplets(state, m, ts, pos, dx, 0.1, sched, 0.0)
-    i, j, k = ts.triplets[0]
-    direct = update_three_particle(
-        state, m, pos[i], pos[j], pos[k], dx[i], 0.1, sched, 0.0
-    )
+    opts = options(m, const_sched(8e-3, 5e-3), triplets=build_cyclic_triplets([4], 10))
+    via_m = apply(update_m_averaged_triplets, [1.5, 0.7], opts, pos, dx)
+    direct = apply(update_three_particle, [1.5, 0.7], opts, pos, dx)
     assert np.array_equal(via_m.theta, direct.theta)
 
 
@@ -156,76 +151,67 @@ def test_m_full_equals_mean_of_per_particle_updates():
     pos = rng.standard_normal((3, 1))
     dx = rng.standard_normal((3, 1)) * 0.1
     sched = const_sched(8e-3, 5e-3)
-    state = EstimatorState(theta=np.array([1.5, 0.7]))
-    via_m = update_m_averaged_full(state, m, (0, 1, 2), pos, dx, 0.1, sched, 0.0)
+    via_m = apply(update_m_averaged_full, [1.5, 0.7], options(m, sched, particles=(0, 1, 2)),
+                  pos, dx)
     singles = [
-        update_averaged(state, m, i, pos, dx, 0.1, sched, 0.0).theta for i in range(3)
+        apply(update_averaged, [1.5, 0.7], options(m, sched, particles=(i,)), pos, dx).theta
+        for i in range(3)
     ]
     assert via_m.theta == pytest.approx(np.mean(singles, axis=0), abs=1e-14)
 
 
 def test_m_full_invariant_under_pi_permutation():
-    m = make_model("linear")
-    rng = np.random.default_rng(6)
-    pos = rng.standard_normal((8, 1))
-    dx = rng.standard_normal((8, 1)) * 0.1
-    sched = const_sched(8e-3, 5e-3)
-    state = EstimatorState(theta=np.array([1.5, 0.7]))
-    a = update_m_averaged_full(state, m, (5, 1, 7), pos, dx, 0.1, sched, 0.0)
-    b = update_m_averaged_full(state, m, (7, 5, 1), pos, dx, 0.1, sched, 0.0)
-    assert np.array_equal(a.theta, b.theta)
+    # the batch holds Pi sorted: any supplied order gives the same bytes
+    m = make_model("double-well")
+    truth = TruthSchedule.constant([1.0, 1.0, 0.5])
+    sched = const_sched(8e-3, 8e-3, 8e-3)
+    setups = [
+        EstimatorSetup("averaged_m", label=str(pi), pi=pi, schedule=sched,
+                       theta_init=np.array([0.5, 3.0, 2.0]))
+        for pi in ((5, 1, 7, 2, 6), (6, 2, 7, 1, 5), (1, 2, 5, 6, 7))
+    ]
+    res = run_batch(m, truth, 8, 0.1, 50, batch_seeds(6, 2), setups, record_every=1)
+    a, b, c = (tr.theta_path for tr in res.tracks)
+    assert np.array_equal(a, b) and np.array_equal(a, c)
 
 
 def test_update_diffusion_fixed_point_and_hand_step():
     m = make_model("vol32")
-    sched = LearningRateSchedule("constant", 0.01)
+    opts = options(m, LearningRateSchedule("constant", 0.01))
     pos = np.array([[1.0]])
     # exact fixed point: dQV = eta^2 |x|^3 dt
-    state = EstimatorState(theta=np.array([0.7]))
     dqv = np.array([[[0.7**2 * 0.1]]])
-    new = update_diffusion(state, m, 0, pos, dqv, 0.1, sched, 0.0)
+    new = apply(update_diffusion, [0.7], opts, pos, None, dqv=dqv)
     assert new.theta == pytest.approx([0.7], abs=0)
     # hand step: update = delta * (2 eta |x|^3) * (dQV - eta^2 |x|^3 dt)
     dqv = np.array([[[0.08]]])
-    new = update_diffusion(state, m, 0, pos, dqv, 0.1, sched, 0.0)
+    new = apply(update_diffusion, [0.7], opts, pos, None, dqv=dqv)
     assert new.theta == pytest.approx([0.7 + 0.01 * 1.4 * (0.08 - 0.049)], abs=1e-15)
     assert new.theta == pytest.approx([0.700434], abs=1e-12)
 
 
-def test_update_diffusion_requires_parametric_model():
-    m = make_model("linear")
-    state = EstimatorState(theta=np.array([1.0]))
-    with pytest.raises(InvalidConfiguration):
-        update_diffusion(state, m, 0, np.zeros((1, 1)), np.zeros((1, 1, 1)), 0.1,
-                         LearningRateSchedule("constant", 0.01), 0.0)
+def test_diffusion_setup_requires_parametric_model(monkeypatch):
+    # rejected while the estimators are set up, before the first step
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(ipslearn.batch, "simulate", no_simulation)
+    setup = EstimatorSetup("diffusion", schedule=LearningRateSchedule("constant", 0.01),
+                           theta_init=np.array([1.0]))
+    with pytest.raises(InvalidConfiguration, match="no diffusion parameters"):
+        run_batch(make_model("linear"), TruthSchedule.constant([1.0, 0.2]), 3, 0.1, 10,
+                  [1], [setup])
 
 
 def test_free_mask_pins_known_parameters():
     m = make_model("double-well")
-    state = EstimatorState(theta=np.array([0.5, 3.0, 2.0]))
-    opts = UpdateOptions(free_mask=np.array([1.0, 1.0, 0.0]))
+    opts = options(m, const_sched(0.1, 0.1, 0.1), free_mask=np.array([1.0, 1.0, 0.0]))
     rng = np.random.default_rng(0)
     pos = rng.standard_normal((5, 1))
     dx = rng.standard_normal((5, 1)) * 0.3
-    new = update_averaged(state, m, 0, pos, dx, 0.1, const_sched(0.1, 0.1, 0.1), 0.0, opts)
+    new = apply(update_averaged, [0.5, 3.0, 2.0], opts, pos, dx)
     assert new.theta[2] == 2.0
     assert new.theta[0] != 0.5 and new.theta[1] != 3.0
-
-
-def test_update_rules_copy_unless_in_place():
-    m = make_model("linear")
-    rng = np.random.default_rng(3)
-    pos = rng.standard_normal((2, 5, 1))
-    dx = rng.standard_normal((2, 5, 1)) * 0.3
-    state = EstimatorState(theta=np.array([[1.5, 0.7], [2.0, 0.5]]))
-    before = state.copy()
-    new = update_averaged(state, m, 0, pos, dx, 0.1, const_sched(0.1, 0.1), 0.0)
-    assert new is not state and new.step_index == 1
-    assert np.array_equal(state.theta, before.theta) and state.step_index == 0
-    same = update_averaged(state, m, 0, pos, dx, 0.1, const_sched(0.1, 0.1), 0.0,
-                           in_place=True)
-    assert same is state and state.step_index == 1
-    assert np.array_equal(state.theta, new.theta)
 
 
 def test_keep_mask_leaves_a_replicate_untouched():
@@ -236,18 +222,18 @@ def test_keep_mask_leaves_a_replicate_untouched():
     pos = rng.standard_normal((4, 5, 1))
     dx = rng.standard_normal((4, 5, 1)) * 0.3
     box = Box(np.array([0.0, 0.0]), np.array([1.6, 1.0]))
-    opts = UpdateOptions(bounds=box, rmsprop=RmsPropConfig(0.9, 1e-8))
-    state = EstimatorState(theta=np.array([[5.0, 0.7], [1.5, 0.7], [1.5, 0.7], [5.0, 0.7]]))
+    opts = options(m, const_sched(0.01, 0.01), bounds=box, rmsprop=RmsPropConfig(0.9, 1e-8))
+    theta = [[5.0, 0.7], [1.5, 0.7], [1.5, 0.7], [5.0, 0.7]]
+    start = EstimatorState(theta=np.array(theta))
     keep = np.array([False, True, False, True])
-    sched = const_sched(0.01, 0.01)
-    free = update_averaged(state, m, 0, pos, dx, 0.1, sched, 0.0, opts)
+    free = apply(update_averaged, theta, opts, pos, dx)
     assert free.frozen.tolist() == [True, False, False, True]
-    assert not np.array_equal(free.theta[1], state.theta[1])
-    kept = update_averaged(state, m, 0, pos, dx, 0.1, sched, 0.0, opts, keep=keep)
+    assert not np.array_equal(free.theta[1], start.theta[1])
+    kept = apply(update_averaged, theta, opts, pos, dx, keep=keep)
     for field in ("theta", "precond_acc", "frozen"):
         got, want = getattr(kept, field), getattr(free, field)
         assert np.array_equal(got[~keep], want[~keep])
-        assert np.array_equal(got[keep], getattr(state, field)[keep])
+        assert np.array_equal(got[keep], getattr(start, field)[keep])
 
 
 def test_constant_schedule_vector_is_computed_once():
@@ -266,16 +252,15 @@ def test_constant_schedule_vector_is_computed_once():
 def test_boundary_freeze_is_absorbing():
     m = make_model("linear")
     box = Box(np.array([0.0, 0.0]), np.array([np.inf, np.inf]))
-    opts = UpdateOptions(bounds=box)
+    opts = options(m, const_sched(5.0, 5.0), bounds=box)
     # a large step pushes theta2 negative -> update rejected, frozen forever
     state = EstimatorState(theta=np.array([0.5, 1e-9]))
-    sched = const_sched(5.0, 5.0)
     rng = np.random.default_rng(1)
     frozen_at = None
     for step in range(1000):
         pos = rng.standard_normal((4, 1))
         dx = rng.standard_normal((4, 1))
-        state = update_averaged(state, m, 0, pos, dx, 0.1, sched, step * 0.1, opts)
+        update_averaged(state, opts, pos, dx, None, m.mean_field(pos), step * 0.1)
         if frozen_at is None and bool(state.frozen):
             frozen_at = state.theta.copy()
     assert frozen_at is not None
@@ -289,20 +274,15 @@ def test_non_finite_gradient_freezes_an_unbatched_state():
     pos = np.array([[1.0], [0.5]])
     bad_dx = np.array([[np.inf], [0.0]])
     good_dx = np.array([[0.2], [-0.1]])
-    sched = const_sched(0.01, 0.01)
-    state = EstimatorState(theta=np.array([1.5, 0.7]))
-    state = update_averaged(state, m, 0, pos, bad_dx, 0.1, sched, 0.0)
+    opts = options(m, const_sched(0.01, 0.01))
+    state = apply(update_averaged, [1.5, 0.7], opts, pos, bad_dx)
     assert state.frozen.shape == () and bool(state.frozen)
-    assert state.theta.tolist() == [1.5, 0.7] and state.step_index == 1
-    state = update_averaged(state, m, 0, pos, good_dx, 0.1, sched, 0.1)
+    assert state.theta.tolist() == [1.5, 0.7]
+    update_averaged(state, opts, pos, good_dx, None, m.mean_field(pos), 0.1)
     assert state.theta.tolist() == [1.5, 0.7] and bool(state.frozen)
-    alone = update_averaged(
-        EstimatorState(theta=np.array([1.5, 0.7])), m, 0, pos, good_dx, 0.1, sched, 0.0
-    )
-    batch = update_averaged(
-        EstimatorState(theta=np.array([[1.5, 0.7], [1.5, 0.7]])),
-        m, 0, np.stack([pos, pos]), np.stack([bad_dx, good_dx]), 0.1, sched, 0.0,
-    )
+    alone = apply(update_averaged, [1.5, 0.7], opts, pos, good_dx)
+    batch = apply(update_averaged, [[1.5, 0.7], [1.5, 0.7]], opts, np.stack([pos, pos]),
+                  np.stack([bad_dx, good_dx]))
     assert batch.frozen.tolist() == [True, False]
     assert batch.theta[0].tolist() == [1.5, 0.7]
     assert np.array_equal(batch.theta[1], alone.theta) and not bool(alone.frozen)
@@ -313,11 +293,11 @@ def test_unbounded_never_freezes():
     m = make_model("linear")
     state = EstimatorState(theta=np.array([1.5, 0.7]))
     rng = np.random.default_rng(2)
-    sched = const_sched(0.01, 0.01)
+    opts = options(m, const_sched(0.01, 0.01))
     for step in range(200):
         pos = rng.standard_normal((4, 1))
         dx = rng.standard_normal((4, 1)) * 0.3
-        state = update_averaged(state, m, 0, pos, dx, 0.1, sched, step * 0.1)
+        update_averaged(state, opts, pos, dx, None, m.mean_field(pos), step * 0.1)
     assert not bool(state.frozen)
     assert np.all(np.isfinite(state.theta))
 
@@ -524,22 +504,55 @@ def test_joint_estimation_recovers_identifiable_sum():
 
 
 def test_batch_matches_single_trajectory_observer():
-    # the batch's estimator dispatch at R = 1 against the functional update
-    # rule driven by a single trajectory's own observer
+    # the batch at R = 1 against the update rule driving an unbatched state
+    # from a single trajectory's own observer
     from ipslearn.sde import run_trajectory
 
     m = make_model("linear")
     truth = TruthSchedule.constant([1.0, 0.2])
     sched = const_sched(8e-3, 5e-3)
     setup = EstimatorSetup(kind="averaged", schedule=sched, theta_init=np.array([2.0, 0.75]))
+    opts = options(m, sched)
 
     class Averaged:
         state = EstimatorState(theta=np.array([2.0, 0.75]))
 
         def on_step(self, step, t, positions, dx, stat, keep):
-            self.state = update_averaged(self.state, m, 0, positions[0], dx[0], 0.1, sched, t)
+            update_averaged(self.state, opts, positions[0], dx[0], None, None, t)
 
     obs = Averaged()
     run_trajectory(m, truth, 6, 0.1, 300, seed=77, observers=[obs])
     res = run_batch(m, truth, 6, 0.1, 300, [77], [setup])
     assert res.tracks[0].final[0] == pytest.approx(obs.state.theta, rel=1e-12)
+
+
+def test_every_rule_call_goes_through_its_module_attribute(monkeypatch):
+    # a tracer that wraps the update_* attributes of ipslearn.estimators must
+    # see one call per estimator per step, with the state as first argument
+    assert set(RULES.values()) == {
+        "update_averaged", "update_three_particle", "update_m_averaged_full",
+        "update_m_averaged_triplets", "update_diffusion",
+    }
+    calls = {name: [] for name in RULES.values()}
+    for name in RULES.values():
+        def counting(*args, _name=name, _rule=getattr(est, name)):
+            calls[_name].append(args[0].frozen.shape)
+            return _rule(*args)
+
+        monkeypatch.setattr(est, name, counting)
+    m = make_model("vol32")
+    sched = const_sched(0.01, 0.01, 0.05)
+    thetas = np.array([2.7, 2.3, 1.0])
+    setups = [
+        EstimatorSetup("averaged", schedule=sched, theta_init=thetas),
+        EstimatorSetup("triplet", schedule=sched, theta_init=thetas),
+        EstimatorSetup("averaged_m", pi=(3, 0), schedule=sched, theta_init=thetas),
+        EstimatorSetup("triplet_m", pi=(1, 2), schedule=sched, theta_init=thetas),
+        EstimatorSetup("diffusion", schedule=LearningRateSchedule("constant", 0.01),
+                       theta_init=np.array([0.7])),
+    ]
+    n_steps, seeds = 25, batch_seeds(3, 2)
+    res = run_batch(m, TruthSchedule.constant(thetas), 5, 0.01, n_steps, seeds, setups,
+                    eta_true=0.7)
+    assert not res.excluded.any()
+    assert calls == {name: [(2,)] * n_steps for name in RULES.values()}

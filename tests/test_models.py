@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fd_grad_pair, random_probe
-from ipslearn.models import Box, DimensionMismatch, TruthSchedule, make_model, weight_matrix
+from ipslearn.models import Box, TruthSchedule, make_model, weight_matrix
 from ipslearn.rng import InvalidConfiguration
 
 
@@ -203,9 +203,9 @@ def test_drift_mean_permutation_invariant(zoo_model):
 
 def test_dimension_mismatch_rejected():
     # the admissible box is the one place a shape mismatch is checked
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidConfiguration, match="bound shapes differ"):
         Box(np.zeros(2), np.ones(3))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvalidConfiguration, match="bound shapes differ"):
         Box(np.zeros((2, 1)), np.ones(2))
 
 
