@@ -24,10 +24,10 @@ def main():
         if args.replicates is not None:
             # validated like the file itself, as the CLI's --replicates is
             config = parse_config({**config.raw, "replicates": args.replicates})
+        manifest = run_sweep(config, args.out)
     except ConfigError as e:
         print(e, file=sys.stderr)
         return 2
-    manifest = run_sweep(config, args.out)
     print(f"wrote {len(manifest['artifacts'])} artifacts to {args.out}")
     return 0
 

@@ -9,7 +9,7 @@ plotting.
 import argparse
 import sys
 
-from ipslearn.config import load_config
+from ipslearn.config import ConfigError, load_config
 from ipslearn.runner import run_surface
 
 
@@ -18,7 +18,11 @@ def main():
     ap.add_argument("--config", default="linear_fig3_surface")
     ap.add_argument("--out", default="results/likelihood_surface")
     args = ap.parse_args()
-    manifest = run_surface(load_config(args.config), args.out)
+    try:
+        manifest = run_surface(load_config(args.config), args.out)
+    except ConfigError as e:
+        print(e, file=sys.stderr)
+        return 2
     print(f"wrote {len(manifest['artifacts'])} artifacts to {args.out}")
     return 0
 

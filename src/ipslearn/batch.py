@@ -83,14 +83,6 @@ class BatchResult:
     blowup_step: np.ndarray  # (R,) int, -1 if clean
     final_positions: np.ndarray
     n_steps: int
-    dt: float
-    seeds: tuple
-
-    def track(self, label) -> EstimatorTrack:
-        for tr in self.tracks:
-            if tr.label == label:
-                return tr
-        raise KeyError(label)
 
 
 class _RunningEstimator:
@@ -228,8 +220,6 @@ def run_batch(
         blowup_step=blowup_step,
         final_positions=positions,
         n_steps=n_steps,
-        dt=dt,
-        seeds=seeds,
     )
 
 

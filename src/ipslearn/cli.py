@@ -14,14 +14,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .batch import batch_seeds, draw_initial_thetas
+from .batch import batch_seeds
 from .config import ConfigError, load_config, parse_config
 from .diagnostics import clt_rescaled_moments, coupling_distance
 from .models import MODEL_ZOO, make_model
 from .rng import InvalidConfiguration
 from .runner import (
     base_metadata,
-    build_setups,
+    initial_setups,
     run_experiment,
     run_surface,
     run_sweep,
@@ -85,9 +85,9 @@ def _load(args):
 def _cmd_validate(args):
     config = _load(args)
     report = {"config": "ok", "name": config.name, "schedules": {}}
-    for ec in config.estimators:
-        sched = validate_schedule(ec.schedule())
-        report["schedules"][ec.label] = {
+    for setup in config.estimators:
+        sched = validate_schedule(setup.schedule)
+        report["schedules"][setup.label] = {
             "mode": sched.mode,
             "convergence_conditions": sched.robbins_monro_ok,
             "rate_conditions": sched.rate_conditions_ok,
@@ -99,6 +99,12 @@ def _cmd_validate(args):
 
 def _cmd_diagnose(args):
     config = _load(args)
+    if args.mode == "coupling":
+        if args.n_big < 1:
+            raise ConfigError("--n-big", f"must be >= 1, got {args.n_big}")
+        if any(not 1 <= n <= args.n_big for n in args.n_small):
+            raise ConfigError("--n-small", f"sizes must lie in [1, --n-big={args.n_big}], "
+                              f"got {args.n_small}")
     model = config.make_model()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -134,16 +140,12 @@ def _cmd_diagnose(args):
         ])
         write_sidecar(path, meta)
     else:  # clt
-        seeds = batch_seeds(config.base_seed, config.replicates)
-        theta_inits, eta_uniforms = draw_initial_thetas(
-            seeds, config.theta_init_low, config.theta_init_high
-        )
-        setups = build_setups(config, model, theta_inits, eta_uniforms)
+        setup = initial_setups(config, batch_seeds(config.base_seed, config.replicates))[0]
         summary = clt_rescaled_moments(
             model, config.truth, config.n_particles, config.dt, config.n_steps,
-            config.replicates, setups[0], config.base_seed, eta_true=config.eta_true,
+            config.replicates, setup, config.base_seed, eta_true=config.eta_true,
         )
-        free = setups[0].free_mask
+        free = setup.free_mask
         names = [n for k, n in enumerate(model.param_names) if free is None or free[k]]
         path = out / "clt.csv"
         write_csv(path, ["param", "variance", "skewness", "excess_kurtosis", "replicates"], [

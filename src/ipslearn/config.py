@@ -4,6 +4,12 @@ Unknown keys are rejected everywhere so a typo cannot silently fall back to
 a default.  A config captures one fully reproducible run: model, truth
 schedule, discretisation, initial laws, estimators, replicate count, and
 the base seed.
+
+Each estimator is parsed straight into the `batch.EstimatorSetup` the run
+attaches: its learning-rate schedule, bounds box (the model's when none are
+given), free mask, RMSProp settings and weight override are resolved here,
+once.  Only the per-replicate initial estimate is left unset;
+`runner.initial_setups` draws it for each run.
 """
 
 from __future__ import annotations
@@ -16,9 +22,9 @@ from importlib import resources
 
 import numpy as np
 
-from .batch import ESTIMATOR_KINDS
-from .estimators import LearningRateSchedule
-from .models import MODEL_ZOO, TruthSchedule, make_model
+from .batch import ESTIMATOR_KINDS, EstimatorSetup
+from .estimators import LearningRateSchedule, RmsPropConfig
+from .models import MODEL_ZOO, Box, TruthSchedule, make_model, weight_matrix
 
 
 class ConfigError(ValueError):
@@ -80,34 +86,6 @@ def _ints(v, ctx):
 
 
 @dataclass
-class EstimatorConfig:
-    kind: str
-    label: str
-    particle: int
-    triplet: tuple
-    pi: tuple | None
-    lr_kind: str
-    gamma0: float
-    beta: float | None
-    scale: list | None
-    free_params: tuple | None
-    rmsprop: bool
-    rms_rho: float
-    rms_eps: float
-    bounds_lower: list | None
-    bounds_upper: list | None
-    weighting: str | None = None  # override of the model's residual weighting
-
-    def schedule(self):
-        return LearningRateSchedule(
-            kind=self.lr_kind,
-            gamma0=self.gamma0,
-            beta=self.beta,
-            scale=np.asarray(self.scale, dtype=float) if self.scale is not None else None,
-        )
-
-
-@dataclass
 class ExperimentConfig:
     name: str
     model_id: str
@@ -121,7 +99,6 @@ class ExperimentConfig:
     theta_init_high: list
     eta_init_low: float | None
     eta_init_high: float | None
-    particle_init: str
     estimators: list
     replicates: int
     base_seed: int
@@ -266,6 +243,9 @@ def parse_config(data: dict) -> ExperimentConfig:
         kind = surface.get("scan_kind", "L_iN")
         if kind not in ("L_iN", "L_ijkN"):
             raise ConfigError("surface.scan_kind", f"unknown kind {kind!r}")
+        if kind == "L_ijkN" and n_particles < 3:
+            raise ConfigError("surface.scan_kind", "L_ijkN observes particles 0, 1 and 2; "
+                              f"n_particles is {n_particles}")
         hz = _require(surface, "horizon_steps", "surface", int)
         bi = _int(surface.get("burn_in_steps", hz // 10), "surface.burn_in_steps")
         if not 0 <= bi < hz:
@@ -288,7 +268,6 @@ def parse_config(data: dict) -> ExperimentConfig:
         theta_init_high=theta_high,
         eta_init_low=eta_low,
         eta_init_high=eta_high,
-        particle_init=particle_init,
         estimators=estimators,
         replicates=replicates,
         base_seed=base_seed,
@@ -328,8 +307,9 @@ def _parse_truth(d) -> TruthSchedule:
     raise ConfigError("truth.kind", f"unknown kind {kind!r}")
 
 
-def _parse_estimator(d, index, model, n_particles) -> EstimatorConfig:
-    """One estimator; its indices are checked against the smallest N of the run."""
+def _parse_estimator(d, index, model, n_particles) -> EstimatorSetup:
+    """One estimator, without its initial estimate; its indices are checked
+    against the smallest N of the run."""
     ctx = f"estimators[{index}]"
     if not isinstance(d, dict):
         raise ConfigError(ctx, "must be an object")
@@ -427,23 +407,30 @@ def _parse_estimator(d, index, model, n_particles) -> EstimatorConfig:
                 "cannot be inverse-diffusion weighted",
             )
 
-    return EstimatorConfig(
+    free_mask = None
+    if free is not None:
+        free_mask = np.zeros(model.p, dtype=bool)
+        free_mask[list(free)] = True
+    if lower is not None:
+        bounds = Box(lower, upper)
+    else:
+        bounds = model.eta_bounds if kind == "diffusion" else model.theta_bounds
+    rmsprop = _typed(d.get("rmsprop", False), f"{ctx}.rmsprop", bool)
+    return EstimatorSetup(
         kind=kind,
         label=label,
         particle=particle,
         triplet=triplet,
         pi=pi,
-        lr_kind=lr_kind,
-        gamma0=gamma0,
-        beta=beta,
-        scale=scale,
-        free_params=free,
-        rmsprop=_typed(d.get("rmsprop", False), f"{ctx}.rmsprop", bool),
-        rms_rho=rms_rho,
-        rms_eps=rms_eps,
-        bounds_lower=lower,
-        bounds_upper=upper,
-        weighting=weighting,
+        schedule=LearningRateSchedule(
+            kind=lr_kind, gamma0=gamma0, beta=beta,
+            scale=None if scale is None else np.asarray(scale, dtype=float),
+        ),
+        free_mask=free_mask,
+        bounds=bounds,
+        rmsprop=RmsPropConfig(rms_rho, rms_eps) if rmsprop else None,
+        weight=weight_matrix(model, mode=weighting)
+        if weighting is not None and weighting != model.weighting else None,
     )
 
 

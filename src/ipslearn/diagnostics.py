@@ -1,6 +1,10 @@
 """Empirical verification tools: error sweeps over the particle count,
-moment tracking, synchronous-coupling distances, theoretical rate functions,
-and rescaled-error moment summaries.
+synchronous-coupling distances, theoretical rate functions, truth-pinned
+update stationarity and rescaled-error moment summaries.
+
+The sweep and the CLT check run batches of the estimator setups they are
+given (`runner.initial_setups` builds them from a config) and reduce the
+batch's (R, p) arrays directly; the sweep returns the `sweep.csv` columns.
 """
 
 from __future__ import annotations
@@ -54,65 +58,7 @@ def rate_function_a(t: float, x: float, alpha: float, A: float, C: float = 1.0) 
 
 
 # ---------------------------------------------------------------------------
-# Per-replicate summaries
-
-
-@dataclass(frozen=True)
-class ReplicateSummary:
-    """Point estimates and errors for one replicate of one estimator."""
-
-    replicate_id: int
-    estimator: str
-    final_theta: np.ndarray
-    tail_mean: np.ndarray  # mean over the tail window (last W steps)
-    sq_error_truth: np.ndarray  # per parameter, vs the true values
-    sq_error_pooled: np.ndarray  # per parameter, vs the pooled replicate mean
-    excluded: bool
-    blowup_step: int
-
-
-def summarize_replicates(track, truth_values, excluded, blowup_step):
-    """Build one ReplicateSummary per replicate from a batch track.
-
-    The pooled centre uses only non-excluded replicates.
-    """
-    truth_values = np.asarray(truth_values, dtype=float)
-    ok = ~np.asarray(excluded, dtype=bool)
-    pooled = track.tail_mean[ok].mean(axis=0)
-    out = []
-    for r in range(track.final.shape[0]):
-        out.append(
-            ReplicateSummary(
-                replicate_id=r,
-                estimator=track.label,
-                final_theta=track.final[r],
-                tail_mean=track.tail_mean[r],
-                sq_error_truth=(track.tail_mean[r] - truth_values) ** 2,
-                sq_error_pooled=(track.tail_mean[r] - pooled) ** 2,
-                excluded=bool(excluded[r]),
-                blowup_step=int(blowup_step[r]),
-            )
-        )
-    return out
-
-
-# ---------------------------------------------------------------------------
 # L2-error sweep over the particle count
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    n_particles: int
-    estimator: str
-    param: int
-    mse: float
-    stderr: float
-    excluded_count: int
-
-
-@dataclass(frozen=True)
-class SweepTable:
-    cells: tuple
 
 
 def l2_error_sweep(
@@ -122,48 +68,42 @@ def l2_error_sweep(
     dt: float,
     n_steps: int,
     replicates: int,
-    setups_for,
+    setups,
     base_seed: int,
     eta_true=None,
     tail_fraction: float = 0.1,
-) -> SweepTable:
+) -> list:
     """Per-parameter squared error of the tail-window estimate vs the truth.
 
-    `setups_for(n)` builds the estimator setups for a given particle count
-    (triplet indices may depend on N).  Replicates that blow up are counted
-    and excluded from the statistics, never silently dropped.
+    Runs the estimator `setups` at every particle count in `n_list` and
+    returns six columns, one row per (N, estimator, parameter): N, the
+    estimator label, the parameter index, the mean squared error, its
+    standard error and the count of excluded replicates.  Replicates that
+    blow up are counted and excluded from the statistics, never silently
+    dropped.
     """
     if replicates < 2:
         raise InvalidConfiguration("need at least 2 replicates for a standard error")
     theta0_final = truth.at(np.inf) if truth.kind != "constant" else truth.at(0.0)
-    cells = []
+    seeds = batch_seeds(base_seed, replicates)
+    blocks = []
     for n in n_list:
-        seeds = batch_seeds(base_seed, replicates)
-        setups = setups_for(n)
         result = run_batch(
             model, truth, n, dt, n_steps, seeds, setups,
             eta_true=eta_true, tail_fraction=tail_fraction,
         )
         ok = ~result.excluded
-        excluded = int(result.excluded.sum())
         if not np.any(ok):
             raise RuntimeError(f"all replicates blew up at N={n}")
         for track in result.tracks:
             err = (track.tail_mean[ok] - theta0_final) ** 2  # (R_ok, p)
-            mse = err.mean(axis=0)
-            se = err.std(axis=0, ddof=1) / np.sqrt(err.shape[0])
-            for param in range(err.shape[1]):
-                cells.append(
-                    SweepCell(
-                        n_particles=int(n),
-                        estimator=track.label,
-                        param=param,
-                        mse=float(mse[param]),
-                        stderr=float(se[param]),
-                        excluded_count=excluded,
-                    )
-                )
-    return SweepTable(cells=tuple(cells))
+            p = err.shape[1]
+            blocks.append([
+                np.full(p, n), np.full(p, track.label), np.arange(p), err.mean(axis=0),
+                err.std(axis=0, ddof=1) / np.sqrt(err.shape[0]),
+                np.full(p, int(result.excluded.sum())),
+            ])
+    return [np.concatenate([b[k] for b in blocks]) for k in range(6)]
 
 
 # ---------------------------------------------------------------------------

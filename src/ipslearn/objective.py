@@ -25,6 +25,10 @@ from .models import InteractionModel, TruthSchedule, weight_matrix
 from .rng import InvalidConfiguration
 from .sde import PositionHistory, run_trajectory
 
+# steps per block of a scan's time average; the blocks fix the summation
+# order, so changing this moves surface.csv's bytes
+SCAN_CHUNK_STEPS = 20_000
+
 
 def _w_inner(a, W, b):
     return 0.5 * np.einsum("...d,de,...e->...", a, W, b)
@@ -126,14 +130,12 @@ def surface_scan(
     seed: int,
     theta_true,
     eta_true=None,
-    particle: int = 0,
-    triplet=(0, 1, 2),
-    chunk: int = 20000,
 ) -> GridScan:
     """Time-averaged contrast over a parameter grid.
 
     One trajectory at the true parameter is recorded and replayed across all
     grid points, so the scan is exactly reproducible and variance-reduced.
+    L_iN observes particle 0 and L_ijkN the triplet (0, 1, 2).
     """
     if scan_kind not in ("L_iN", "L_ijkN"):
         raise InvalidConfiguration(f"unknown scan kind {scan_kind!r}")
@@ -154,15 +156,13 @@ def surface_scan(
     for idx in itertools.product(*(range(len(a)) for a in axes)):
         theta = np.array([axes[k][i] for k, i in enumerate(idx)])
         total, count = 0.0, 0
-        for s in range(0, pos.shape[0], chunk):
-            block = pos[s : s + chunk]
-            x = block[:, particle, :]
+        for s in range(0, pos.shape[0], SCAN_CHUNK_STEPS):
+            block = pos[s : s + SCAN_CHUNK_STEPS]
             if scan_kind == "L_iN":
-                vals = contrast_L(model, theta, x, block, theta0, W)
+                vals = contrast_L(model, theta, block[:, 0, :], block, theta0, W)
             else:
-                i, j, k = triplet
                 vals = contrast_ell(
-                    model, theta, block[:, i, :], block[:, j, :], block[:, k, :],
+                    model, theta, block[:, 0, :], block[:, 1, :], block[:, 2, :],
                     block, theta0, W,
                 )
             total += float(vals.sum())

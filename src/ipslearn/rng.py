@@ -61,9 +61,9 @@ def replicate_seed(base_seed: int, replicate: int) -> int:
     return (base_seed + replicate) & _MASK64
 
 
-def particle_streams(seed: int, n_particles: int, first: int = 0) -> list[RngStream]:
+def particle_streams(seed: int, n_particles: int) -> list[RngStream]:
     """One stream per particle, stream_id = particle index."""
-    return [RngStream(seed, first + i) for i in range(n_particles)]
+    return [RngStream(seed, i) for i in range(n_particles)]
 
 
 class BlockedNoise:

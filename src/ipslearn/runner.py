@@ -1,5 +1,8 @@
 """Experiment execution and artifact writing.
 
+A parsed config already holds each estimator's `EstimatorSetup`;
+`initial_setups` adds the per-replicate initial estimates drawn from the
+seeds, and the batch's (R, p) arrays are written out as CSV columns.
 Every CSV gets a JSON metadata sidecar sufficient to re-run it exactly
 (config hash, seed ladder, generator name, code version); a manifest lists
 each artifact with its content hash.  Outputs contain no timestamps or
@@ -8,6 +11,7 @@ absolute paths, so rerunning a config reproduces byte-identical files.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -15,11 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .batch import EstimatorSetup, batch_seeds, draw_initial_thetas, run_batch
-from .config import ExperimentConfig
-from .diagnostics import l2_error_sweep, summarize_replicates
-from .estimators import RmsPropConfig
-from .models import Box, weight_matrix
+from .batch import batch_seeds, draw_initial_thetas, run_batch
+from .config import ConfigError, ExperimentConfig
+from .diagnostics import l2_error_sweep
 from .objective import surface_scan
 from .rng import GENERATOR_NAME, replicate_seed
 from .sde import PositionHistory, run_trajectory
@@ -100,51 +102,28 @@ def base_metadata(config: ExperimentConfig) -> dict:
     }
 
 
-def build_setups(config: ExperimentConfig, model, theta_inits, eta_uniforms):
-    """Materialise estimator setups from the config and shared init draws.
+def initial_setups(config: ExperimentConfig, seeds):
+    """The config's estimator setups, each with an initial estimate per seed.
 
     All drift estimators of a replicate start from the same uniform-box
     sample; coordinates outside an estimator's free set start at (and stay
-    at) the truth value at time zero.
+    at) the truth value at time zero.  The config's setups are not changed.
     """
+    theta_inits, eta_uniforms = draw_initial_thetas(
+        seeds, config.theta_init_low, config.theta_init_high
+    )
     theta_start = config.truth.at(0.0)
     setups = []
-    for ec in config.estimators:
-        if ec.kind == "diffusion":
+    for setup in config.estimators:
+        if setup.kind == "diffusion":
             lo, hi = config.eta_init_low, config.eta_init_high
             init = lo + eta_uniforms * (hi - lo)
-            bounds = Box(np.asarray(ec.bounds_lower), np.asarray(ec.bounds_upper)) \
-                if ec.bounds_lower is not None else model.eta_bounds
-            free_mask = None
         else:
             init = theta_inits.copy()
-            if ec.free_params is not None:
-                fixed = [i for i in range(model.p) if i not in ec.free_params]
+            if setup.free_mask is not None:
+                fixed = ~setup.free_mask
                 init[:, fixed] = theta_start[fixed]
-            bounds = Box(np.asarray(ec.bounds_lower), np.asarray(ec.bounds_upper)) \
-                if ec.bounds_lower is not None else model.theta_bounds
-            free_mask = None
-            if ec.free_params is not None:
-                free_mask = np.zeros(model.p, dtype=bool)
-                free_mask[list(ec.free_params)] = True
-        weight = None
-        if ec.weighting is not None and ec.weighting != model.weighting:
-            weight = weight_matrix(model, mode=ec.weighting)
-        setups.append(
-            EstimatorSetup(
-                kind=ec.kind,
-                label=ec.label,
-                particle=ec.particle,
-                triplet=ec.triplet,
-                pi=ec.pi,
-                schedule=ec.schedule(),
-                free_mask=free_mask,
-                bounds=bounds,
-                rmsprop=RmsPropConfig(ec.rms_rho, ec.rms_eps) if ec.rmsprop else None,
-                weight=weight,
-                theta_init=init,
-            )
-        )
+        setups.append(dataclasses.replace(setup, theta_init=init))
     return setups
 
 
@@ -162,10 +141,6 @@ def run_experiment(config: ExperimentConfig, out_dir, trajectory_only: bool = Fa
     artifacts = []
 
     if not trajectory_only:
-        theta_inits, eta_uniforms = draw_initial_thetas(
-            seeds, config.theta_init_low, config.theta_init_high
-        )
-        setups = build_setups(config, model, theta_inits, eta_uniforms)
         result = run_batch(
             model,
             config.truth,
@@ -173,7 +148,7 @@ def run_experiment(config: ExperimentConfig, out_dir, trajectory_only: bool = Fa
             config.dt,
             config.n_steps,
             seeds,
-            setups,
+            initial_setups(config, seeds),
             eta_true=config.eta_true,
             record_every=config.record_every,
             tail_fraction=config.tail_fraction,
@@ -214,24 +189,22 @@ def _write_estimates(config, model, result, out, meta):
 
 
 def _write_summary(config, model, result, out, meta):
-    theta0 = config.truth.at((config.n_steps - 1) * config.dt)
-    names, summaries = [], []
+    theta_end = config.truth.at((config.n_steps - 1) * config.dt)
+    ok = ~result.excluded
+    blocks = []
     for track in result.tracks:
-        true_vals = np.array([config.eta_true]) if track.kind == "diffusion" else theta0
-        names.append(_param_names(model, track.kind))
-        summaries.append(summarize_replicates(track, true_vals, result.excluded, result.blowup_step))
+        truth = np.array([config.eta_true]) if track.kind == "diffusion" else theta_end
+        R, p = track.tail_mean.shape
+        pooled = track.tail_mean[ok].mean(axis=0)  # over non-excluded replicates
+        blocks.append([
+            np.repeat(np.arange(R), p), np.full(R * p, track.label),
+            np.tile(_param_names(model, track.kind), R),
+            track.final, track.tail_mean, (track.tail_mean - truth) ** 2,
+            (track.tail_mean - pooled) ** 2,
+            np.repeat(result.excluded, p), np.repeat(result.blowup_step, p),
+        ])
     # rows run over estimators, then replicates, then parameters
-    rows = [(s, name) for ss, nm in zip(summaries, names) for s in ss for name in nm]
-
-    def values(field):
-        return np.concatenate([np.stack([getattr(s, field) for s in ss]).reshape(-1)
-                               for ss in summaries])
-
-    columns = [
-        [s.replicate_id for s, _ in rows], [s.estimator for s, _ in rows], [n for _, n in rows],
-        values("final_theta"), values("tail_mean"), values("sq_error_truth"),
-        values("sq_error_pooled"), [s.excluded for s, _ in rows], [s.blowup_step for s, _ in rows],
-    ]
+    columns = [np.concatenate([b[k].reshape(-1) for b in blocks]) for k in range(9)]
     path = out / "summary.csv"
     write_csv(
         path,
@@ -270,34 +243,26 @@ def _write_trajectories(config, model, seeds, out, meta):
 def run_sweep(config: ExperimentConfig, out_dir) -> dict:
     """Fig-2-style error sweep over the particle counts in config.sweep."""
     if not config.sweep_n_particles:
-        raise RuntimeError("config has no sweep.n_particles section")
+        raise ConfigError("sweep", "the sweep command needs a sweep.n_particles section")
+    if config.replicates < 2:
+        raise ConfigError("replicates", "a sweep needs at least 2 replicates for a standard error")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model = config.make_model()
     seeds = batch_seeds(config.base_seed, config.replicates)
-    theta_inits, eta_uniforms = draw_initial_thetas(
-        seeds, config.theta_init_low, config.theta_init_high
-    )
-
-    def setups_for(n):
-        return build_setups(config, model, theta_inits, eta_uniforms)
-
-    table = l2_error_sweep(
-        model,
+    columns = l2_error_sweep(
+        config.make_model(),
         config.truth,
         config.sweep_n_particles,
         config.dt,
         config.n_steps,
         config.replicates,
-        setups_for,
+        initial_setups(config, seeds),
         config.base_seed,
         eta_true=config.eta_true,
         tail_fraction=config.tail_fraction,
     )
-    fields = ("n_particles", "estimator", "param", "mse", "stderr", "excluded_count")
     path = out / "sweep.csv"
-    write_csv(path, ["N", "estimator", "param", "mse", "stderr", "excluded_count"],
-              [[getattr(c, f) for c in table.cells] for f in fields])
+    write_csv(path, ["N", "estimator", "param", "mse", "stderr", "excluded_count"], columns)
     meta = base_metadata(config)
     side = write_sidecar(path, {**meta, "n_steps": config.n_steps,
                                 "replicates": config.replicates,
@@ -307,14 +272,13 @@ def run_sweep(config: ExperimentConfig, out_dir) -> dict:
 
 def run_surface(config: ExperimentConfig, out_dir) -> dict:
     if not config.surface:
-        raise RuntimeError("config has no surface section")
+        raise ConfigError("surface", "the surface command needs a surface section")
+    if config.truth.kind != "constant":
+        raise ConfigError("truth.kind", "surface scans need a constant truth schedule")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model = config.make_model()
-    if config.truth.kind != "constant":
-        raise RuntimeError("surface scans need a constant truth schedule")
     scan = surface_scan(
-        model,
+        config.make_model(),
         config.surface["axes"],
         config.n_particles,
         config.dt,

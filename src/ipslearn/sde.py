@@ -180,16 +180,16 @@ class PositionHistory:
 
 
 class MomentTracker:
-    """Tracks ensemble-mean |x|^(2k) per step for a set of orders.
+    """Tracks ensemble-mean |x|^(2k) per step for the orders k in `orders`.
 
     Exposes the per-step series and a coarse growth flag (second-half mean
-    exceeding the first-half mean by `growth_factor`), which catches
-    drifting moments before the hard blowup guard trips.
+    more than twice the first-half mean), which catches drifting moments
+    before the hard blowup guard trips.
     """
 
-    def __init__(self, n_steps, orders=(2, 4), growth_factor=2.0):
-        self.orders = tuple(orders)
-        self.growth_factor = growth_factor
+    orders = (2, 4)
+
+    def __init__(self, n_steps):
         self.series = {k: np.empty(n_steps) for k in self.orders}
         self.n_filled = 0
 
@@ -204,4 +204,4 @@ class MomentTracker:
         half = len(s) // 2
         if half == 0:
             return False
-        return bool(np.mean(s[half:]) > self.growth_factor * np.mean(s[:half]))
+        return bool(np.mean(s[half:]) > 2.0 * np.mean(s[:half]))

@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_grad_contrast, fd_grad_pair, random_probe
-from ipslearn.batch import EstimatorSetup, batch_seeds, draw_initial_thetas
+from ipslearn.batch import EstimatorSetup, batch_seeds
 from ipslearn.config import load_config
 from ipslearn.diagnostics import (
     clt_rescaled_moments,
@@ -47,7 +47,7 @@ from ipslearn.objective import (
     linear_model_analytic_objective,
     surface_scan,
 )
-from ipslearn.runner import build_setups, run_experiment, run_sweep
+from ipslearn.runner import initial_setups, run_experiment, run_sweep
 from ipslearn.sde import PositionHistory, run_trajectory
 
 
@@ -376,9 +376,7 @@ def test_c12_empirical_clt():
     t0 = time.time()
     config = load_config("linear_clt")
     model = config.make_model()
-    seeds = batch_seeds(config.base_seed, config.replicates)
-    thetas, etas = draw_initial_thetas(seeds, config.theta_init_low, config.theta_init_high)
-    setup = build_setups(config, model, thetas, etas)[0]
+    setup = initial_setups(config, batch_seeds(config.base_seed, config.replicates))[0]
     summary = clt_rescaled_moments(
         model, config.truth, config.n_particles, config.dt, config.n_steps,
         config.replicates, setup, config.base_seed,

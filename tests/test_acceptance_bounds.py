@@ -18,10 +18,10 @@ import math
 import numpy as np
 
 import ipslearn.estimators as est
-from ipslearn.batch import batch_seeds, draw_initial_thetas, run_batch
+from ipslearn.batch import batch_seeds, run_batch
 from ipslearn.config import load_config
 from ipslearn.rng import BlockedNoise, RngStream
-from ipslearn.runner import build_setups
+from ipslearn.runner import initial_setups
 from ipslearn.sde import step_positions
 from test_acceptance import c03_verdict
 
@@ -69,10 +69,9 @@ def linear_fig1_tails():
     config = load_config("linear_fig1")
     model = config.make_model()
     seeds = batch_seeds(config.base_seed, config.replicates)
-    thetas, etas = draw_initial_thetas(seeds, config.theta_init_low, config.theta_init_high)
     res = run_batch(
         model, config.truth, config.n_particles, config.dt, config.n_steps, seeds,
-        build_setups(config, model, thetas, etas), tail_fraction=config.tail_fraction,
+        initial_setups(config, seeds), tail_fraction=config.tail_fraction,
     )
     return {tr.label: tr.tail_mean for tr in res.tracks}, config.truth.at(0.0)
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from ipslearn.cli import main as cli_main
 from ipslearn.config import ConfigError, bundled_config_names, load_config, parse_config
+from ipslearn.estimators import RmsPropConfig
 from ipslearn.runner import run_experiment, run_surface, run_sweep
 
 
@@ -49,7 +50,7 @@ def test_bundled_fig1_constants():
     assert c.truth.at(0.0) == pytest.approx([1.0, 0.2])
     assert c.n_particles == 50 and c.n_steps == 10000 and c.dt == 0.1
     assert c.theta_init_low == [1.5, 0.5] and c.theta_init_high == [2.5, 1.0]
-    scales = [e.scale for e in c.estimators]
+    scales = [e.schedule.scale.tolist() for e in c.estimators]
     assert scales == [[0.008, 0.005], [0.008, 0.005]]
     assert c.replicates == 10
 
@@ -118,17 +119,9 @@ def test_vol32_requires_eta():
 
 
 def test_weighting_override_accepted_and_applied():
-    import numpy as np
-
-    from ipslearn.batch import draw_initial_thetas
-    from ipslearn.runner import build_setups
-
     cfg = tiny_config()
     cfg["estimators"][0]["weighting"] = "identity"
-    parsed = parse_config(cfg)
-    model = parsed.make_model()
-    thetas, etas = draw_initial_thetas([1, 2], parsed.theta_init_low, parsed.theta_init_high)
-    setups = build_setups(parsed, model, thetas, etas)
+    setups = parse_config(cfg).estimators
     assert np.array_equal(setups[0].weight, np.eye(1))  # overridden
     assert setups[1].weight is None  # model default
 
@@ -165,7 +158,7 @@ def test_rmsprop_settings_at_the_edges_accepted():
     cfg = tiny_config()
     cfg["estimators"][1].update(rmsprop=True, rms_rho=0.0, rms_eps=1e-300)
     parsed = parse_config(cfg)
-    assert parsed.estimators[1].rms_rho == 0.0 and parsed.estimators[1].rms_eps == 1e-300
+    assert parsed.estimators[1].rmsprop == RmsPropConfig(rho=0.0, eps=1e-300)
 
 
 def test_missing_file_and_bad_json(tmp_path):
@@ -380,6 +373,54 @@ def test_cli_bool_or_non_finite_number_exits_2(tmp_path, capsys, case):
     assert not (tmp_path / "o").exists()
 
 
+# (subcommand arguments, config mutation, field named by the error): inputs
+# that parse as a config but do not fit the subcommand
+COMMAND_MISMATCHES = {
+    "sweep-no-section": (["sweep"], None, "sweep"),
+    "sweep-one-replicate": (["sweep"], _set("sweep", {"n_particles": [3]}), "replicates"),
+    "surface-no-section": (["surface"], None, "surface"),
+    "surface-changepoint": (
+        ["surface"],
+        _both(_set("surface", {"axes": [[1.0], [0.2]], "horizon_steps": 20}),
+              _set("truth", {"kind": "changepoint", "start": [1.0, 0.2], "end": [1.5, 0.2],
+                             "switch_time": 1.0})),
+        "truth.kind"),
+    "surface-ramp": (
+        ["surface"],
+        _both(_set("surface", {"axes": [[1.0], [0.2]], "horizon_steps": 20}),
+              _set("truth", {"kind": "ramp", "start": [1.0, 0.2], "end": [1.5, 0.2],
+                             "horizon": 5.0})),
+        "truth.kind"),
+    "surface-triplet-two-particles": (
+        ["surface"],
+        _both(_set("n_particles", 2), _set("estimators", [{
+            "kind": "averaged", "learning_rate": {"kind": "constant", "gamma0": 1.0}}]),
+              _set("surface", {"axes": [[1.0], [0.2]], "scan_kind": "L_ijkN",
+                               "horizon_steps": 20})),
+        "surface.scan_kind"),
+    "n-small-zero": (["diagnose", "--mode", "coupling", "--n-small", "0"], None, "--n-small"),
+    "n-small-negative": (["diagnose", "--mode", "coupling", "--n-small", "-3"], None,
+                         "--n-small"),
+    "n-big-zero": (["diagnose", "--mode", "coupling", "--n-small", "3", "--n-big", "0"], None,
+                   "--n-big"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMMAND_MISMATCHES))
+def test_cli_subcommand_config_mismatch_exits_2(tmp_path, capsys, case):
+    command, mutate, field = COMMAND_MISMATCHES[case]
+    cfg = tiny_config(replicates=1) if field == "replicates" else tiny_config()
+    if mutate is not None:
+        mutate(cfg)
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    assert cli_main(command + ["--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "validation"
+    assert payload["message"].startswith(f"{field}:")
+    assert not (tmp_path / "o").exists()
+
+
 def _fields(node, path="", keys=()):
     """(key chain, field path) of every value below `node`.
 
@@ -432,9 +473,9 @@ def test_wrong_json_type_in_a_bundled_config_names_the_field(data):
 def test_infinite_bounds_accepted():
     cfg = tiny_config()
     cfg["estimators"][0].update(bounds_lower=[-INF, 0.0], bounds_upper=[INF, INF])
-    parsed = parse_config(cfg)
-    assert parsed.estimators[0].bounds_lower == [-INF, 0.0]
-    assert parsed.estimators[0].bounds_upper == [INF, INF]
+    bounds = parse_config(cfg).estimators[0].bounds
+    assert bounds.lower.tolist() == [-INF, 0.0]
+    assert bounds.upper.tolist() == [INF, INF]
 
 
 @pytest.mark.parametrize("key, value", [("particle", 4), ("triplet", [0, 1, 4]), ("pi", [0, 4])])
@@ -554,3 +595,50 @@ def test_error_vs_particles_script_validates_replicates(tmp_path):
     # the artifacts carry the hash of the config that actually ran
     assert meta["replicates"] == 3
     assert meta["config_hash"] == parse_config({**cfg, "replicates": 3}).content_hash()
+
+
+@pytest.mark.parametrize("script, field", [("error_vs_particles.py", "sweep"),
+                                           ("likelihood_surface.py", "surface")])
+def test_scripts_exit_2_on_a_config_without_their_section(tmp_path, script, field):
+    path = Path(__file__).resolve().parents[1] / "scripts" / script
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(tiny_config()))
+    proc = subprocess.run(
+        [sys.executable, str(path), "--config", str(p), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"{field}:")
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_parsed_config_can_be_run_again(tmp_path):
+    # the parsed estimator setups, arrays included, are shared by every run
+    # and every sweep size; no run may change them
+    cfg = tiny_config(sweep={"n_particles": [3, 4]}, record_every=10)
+    _vol32(cfg)
+    cfg["dt"] = 0.01
+    cfg["estimators"] = [
+        {"kind": "averaged", "free_params": [0, 2], "rmsprop": True,
+         "bounds_lower": [0.0, 0.0, 0.0], "bounds_upper": [5.0, 5.0, 5.0],
+         "learning_rate": {"kind": "constant", "gamma0": 0.01, "scale": [1.0, 0.5, 2.0]}},
+        {"kind": "triplet", "weighting": "identity",
+         "learning_rate": {"kind": "power-law", "gamma0": 0.01, "beta": 0.75}},
+        {"kind": "diffusion", "bounds_lower": [0.1], "bounds_upper": [3.0],
+         "learning_rate": {"kind": "constant", "gamma0": 0.01, "scale": [0.5]}},
+    ]
+    config = parse_config(cfg)
+    before = copy.deepcopy(config.estimators)
+    for run in ("a", "b"):
+        run_experiment(config, tmp_path / run)
+        run_sweep(config, tmp_path / run / "sweep")
+    for name in ("manifest.json", "summary.csv", "estimates_r001.csv", "sweep/sweep.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    for was, now in zip(before, config.estimators):
+        assert now.theta_init is None
+        for key in ("free_mask", "weight"):
+            assert np.array_equal(getattr(was, key), getattr(now, key))
+        assert np.array_equal(was.bounds.lower, now.bounds.lower)
+        assert np.array_equal(was.bounds.upper, now.bounds.upper)
+        assert np.array_equal(was.schedule.scale, now.schedule.scale)
+        assert was.rmsprop == now.rmsprop

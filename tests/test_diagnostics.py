@@ -1,7 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 
 from ipslearn.batch import EstimatorSetup, batch_seeds, run_batch
+from ipslearn.config import parse_config
 from ipslearn.diagnostics import (
     clt_rescaled_moments,
     coupling_distance,
@@ -14,6 +17,7 @@ from ipslearn.diagnostics import (
 from ipslearn.estimators import LearningRateSchedule
 from ipslearn.models import TruthSchedule, make_model
 from ipslearn.rng import InvalidConfiguration
+from ipslearn.runner import run_experiment
 
 
 # ---------------------------------------------------------------------------
@@ -120,19 +124,21 @@ def test_sweep_needs_replicates():
     m = make_model("linear")
     truth = TruthSchedule.constant([1.0, 0.2])
     with pytest.raises(InvalidConfiguration):
-        l2_error_sweep(m, truth, [3], 0.1, 10, 1, lambda n: [], 1)
+        l2_error_sweep(m, truth, [3], 0.1, 10, 1, [], 1)
 
 
 def test_sweep_deterministic_given_ladder():
     m = make_model("linear")
     truth = TruthSchedule.constant([1.0, 0.2])
     thetas = np.array([2.0, 0.75])
-    tables = [
-        l2_error_sweep(m, truth, [3, 5], 0.1, 300, 3,
-                       lambda n: _linear_setups(thetas), 42)
+    first, second = [
+        l2_error_sweep(m, truth, [3, 5], 0.1, 300, 3, _linear_setups(thetas), 42)
         for _ in range(2)
     ]
-    assert tables[0] == tables[1]
+    # 2 sizes x 2 estimators x 2 parameters
+    assert [len(col) for col in first] == [8] * 6
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
 
 
 def test_sweep_surfaces_exclusions():
@@ -142,7 +148,7 @@ def test_sweep_surfaces_exclusions():
     truth = TruthSchedule.constant([-4.0, 0.0])
     thetas = np.array([1.0, 0.2])
     with pytest.raises(RuntimeError):
-        l2_error_sweep(m, truth, [3], 0.1, 500, 3, lambda n: _linear_setups(thetas), 7)
+        l2_error_sweep(m, truth, [3], 0.1, 500, 3, _linear_setups(thetas), 7)
 
 
 def test_run_batch_flags_partial_blowups():
@@ -158,24 +164,47 @@ def test_run_batch_flags_partial_blowups():
     assert np.all(np.isfinite(res.final_positions[~res.excluded]))
 
 
-def test_replicate_summaries_carry_errors_and_flags():
-    from ipslearn.diagnostics import summarize_replicates
-    from ipslearn.estimators import LearningRateSchedule
+def test_summary_csv_reports_exclusions(tmp_path):
+    # the setting of test_run_batch_flags_partial_blowups, run through
+    # `estimate`: excluded replicates are flagged with their blow-up step and
+    # left out of the pooled centre
+    config = parse_config({
+        "name": "vol32-partial-blowup",
+        "model": {"id": "vol32"},
+        "truth": {"kind": "constant", "values": [2.7, 2.3, 1.0]},
+        "eta_true": 1.0,
+        "n_particles": 3, "dt": 0.2, "n_steps": 500,
+        "init": {"theta_low": [2.0, 2.0, 0.5], "theta_high": [3.0, 2.5, 1.5],
+                 "eta_low": 0.5, "eta_high": 1.5},
+        "estimators": [
+            {"kind": "averaged", "learning_rate": {"kind": "constant", "gamma0": 1e-3}},
+            {"kind": "diffusion", "learning_rate": {"kind": "constant", "gamma0": 1e-3}},
+        ],
+        "replicates": 12, "base_seed": 1, "record_every": 100,
+    })
+    run_experiment(config, tmp_path)
+    res = run_batch(config.make_model(), config.truth, 3, 0.2, 500, batch_seeds(1, 12), [],
+                    eta_true=1.0)
+    ok = ~res.excluded
+    assert 0 < res.excluded.sum() < 12
+    with open(tmp_path / "summary.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    for label, p in (("averaged", 3), ("diffusion", 1)):
+        mine = [r for r in rows if r["estimator_id"] == label]
+        assert len(mine) == 12 * p
 
-    m = make_model("linear")
-    truth = TruthSchedule.constant([1.0, 0.2])
-    sched = LearningRateSchedule("constant", 1.0, scale=np.array([8e-3, 5e-3]))
-    setups = [EstimatorSetup(kind="averaged", schedule=sched,
-                             theta_init=np.array([2.0, 0.75]))]
-    res = run_batch(m, truth, 10, 0.1, 500, batch_seeds(2, 4), setups)
-    summaries = summarize_replicates(res.tracks[0], [1.0, 0.2],
-                                     res.excluded, res.blowup_step)
-    assert [s.replicate_id for s in summaries] == [0, 1, 2, 3]
-    pooled = np.mean([s.tail_mean for s in summaries], axis=0)
-    for s in summaries:
-        assert np.all(s.sq_error_truth >= 0) and np.all(s.sq_error_pooled >= 0)
-        assert s.sq_error_pooled == pytest.approx((s.tail_mean - pooled) ** 2)
-        assert not s.excluded and s.blowup_step == -1
+        def column(name, cast):
+            return np.array([cast(r[name]) for r in mine]).reshape(12, p)
+
+        assert np.array_equal(column("replicate", int), np.repeat(np.arange(12)[:, None], p, 1))
+        assert np.array_equal(column("excluded", int), np.repeat(res.excluded[:, None], p, 1))
+        assert np.array_equal(column("blowup_step", int),
+                              np.repeat(res.blowup_step[:, None], p, 1))
+        tail = column("tail_mean", float)
+        assert np.all(np.isfinite(tail))
+        centre = tail[ok].mean(axis=0)
+        assert not np.array_equal(centre, tail.mean(axis=0))  # exclusion matters
+        assert np.array_equal(column("sq_error_pooled", float), (tail - centre) ** 2)
 
 
 # ---------------------------------------------------------------------------

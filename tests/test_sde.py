@@ -243,7 +243,7 @@ def test_blowup_raises_with_step_and_flushes_observers():
 def test_moments_decrease_for_deterministic_contraction():
     m = make_model("linear", sigma=0.0)
     truth = TruthSchedule.constant([1.0, 0.2])
-    tracker = MomentTracker(100, orders=(2, 4))
+    tracker = MomentTracker(100)
     run_trajectory(m, truth, 10, 0.1, 100, seed=8, observers=[tracker])
     for order in (2, 4):
         s = tracker.series[order]
