@@ -11,7 +11,7 @@ import sys
 import time
 from pathlib import Path
 
-from ipslearn.config import bundled_config_names, load_config
+from ipslearn.config import ConfigError, bundled_config_names, load_config
 from ipslearn.runner import run_experiment, run_surface, run_sweep
 
 
@@ -27,17 +27,21 @@ def main():
     names = args.only or bundled_config_names()
     root = Path(args.out)
     for name in names:
-        config = load_config(name)
-        t0 = time.time()
-        if config.surface is not None:
-            run_surface(config, root / name)
-            kind = "surface"
-        else:
-            run_experiment(config, root / name)
-            kind = "estimate"
-            if args.with_sweeps and config.sweep_n_particles:
-                run_sweep(config, root / f"{name}_sweep")
-                kind += "+sweep"
+        try:
+            config = load_config(name)
+            t0 = time.time()
+            if config.surface is not None:
+                run_surface(config, root / name)
+                kind = "surface"
+            else:
+                run_experiment(config, root / name)
+                kind = "estimate"
+                if args.with_sweeps and config.sweep_n_particles:
+                    run_sweep(config, root / f"{name}_sweep")
+                    kind += "+sweep"
+        except ConfigError as e:
+            print(e, file=sys.stderr)
+            return 2
         print(f"{name}: {kind} done in {time.time() - t0:.1f}s -> {root / name}")
     return 0
 

@@ -26,7 +26,7 @@ from .estimators import (
     build_cyclic_triplets,
 )
 from .models import Box, InteractionModel, TruthSchedule, weight_matrix
-from .rng import PARAM_INIT_STREAM, InvalidConfiguration, RngStream, replicate_seed
+from .rng import PARAM_INIT_STREAM, RngStream, replicate_seed
 from .sde import realized_qv, simulate
 
 # estimator kind -> name of its update rule in `estimators`
@@ -57,8 +57,6 @@ class EstimatorSetup:
     theta_init: np.ndarray = None  # (R, p) or (p,)
 
     def __post_init__(self):
-        if self.kind not in ESTIMATOR_KINDS:
-            raise InvalidConfiguration(f"unknown estimator kind {self.kind!r}")
         if not self.label:
             self.label = self.kind
 
@@ -92,8 +90,6 @@ class _RunningEstimator:
     def __init__(self, setup: EstimatorSetup, model, dt, n_replicates, n_particles):
         self.setup = setup
         kind = setup.kind
-        if kind == "diffusion" and not model.diffusion.parametric:
-            raise InvalidConfiguration(f"{model.model_id} has no diffusion parameters")
         theta0 = np.asarray(setup.theta_init, dtype=float)
         if theta0.ndim == 1:
             theta0 = np.broadcast_to(theta0, (n_replicates, theta0.shape[0]))

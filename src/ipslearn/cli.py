@@ -16,12 +16,12 @@ import numpy as np
 
 from .batch import batch_seeds
 from .config import ConfigError, load_config, parse_config
-from .diagnostics import clt_rescaled_moments, coupling_distance
+from .diagnostics import CLT_MIN_REPLICATES, clt_rescaled_moments, coupling_distance
 from .models import MODEL_ZOO, make_model
-from .rng import InvalidConfiguration
 from .runner import (
     base_metadata,
     initial_setups,
+    param_names,
     run_experiment,
     run_surface,
     run_sweep,
@@ -105,6 +105,14 @@ def _cmd_diagnose(args):
         if any(not 1 <= n <= args.n_big for n in args.n_small):
             raise ConfigError("--n-small", f"sizes must lie in [1, --n-big={args.n_big}], "
                               f"got {args.n_small}")
+    if args.mode == "clt":
+        # the CLT check analyses the first estimator only
+        if config.replicates < CLT_MIN_REPLICATES:
+            raise ConfigError("replicates", f"the CLT check needs at least "
+                              f"{CLT_MIN_REPLICATES}, got {config.replicates}")
+        if not validate_schedule(config.estimators[0].schedule).rate_conditions_ok:
+            raise ConfigError("estimators[0].learning_rate",
+                              "the CLT check needs a power-law schedule with beta in (1/2, 1)")
     model = config.make_model()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -146,7 +154,8 @@ def _cmd_diagnose(args):
             config.replicates, setup, config.base_seed, eta_true=config.eta_true,
         )
         free = setup.free_mask
-        names = [n for k, n in enumerate(model.param_names) if free is None or free[k]]
+        names = [n for k, n in enumerate(param_names(model, setup.kind))
+                 if free is None or free[k]]
         path = out / "clt.csv"
         write_csv(path, ["param", "variance", "skewness", "excess_kurtosis", "replicates"], [
             names, summary.variance, summary.skewness, summary.excess_kurtosis,
@@ -188,7 +197,7 @@ def main(argv=None) -> int:
         print(json.dumps({"manifest": str(Path(args.out) / 'manifest.json'),
                           "artifacts": len(manifest["artifacts"])}))
         return 0
-    except (ConfigError, InvalidConfiguration) as e:
+    except ConfigError as e:
         return _error("validation", str(e), 2)
     except Exception as e:  # runtime failures (blowups, IO)
         return _error("runtime", str(e), 1)

@@ -79,6 +79,13 @@ def _floats(v, ctx, infinite_ok=False):
     return [_float(x, ctx, infinite_ok) for x in v]
 
 
+def _floats_of_length(v, ctx, n, infinite_ok=False):
+    v = _floats(v, ctx, infinite_ok)
+    if len(v) != n:
+        raise ConfigError(ctx, f"expected length {n}, got {len(v)}")
+    return v
+
+
 def _ints(v, ctx):
     if not isinstance(v, list):
         raise ConfigError(ctx, "expected a list of integers")
@@ -150,10 +157,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         if model_params["sigma"] <= 0:
             raise ConfigError("model.sigma", "must be positive")
 
-    truth = _parse_truth(_require(data, "truth", "", dict))
     model_probe = make_model(model_id, **model_params)
-    if truth.start.size != model_probe.p:
-        raise ConfigError("truth", f"expected {model_probe.p} parameters for {model_id}")
+    truth = _parse_truth(_require(data, "truth", "", dict), model_probe.p)
 
     eta_true = data.get("eta_true")
     if model_probe.diffusion.parametric and eta_true is None:
@@ -180,10 +185,10 @@ def parse_config(data: dict) -> ExperimentConfig:
     particle_init = init.get("particles", "standard-normal")
     if particle_init != "standard-normal":
         raise ConfigError("init.particles", f"unknown law {particle_init!r}")
-    theta_low = _floats(_require(init, "theta_low", "init"), "init.theta_low")
-    theta_high = _floats(_require(init, "theta_high", "init"), "init.theta_high")
-    if len(theta_low) != model_probe.p or len(theta_high) != model_probe.p:
-        raise ConfigError("init.theta_low", f"expected length {model_probe.p}")
+    theta_low = _floats_of_length(_require(init, "theta_low", "init"), "init.theta_low",
+                                  model_probe.p)
+    theta_high = _floats_of_length(_require(init, "theta_high", "init"), "init.theta_high",
+                                   model_probe.p)
     if any(lo > hi for lo, hi in zip(theta_low, theta_high)):
         raise ConfigError("init.theta_low", "lower bound exceeds upper bound")
     eta_low = init.get("eta_low")
@@ -214,11 +219,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     labels = [e.label for e in estimators]
     if len(set(labels)) != len(labels):
         raise ConfigError("estimators", f"duplicate estimator labels: {labels}")
-    if any(e.kind == "diffusion" for e in estimators):
-        if not model_probe.diffusion.parametric:
-            raise ConfigError("estimators", f"{model_id} has no diffusion parameters")
-        if eta_low is None or eta_high is None:
-            raise ConfigError("init.eta_low", "diffusion estimator needs an eta init box")
+    if any(e.kind == "diffusion" for e in estimators) and (eta_low is None or eta_high is None):
+        raise ConfigError("init.eta_low", "diffusion estimator needs an eta init box")
 
     replicates = _require(data, "replicates", "", int)
     if replicates < 1:
@@ -247,6 +249,8 @@ def parse_config(data: dict) -> ExperimentConfig:
             raise ConfigError("surface.scan_kind", "L_ijkN observes particles 0, 1 and 2; "
                               f"n_particles is {n_particles}")
         hz = _require(surface, "horizon_steps", "surface", int)
+        if hz < 1:
+            raise ConfigError("surface.horizon_steps", "must be >= 1")
         bi = _int(surface.get("burn_in_steps", hz // 10), "surface.burn_in_steps")
         if not 0 <= bi < hz:
             raise ConfigError("surface.burn_in_steps", "need 0 <= burn_in < horizon")
@@ -280,31 +284,26 @@ def parse_config(data: dict) -> ExperimentConfig:
     )
 
 
-def _parse_truth(d) -> TruthSchedule:
+def _parse_truth(d, p) -> TruthSchedule:
+    """The truth schedule; every parameter vector in it has length `p`."""
     _check_keys(d, {"kind", "values", "start", "end", "switch_time", "horizon"}, "truth")
     kind = _require(d, "kind", "truth", str)
-    try:
-        if kind == "constant":
-            return TruthSchedule.constant(_floats(_require(d, "values", "truth"), "truth.values"))
-        if kind == "changepoint":
-            return TruthSchedule(
-                "changepoint",
-                _floats(_require(d, "start", "truth"), "truth.start"),
-                _floats(_require(d, "end", "truth"), "truth.end"),
-                switch_time=_float(_require(d, "switch_time", "truth"), "truth.switch_time"),
-            )
-        if kind == "ramp":
-            return TruthSchedule(
-                "ramp",
-                _floats(_require(d, "start", "truth"), "truth.start"),
-                _floats(_require(d, "end", "truth"), "truth.end"),
-                horizon=_float(_require(d, "horizon", "truth"), "truth.horizon"),
-            )
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError("truth", str(e))
-    raise ConfigError("truth.kind", f"unknown kind {kind!r}")
+    if kind not in ("constant", "changepoint", "ramp"):
+        raise ConfigError("truth.kind", f"unknown kind {kind!r}")
+
+    def vector(key):
+        return _floats_of_length(_require(d, key, "truth"), f"truth.{key}", p)
+
+    if kind == "constant":
+        return TruthSchedule.constant(vector("values"))
+    if kind == "changepoint":
+        switch_time = _float(_require(d, "switch_time", "truth"), "truth.switch_time")
+        return TruthSchedule("changepoint", vector("start"), vector("end"),
+                             switch_time=switch_time)
+    horizon = _float(_require(d, "horizon", "truth"), "truth.horizon")
+    if horizon <= 0:
+        raise ConfigError("truth.horizon", "must be positive")
+    return TruthSchedule("ramp", vector("start"), vector("end"), horizon=horizon)
 
 
 def _parse_estimator(d, index, model, n_particles) -> EstimatorSetup:
@@ -317,6 +316,8 @@ def _parse_estimator(d, index, model, n_particles) -> EstimatorSetup:
     kind = _require(d, "kind", ctx, str)
     if kind not in ESTIMATOR_KINDS:
         raise ConfigError(f"{ctx}.kind", f"unknown kind {kind!r}")
+    if kind == "diffusion" and not model.diffusion.parametric:
+        raise ConfigError(f"{ctx}.kind", f"{model.model_id} has no diffusion parameters")
     label = _typed(d.get("label", kind), f"{ctx}.label", str)
     if any(c in label for c in ',"\r\n'):
         # labels are written unquoted into CSV rows
@@ -338,10 +339,15 @@ def _parse_estimator(d, index, model, n_particles) -> EstimatorSetup:
         if pi is None:
             raise ConfigError(f"{ctx}.pi", f"{kind} requires the index set pi")
         pi = _ints(pi, f"{ctx}.pi")
+        if not pi:
+            raise ConfigError(f"{ctx}.pi", "need at least one index")
         if len(set(pi)) != len(pi):
             raise ConfigError(f"{ctx}.pi", "indices must be distinct")
         if any(not 0 <= i < n_particles for i in pi):
             raise ConfigError(f"{ctx}.pi", f"indices out of range for N={n_particles}")
+        if kind == "triplet_m" and len(pi) < 3 and n_particles < 3:
+            # fewer than 3 indices are completed to a triplet from the others
+            raise ConfigError(f"{ctx}.pi", f"triplets need at least 3 particles, N={n_particles}")
     elif pi is not None:
         raise ConfigError(f"{ctx}.pi", f"pi is only valid for the M-averaged kinds")
 
@@ -361,9 +367,7 @@ def _parse_estimator(d, index, model, n_particles) -> EstimatorSetup:
     scale = lr.get("scale")
     n_par = 1 if kind == "diffusion" else model.p
     if scale is not None:
-        scale = _floats(scale, f"{ctx}.learning_rate.scale")
-        if len(scale) != n_par:
-            raise ConfigError(f"{ctx}.learning_rate.scale", f"expected length {n_par}")
+        scale = _floats_of_length(scale, f"{ctx}.learning_rate.scale", n_par)
         if any(s <= 0 for s in scale):
             raise ConfigError(f"{ctx}.learning_rate.scale", "entries must be positive")
 
@@ -380,10 +384,8 @@ def _parse_estimator(d, index, model, n_particles) -> EstimatorSetup:
     if (lower is None) != (upper is None):
         raise ConfigError(f"{ctx}.bounds_lower", "bounds must be given as a pair")
     if lower is not None:
-        lower = _floats(lower, f"{ctx}.bounds_lower", infinite_ok=True)
-        upper = _floats(upper, f"{ctx}.bounds_upper", infinite_ok=True)
-        if len(lower) != n_par or len(upper) != n_par:
-            raise ConfigError(f"{ctx}.bounds_lower", f"expected length {n_par}")
+        lower = _floats_of_length(lower, f"{ctx}.bounds_lower", n_par, infinite_ok=True)
+        upper = _floats_of_length(upper, f"{ctx}.bounds_upper", n_par, infinite_ok=True)
         if any(lo > hi for lo, hi in zip(lower, upper)):
             raise ConfigError(f"{ctx}.bounds_lower", "lower bound exceeds upper bound")
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import Box
-from .rng import InvalidConfiguration
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +29,7 @@ class LearningRateSchedule:
                = scale * gamma0 * (1+t)^-beta   (power-law)
 
     `scale` is a fixed positive per-parameter vector; the time dependence is
-    a shared scalar.
+    a shared scalar.  `config` checks gamma0 > 0, beta in (0, 1] and scale > 0.
     """
 
     kind: str
@@ -39,18 +38,8 @@ class LearningRateSchedule:
     scale: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("constant", "power-law"):
-            raise InvalidConfiguration(f"unknown schedule kind {self.kind!r}")
-        if self.gamma0 <= 0:
-            raise InvalidConfiguration("gamma0 must be positive")
-        if self.kind == "power-law":
-            if self.beta is None or not 0 < self.beta <= 1:
-                raise InvalidConfiguration("power-law beta must lie in (0, 1]")
         if self.scale is not None:
-            s = np.asarray(self.scale, dtype=float)
-            if np.any(s <= 0):
-                raise InvalidConfiguration("per-parameter scale must be positive")
-            object.__setattr__(self, "scale", s)
+            object.__setattr__(self, "scale", np.asarray(self.scale, dtype=float))
         fixed = None
         if self.kind == "constant":
             fixed = np.atleast_1d(self.value(0.0))
@@ -120,18 +109,11 @@ def build_cyclic_triplets(pi, n: int) -> tuple:
     cyclically.  For |Pi| in {1, 2}, Pi is first extended to size 3 with the
     smallest indices not already in Pi, the cyclic triples of the extension
     are formed, and only those whose first index lies in the original Pi are
-    kept, so the result size is always |Pi|.
+    kept, so the result size is always |Pi|.  `config` checks that Pi is
+    non-empty and distinct, and that n >= 3 when |Pi| < 3.
     """
     pi = list(pi)
-    if not pi:
-        raise InvalidConfiguration("Pi must be non-empty")
-    if len(set(pi)) != len(pi):
-        raise InvalidConfiguration("Pi must contain distinct indices")
-    if any(not 0 <= i < n for i in pi):
-        raise InvalidConfiguration(f"Pi indices must lie in [0, {n})")
     if len(pi) < 3:
-        if n < 3:
-            raise InvalidConfiguration("need at least 3 particles to form triplets")
         aux = [i for i in range(n) if i not in pi]
         extended = pi + aux[: 3 - len(pi)]
         return tuple(t for t in _cyclic(extended) if t[0] in pi)

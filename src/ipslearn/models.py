@@ -35,8 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import InvalidConfiguration
-
 # Scratch budget of one chunk of the Cucker-Smale pair kernel: two such
 # buffers bound its per-step working set, whatever R and N.
 PAIR_BLOCK_BYTES = 256 * 1024
@@ -54,14 +52,8 @@ class Box:
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float)
-        hi = np.asarray(self.upper, dtype=float)
-        if lo.shape != hi.shape:
-            raise InvalidConfiguration("bound shapes differ")
-        if np.any(lo > hi):
-            raise InvalidConfiguration("lower bound exceeds upper bound")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+        object.__setattr__(self, "lower", np.asarray(self.lower, dtype=float))
+        object.__setattr__(self, "upper", np.asarray(self.upper, dtype=float))
 
     @classmethod
     def unbounded(cls, p: int) -> "Box":
@@ -92,17 +84,9 @@ class TruthSchedule:
     horizon: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("constant", "changepoint", "ramp"):
-            raise InvalidConfiguration(f"unknown truth schedule kind {self.kind!r}")
         object.__setattr__(self, "start", np.asarray(self.start, dtype=float))
         if self.end is not None:
             object.__setattr__(self, "end", np.asarray(self.end, dtype=float))
-        if self.kind == "changepoint":
-            if self.end is None or self.switch_time is None:
-                raise InvalidConfiguration("changepoint needs end values and switch_time")
-        if self.kind == "ramp":
-            if self.end is None or self.horizon is None or self.horizon <= 0:
-                raise InvalidConfiguration("ramp needs end values and a positive horizon")
 
     def at(self, t: float) -> np.ndarray:
         if self.kind == "constant":
@@ -520,8 +504,4 @@ MODEL_ZOO = {
 
 
 def make_model(model_id: str, **kwargs) -> InteractionModel:
-    if model_id not in MODEL_ZOO:
-        raise InvalidConfiguration(
-            f"unknown model {model_id!r}; available: {sorted(MODEL_ZOO)}"
-        )
     return MODEL_ZOO[model_id](**kwargs)

@@ -16,7 +16,6 @@ surfaces (and their non-identifiability ridge for the linear model).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,27 +97,6 @@ def linear_model_analytic_objective(theta, theta_true, sigma):
 # Surface scans
 
 
-@dataclass(frozen=True)
-class GridScan:
-    axes: tuple  # per-parameter sorted grids
-    values: np.ndarray  # shape = axis lengths
-    scan_kind: str  # "L_iN" | "L_ijkN"
-    horizon: int  # steps
-    burn_in: int  # steps
-
-    def __post_init__(self):
-        if self.horizon <= self.burn_in or self.burn_in < 0:
-            raise InvalidConfiguration("need horizon > burn_in >= 0")
-        expect = tuple(len(a) for a in self.axes)
-        if self.values.shape != expect:
-            raise InvalidConfiguration("values shape does not match the axes")
-
-    def argmin_point(self):
-        flat = int(np.argmin(self.values))
-        idx = np.unravel_index(flat, self.values.shape)
-        return np.array([self.axes[k][i] for k, i in enumerate(idx)])
-
-
 def surface_scan(
     model: InteractionModel,
     axes,
@@ -130,17 +108,15 @@ def surface_scan(
     seed: int,
     theta_true,
     eta_true=None,
-) -> GridScan:
-    """Time-averaged contrast over a parameter grid.
+) -> np.ndarray:
+    """Time-averaged contrast over a parameter grid, one value per grid point.
 
-    One trajectory at the true parameter is recorded and replayed across all
-    grid points, so the scan is exactly reproducible and variance-reduced.
-    L_iN observes particle 0 and L_ijkN the triplet (0, 1, 2).
+    The result has shape (len(axes[0]), ..., len(axes[-1])).  One trajectory
+    at the true parameter is recorded over steps [burn_in, horizon) and
+    replayed across all grid points, so the scan is exactly reproducible and
+    variance-reduced.  L_iN observes particle 0 and L_ijkN the triplet
+    (0, 1, 2).
     """
-    if scan_kind not in ("L_iN", "L_ijkN"):
-        raise InvalidConfiguration(f"unknown scan kind {scan_kind!r}")
-    if horizon <= burn_in:
-        raise InvalidConfiguration("need horizon > burn_in")
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
     truth = TruthSchedule.constant(theta_true)
     shape = tuple(len(a) for a in axes)
@@ -168,5 +144,4 @@ def surface_scan(
             total += float(vals.sum())
             count += vals.shape[0]
         values[idx] = total / count
-    return GridScan(axes=axes, values=values, scan_kind=scan_kind,
-                    horizon=horizon, burn_in=burn_in)
+    return values

@@ -39,8 +39,6 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        if seed < 0 or stream_id < 0:
-            raise InvalidConfiguration("seed and stream_id must be non-negative")
         self.seed = seed & _MASK64
         self.stream_id = stream_id & _MASK64
         key = np.array([self.seed, self.stream_id], dtype=_U64)
@@ -77,8 +75,6 @@ class BlockedNoise:
     """
 
     def __init__(self, streams: list[RngStream], d: int, dt: float, block: int = 512):
-        if dt <= 0:
-            raise InvalidConfiguration(f"dt must be positive, got {dt}")
         self.streams = streams
         self.d = d
         self.sqrt_dt = math.sqrt(dt)

@@ -127,7 +127,8 @@ def initial_setups(config: ExperimentConfig, seeds):
     return setups
 
 
-def _param_names(model, kind):
+def param_names(model, kind):
+    """Names of the parameters an estimator of `kind` estimates."""
     return model.eta_names if kind == "diffusion" else model.param_names
 
 
@@ -166,7 +167,7 @@ def run_experiment(config: ExperimentConfig, out_dir, trajectory_only: bool = Fa
 
 def _write_estimates(config, model, result, out, meta):
     tracks = result.tracks
-    names = [_param_names(model, track.kind) for track in tracks]
+    names = [param_names(model, track.kind) for track in tracks]
     # rows run over estimators, then recorded steps, then parameters
     step = np.concatenate([np.repeat(tr.record_steps, len(nm)) for tr, nm in zip(tracks, names)])
     time = np.concatenate([np.repeat(tr.record_times, len(nm)) for tr, nm in zip(tracks, names)])
@@ -198,7 +199,7 @@ def _write_summary(config, model, result, out, meta):
         pooled = track.tail_mean[ok].mean(axis=0)  # over non-excluded replicates
         blocks.append([
             np.repeat(np.arange(R), p), np.full(R * p, track.label),
-            np.tile(_param_names(model, track.kind), R),
+            np.tile(param_names(model, track.kind), R),
             track.final, track.tail_mean, (track.tail_mean - truth) ** 2,
             (track.tail_mean - pooled) ** 2,
             np.repeat(result.excluded, p), np.repeat(result.blowup_step, p),
@@ -277,27 +278,28 @@ def run_surface(config: ExperimentConfig, out_dir) -> dict:
         raise ConfigError("truth.kind", "surface scans need a constant truth schedule")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    scan = surface_scan(
+    surface = config.surface
+    values = surface_scan(
         config.make_model(),
-        config.surface["axes"],
+        surface["axes"],
         config.n_particles,
         config.dt,
-        config.surface["horizon_steps"],
-        config.surface["burn_in_steps"],
-        config.surface["scan_kind"],
+        surface["horizon_steps"],
+        surface["burn_in_steps"],
+        surface["scan_kind"],
         config.base_seed,
         config.truth.at(0.0),
         eta_true=config.eta_true,
     )
     # one row per grid point, the last axis varying fastest
-    grid = np.meshgrid(*scan.axes, indexing="ij")
-    header = [f"theta_{k+1}" for k in range(len(scan.axes))] + ["value"]
+    grid = np.meshgrid(*surface["axes"], indexing="ij")
+    header = [f"theta_{k+1}" for k in range(len(grid))] + ["value"]
     path = out / "surface.csv"
-    write_csv(path, header, [g.reshape(-1) for g in grid] + [scan.values.reshape(-1)])
+    write_csv(path, header, [g.reshape(-1) for g in grid] + [values.reshape(-1)])
     meta = base_metadata(config)
-    side = write_sidecar(path, {**meta, "scan_kind": scan.scan_kind,
-                                "horizon_steps": scan.horizon,
-                                "burn_in_steps": scan.burn_in,
+    side = write_sidecar(path, {**meta, "scan_kind": surface["scan_kind"],
+                                "horizon_steps": surface["horizon_steps"],
+                                "burn_in_steps": surface["burn_in_steps"],
                                 "n_particles": config.n_particles})
     return _finish_manifest(config, out, [path, side])
 

@@ -78,10 +78,6 @@ def simulate(
     dX, and keeps its last guarded state.  The loop stops, before calling
     the observers, once every replicate is excluded.
     """
-    if n_steps < 1:
-        raise InvalidConfiguration(f"n_steps must be >= 1, got {n_steps}")
-    if dt <= 0:
-        raise InvalidConfiguration(f"dt must be positive, got {dt}")
     R, N, d = len(seeds), n_particles, model.d
     noise = BlockedNoise([st for s in seeds for st in particle_streams(s, N)], d, dt)
     if initial_positions is None:

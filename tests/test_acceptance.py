@@ -215,8 +215,8 @@ def test_c05_ridge_and_analytic_oracle():
     theta0 = [1.0, 0.2]
     ax1 = np.array([0.5, 0.75, 1.0, 1.25, 1.5])
     ax2 = np.array([-0.3, -0.05, 0.2, 0.45, 0.7])
-    scan = surface_scan(m, (ax1, ax2), 50, 0.1, 100000, 10000, "L_iN",
-                        seed=9, theta_true=theta0)
+    values = surface_scan(m, (ax1, ax2), 50, 0.1, 100000, 10000, "L_iN",
+                          seed=9, theta_true=theta0)
     worst_off = 0.0
     off_max = 0.0
     on_ridge = []
@@ -225,10 +225,10 @@ def test_c05_ridge_and_analytic_oracle():
             ds = (t1 + t2) - 1.2
             if abs(ds) >= 0.5:
                 ana = linear_model_analytic_objective([t1, t2], theta0, 1.0)
-                worst_off = max(worst_off, abs(scan.values[i, j] - ana) / ana)
-                off_max = max(off_max, scan.values[i, j])
+                worst_off = max(worst_off, abs(values[i, j] - ana) / ana)
+                off_max = max(off_max, values[i, j])
             elif abs(ds) < 1e-9:
-                on_ridge.append(scan.values[i, j])
+                on_ridge.append(values[i, j])
     ok = worst_off <= 0.10 and max(on_ridge) <= 0.05 * off_max
     assert report(5, "ridge vs analytic oracle", ok, t0,
                   f"off-ridge err {worst_off:.3f}, on-ridge max "

@@ -1,14 +1,17 @@
+import contextlib
 import copy
 import functools
+import io
 import json
 import operator
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ipslearn.cli import main as cli_main
@@ -356,6 +359,70 @@ BAD_INPUTS = {
     "bounds-reversed": (_both(_set("estimators", 0, "bounds_lower", [0.0, 5.0]),
                               _set("estimators", 0, "bounds_upper", [5.0, 0.0])),
                         "estimators[0].bounds_lower"),
+    "bounds_upper-short": (_both(_set("estimators", 0, "bounds_lower", [0.0, 0.0]),
+                                 _set("estimators", 0, "bounds_upper", [5.0])),
+                           "estimators[0].bounds_upper"),
+    "theta_high-short": (_set("init", "theta_high", [2.5]), "init.theta_high"),
+    "dt-zero": (_set("dt", 0.0), "dt"),
+    "n_steps-zero": (_set("n_steps", 0), "n_steps"),
+    "model-id-unknown": (_set("model", "id", "no-such-model"), "model.id"),
+    "estimator-kind-unknown": (_set("estimators", 0, "kind", "bogus"), "estimators[0].kind"),
+    "gamma0-zero": (_set("estimators", 0, "learning_rate", "gamma0", 0.0),
+                    "estimators[0].learning_rate.gamma0"),
+    "beta-above-one": (_set("estimators", 0, "learning_rate",
+                            {"kind": "power-law", "gamma0": 1.0, "beta": 1.5}),
+                       "estimators[0].learning_rate.beta"),
+    "lr-kind-unknown": (_set("estimators", 0, "learning_rate", "kind", "cyclic"),
+                        "estimators[0].learning_rate.kind"),
+    "scale-negative": (_set("estimators", 0, "learning_rate", "scale", [0.008, -1.0]),
+                       "estimators[0].learning_rate.scale"),
+    "scale-zero": (_set("estimators", 1, "learning_rate", "scale", [0.0, 0.005]),
+                   "estimators[1].learning_rate.scale"),
+    "pi-empty-averaged_m": (_set("estimators", 0, {"kind": "averaged_m", "pi": [],
+                                                   "learning_rate": {"kind": "constant",
+                                                                     "gamma0": 1.0}}),
+                            "estimators[0].pi"),
+    "pi-empty-triplet_m": (_set("estimators", 0, {"kind": "triplet_m", "pi": [],
+                                                  "learning_rate": {"kind": "constant",
+                                                                    "gamma0": 1.0}}),
+                           "estimators[0].pi"),
+    "pi-duplicate": (_set("estimators", 0, {"kind": "triplet_m", "pi": [1, 1, 2],
+                                            "learning_rate": {"kind": "constant", "gamma0": 1.0}}),
+                     "estimators[0].pi"),
+    "pi-out-of-range": (_set("estimators", 0, {"kind": "triplet_m", "pi": [0, 9],
+                                               "learning_rate": {"kind": "constant",
+                                                                 "gamma0": 1.0}}),
+                        "estimators[0].pi"),
+    "pi-one-index-two-particles": (
+        _both(_set("n_particles", 2), _set("estimators", [{
+            "kind": "triplet_m", "pi": [0], "learning_rate": {"kind": "constant", "gamma0": 1.0}}])),
+        "estimators[0].pi"),
+    "pi-one-index-sweep-of-two": (
+        _both(_set("sweep", {"n_particles": [2, 5]}), _set("estimators", [{
+            "kind": "triplet_m", "pi": [0], "learning_rate": {"kind": "constant", "gamma0": 1.0}}])),
+        "estimators[0].pi"),
+    "truth-kind-unknown": (_set("truth", {"kind": "sine", "values": [1.0, 0.2]}), "truth.kind"),
+    "truth-values-short": (_set("truth", "values", [1.0]), "truth.values"),
+    "truth-changepoint-no-end": (
+        _set("truth", {"kind": "changepoint", "start": [1.0, 0.2], "switch_time": 1.0}),
+        "truth.end"),
+    "truth-end-short": (
+        _set("truth", {"kind": "changepoint", "start": [1.0, 0.2], "end": [1.0],
+                       "switch_time": 1.0}), "truth.end"),
+    "truth-end-long": (
+        _set("truth", {"kind": "ramp", "start": [1.0, 0.2], "end": [1.5, 0.2, 0.1],
+                       "horizon": 5.0}), "truth.end"),
+    "truth-horizon-zero": (
+        _set("truth", {"kind": "ramp", "start": [1.0, 0.2], "end": [1.5, 0.2],
+                       "horizon": 0.0}), "truth.horizon"),
+    "surface-scan-kind-unknown": (
+        _set("surface", {"axes": [[1.0], [0.2]], "scan_kind": "L_x", "horizon_steps": 20}),
+        "surface.scan_kind"),
+    "surface-horizon-zero": (_set("surface", {"axes": [[1.0], [0.2]], "horizon_steps": 0}),
+                             "surface.horizon_steps"),
+    "surface-burn-in-at-horizon": (
+        _set("surface", {"axes": [[1.0], [0.2]], "horizon_steps": 10, "burn_in_steps": 10}),
+        "surface.burn_in_steps"),
 }
 
 
@@ -468,6 +535,70 @@ def test_wrong_json_type_in_a_bundled_config_names_the_field(data):
     with pytest.raises(ConfigError) as e:
         parse_config(cfg)
     assert e.value.field.startswith(field), (keys, parent[keys[-1]], str(e.value))
+
+
+def _edge_values(value, n):
+    """Wrong values of `value`'s own JSON type; `n` is the config's n_particles."""
+    if isinstance(value, bool):
+        return []
+    if isinstance(value, int):
+        return [-1, 0, n, n + 1]
+    if isinstance(value, float):
+        return [-1.0, 0.0]
+    if isinstance(value, list) and value:
+        return [value[:-1], value + value[-1:], []]
+    return []
+
+
+def _m_averaged_config():
+    cfg = tiny_config()
+    for est, pi in zip(cfg["estimators"], ([0, 1, 2, 3], [1, 3])):
+        est.pop("triplet", None)
+        est.update(kind=est["kind"] + "_m", pi=pi)
+    return cfg
+
+
+# (base config, key chain, field path, value): every edge value of every
+# number, integer and list in the bundled configs and in one config with both
+# M-averaged kinds
+EDGE_BASES = {**BUNDLED_RAW, "m-averaged": _m_averaged_config()}
+EDGE_CASES = [
+    (name, keys, field, value)
+    for name, cfg in sorted(EDGE_BASES.items())
+    for keys, field in _fields(cfg)
+    for value in _edge_values(functools.reduce(operator.getitem, keys, cfg), cfg["n_particles"])
+]
+# a rule between the two ends of a box (or a surface's burn-in and horizon)
+# names the first of them, whichever end is wrong
+PAIRED_FIELDS = [("theta_high", "theta_low"), ("eta_high", "eta_low"),
+                 ("bounds_upper", "bounds_lower"), ("horizon_steps", "burn_in_steps")]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(EDGE_CASES))
+@example(case=("m-averaged", ("estimators", 0, "pi"), "estimators[0].pi", []))
+@example(case=("kuramoto_ramp", ("truth", "end"), "truth.end", []))
+@example(case=("doublewell_fig5", ("truth", "values", 0), "truth.values", -1.0))
+def test_wrong_value_in_a_config_exits_0_or_names_the_field(case):
+    """A valid config runs; an invalid one exits 2 naming the field.  The one
+    exit 1 allowed is the runtime failure of a valid config whose every
+    replicate blows up (a double-well truth of -1 does within 5 steps)."""
+    name, keys, field, value = case
+    cfg = copy.deepcopy(EDGE_BASES[name])
+    functools.reduce(operator.getitem, keys[:-1], cfg)[keys[-1]] = value
+    cfg["n_steps"] = min(cfg["n_steps"], 5)
+    cfg["replicates"] = min(cfg["replicates"], 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.json"
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli_main(["estimate", "--config", str(path), "--out", str(Path(tmp) / "o")])
+    message = json.loads(err.getvalue())["message"] if code else ""
+    named = [field] + [field.replace(b, a) for b, a in PAIRED_FIELDS if field.endswith(b)]
+    assert (code == 0 or (code == 2 and message.startswith(tuple(named)))
+            or (code == 1 and message == "every replicate blew up; nothing to report")
+            ), (case, code, message)
 
 
 def test_infinite_bounds_accepted():
@@ -609,6 +740,17 @@ def test_scripts_exit_2_on_a_config_without_their_section(tmp_path, script, fiel
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(f"{field}:")
+    assert not (tmp_path / "o").exists()
+
+
+def test_reproduce_script_exits_2_on_an_unknown_config(tmp_path):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_experiments.py"
+    proc = subprocess.run(
+        [sys.executable, str(path), "--only", "no_such_config", "--out", str(tmp_path / "o")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("<file>:")
     assert not (tmp_path / "o").exists()
 
 

@@ -1,12 +1,13 @@
 import csv
+import json
 
 import numpy as np
 import pytest
 
 from ipslearn.batch import EstimatorSetup, batch_seeds, run_batch
-from ipslearn.config import parse_config
+from ipslearn.cli import main as cli_main
+from ipslearn.config import load_config, parse_config
 from ipslearn.diagnostics import (
-    clt_rescaled_moments,
     coupling_distance,
     l2_error_sweep,
     poc_rate,
@@ -102,10 +103,21 @@ def test_coupling_distance_positive_for_finite_sizes():
     assert series[100:].mean() > series[0]
 
 
-def test_coupling_requires_ordered_sizes():
-    m = make_model("linear")
-    with pytest.raises(InvalidConfiguration):
-        coupling_distance(m, TruthSchedule.constant([1.0, 0.2]), 10, 5, 0.1, 10, seed=1)
+def diagnose_error(tmp_path, capsys, *args):
+    """The error message of an `ipslearn diagnose` run that must exit 2 and
+    leave no output directory."""
+    out = tmp_path / "o"
+    assert cli_main(["diagnose", "--out", str(out), *args]) == 2
+    assert not out.exists()
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "validation"
+    return payload["message"]
+
+
+def test_coupling_requires_ordered_sizes(tmp_path, capsys):
+    message = diagnose_error(tmp_path, capsys, "--config", "linear_fig1", "--mode", "coupling",
+                             "--n-small", "10", "--n-big", "5")
+    assert message.startswith("--n-small:")
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +130,6 @@ def _linear_setups(thetas):
         EstimatorSetup(kind="averaged", schedule=sched, theta_init=thetas),
         EstimatorSetup(kind="triplet", schedule=sched, theta_init=thetas),
     ]
-
-
-def test_sweep_needs_replicates():
-    m = make_model("linear")
-    truth = TruthSchedule.constant([1.0, 0.2])
-    with pytest.raises(InvalidConfiguration):
-        l2_error_sweep(m, truth, [3], 0.1, 10, 1, [], 1)
 
 
 def test_sweep_deterministic_given_ladder():
@@ -224,25 +229,28 @@ def test_standardized_moments_needs_samples():
         standardized_moments(np.zeros((1, 2)))
 
 
-def test_clt_rejects_constant_schedule():
-    m = make_model("linear")
-    truth = TruthSchedule.constant([1.0, 0.2])
-    setup = EstimatorSetup(
-        kind="averaged",
-        schedule=LearningRateSchedule("constant", 1e-2),
-        theta_init=np.array([1.0, 0.5]),
-    )
-    with pytest.raises(InvalidConfiguration):
-        clt_rescaled_moments(m, truth, 5, 0.1, 100, 200, setup, 1)
+def test_clt_rejects_constant_schedule(tmp_path, capsys):
+    # linear_fig1's first estimator has a constant learning rate
+    message = diagnose_error(tmp_path, capsys, "--config", "linear_fig1", "--mode", "clt",
+                             "--replicates", "200")
+    assert message.startswith("estimators[0].learning_rate:")
 
 
-def test_clt_rejects_too_few_replicates():
-    m = make_model("linear")
-    truth = TruthSchedule.constant([1.0, 0.2])
-    setup = EstimatorSetup(
-        kind="averaged",
-        schedule=LearningRateSchedule("power-law", 1.0, beta=0.75),
-        theta_init=np.array([1.0, 0.5]),
-    )
-    with pytest.raises(InvalidConfiguration):
-        clt_rescaled_moments(m, truth, 5, 0.1, 100, 2, setup, 1)
+def test_clt_rejects_too_few_replicates(tmp_path, capsys):
+    message = diagnose_error(tmp_path, capsys, "--config", "linear_clt", "--mode", "clt",
+                             "--replicates", "199")
+    assert message.startswith("replicates:")
+
+
+def test_clt_names_a_diffusion_estimator_by_eta(tmp_path):
+    raw = load_config("vol32").raw
+    cfg = {**raw, "n_particles": 5, "n_steps": 20, "replicates": 200, "estimators": [
+        {"kind": "diffusion", "learning_rate": {"kind": "power-law", "gamma0": 0.01,
+                                                "beta": 0.75}}]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert cli_main(["diagnose", "--config", str(path), "--mode", "clt", "--out", str(out)]) == 0
+    with open(out / "clt.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["param"] for r in rows] == list(make_model("vol32").eta_names)

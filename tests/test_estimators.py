@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ipslearn.batch
 import ipslearn.estimators as est
 from ipslearn.batch import RULES, EstimatorSetup, batch_seeds, run_batch
+from ipslearn.config import ConfigError, load_config, parse_config
 from ipslearn.estimators import (
     EstimatorState,
     LearningRateSchedule,
@@ -21,7 +21,6 @@ from ipslearn.estimators import (
     validate_schedule,
 )
 from ipslearn.models import Box, TruthSchedule, make_model, weight_matrix
-from ipslearn.rng import InvalidConfiguration
 
 
 def const_sched(*scale):
@@ -64,17 +63,6 @@ def test_cyclic_triplets_extend_pair():
     assert all(t[0] in (4, 2) for t in ts)
     for t in ts:
         assert len(set(t)) == 3
-
-
-def test_cyclic_triplets_rejects_bad_input():
-    with pytest.raises(InvalidConfiguration):
-        build_cyclic_triplets([1, 1, 2], 5)
-    with pytest.raises(InvalidConfiguration):
-        build_cyclic_triplets([0, 9], 5)
-    with pytest.raises(InvalidConfiguration):
-        build_cyclic_triplets([0], 2)
-    with pytest.raises(InvalidConfiguration):
-        build_cyclic_triplets([], 5)
 
 
 @settings(max_examples=40, deadline=None)
@@ -190,17 +178,13 @@ def test_update_diffusion_fixed_point_and_hand_step():
     assert new.theta == pytest.approx([0.700434], abs=1e-12)
 
 
-def test_diffusion_setup_requires_parametric_model(monkeypatch):
-    # rejected while the estimators are set up, before the first step
-    def no_simulation(*args, **kwargs):
-        raise AssertionError("the run started")
-
-    monkeypatch.setattr(ipslearn.batch, "simulate", no_simulation)
-    setup = EstimatorSetup("diffusion", schedule=LearningRateSchedule("constant", 0.01),
-                           theta_init=np.array([1.0]))
-    with pytest.raises(InvalidConfiguration, match="no diffusion parameters"):
-        run_batch(make_model("linear"), TruthSchedule.constant([1.0, 0.2]), 3, 0.1, 10,
-                  [1], [setup])
+def test_diffusion_setup_requires_parametric_model():
+    # rejected while the config builds the setup, before any run starts
+    cfg = {**load_config("linear_fig1").raw, "estimators": [
+        {"kind": "diffusion", "learning_rate": {"kind": "constant", "gamma0": 0.01}}]}
+    with pytest.raises(ConfigError, match="no diffusion parameters") as e:
+        parse_config(cfg)
+    assert e.value.field == "estimators[0].kind"
 
 
 def test_free_mask_pins_known_parameters():
@@ -362,15 +346,6 @@ def test_schedule_reports():
     assert edge.robbins_monro_ok and not edge.rate_conditions_ok
     bad = validate_schedule(LearningRateSchedule("power-law", 1.0, beta=0.4))
     assert not bad.robbins_monro_ok
-
-
-def test_schedule_validation_errors():
-    with pytest.raises(InvalidConfiguration):
-        LearningRateSchedule("constant", 0.0)
-    with pytest.raises(InvalidConfiguration):
-        LearningRateSchedule("power-law", 1.0, beta=1.5)
-    with pytest.raises(InvalidConfiguration):
-        LearningRateSchedule("constant", 1.0, scale=np.array([1.0, -1.0]))
 
 
 def test_schedule_nonincreasing_property():

@@ -4,7 +4,6 @@ import pytest
 from conftest import fd_grad_contrast
 from ipslearn.models import make_model
 from ipslearn.objective import (
-    GridScan,
     contrast_L,
     contrast_ell,
     grad_H,
@@ -149,30 +148,21 @@ def test_analytic_objective_requires_stable_truth():
 # Surface scans
 
 
-def test_grid_scan_validation():
-    with pytest.raises(InvalidConfiguration):
-        GridScan(axes=(np.array([1.0, 2.0]),), values=np.zeros(3), scan_kind="L_iN",
-                 horizon=10, burn_in=1)
-    with pytest.raises(InvalidConfiguration):
-        GridScan(axes=(np.array([1.0]),), values=np.zeros(1), scan_kind="L_iN",
-                 horizon=5, burn_in=5)
-
-
 def test_scan_at_truth_is_essentially_zero():
     m = make_model("linear")
-    scan = surface_scan(
+    values = surface_scan(
         m, (np.array([1.0]), np.array([0.2])), 20, 0.1, 20000, 2000, "L_iN",
         seed=2, theta_true=[1.0, 0.2],
     )
-    assert scan.values[0, 0] <= 1e-3
+    assert values[0, 0] <= 1e-3
 
 
 def test_scan_values_nonnegative_for_particle_contrast():
     m = make_model("linear")
     axes = (np.array([0.6, 1.0, 1.4]), np.array([-0.2, 0.2, 0.6]))
-    scan = surface_scan(m, axes, 10, 0.1, 3000, 300, "L_iN", seed=3,
-                        theta_true=[1.0, 0.2])
-    assert np.all(scan.values >= 0)
+    values = surface_scan(m, axes, 10, 0.1, 3000, 300, "L_iN", seed=3,
+                          theta_true=[1.0, 0.2])
+    assert np.all(values >= 0)
 
 
 def test_scan_minimum_lies_on_the_ridge():
@@ -180,16 +170,16 @@ def test_scan_minimum_lies_on_the_ridge():
     # theta1 + theta2 within one grid cell of the true sum
     m = make_model("linear")
     axes = (np.arange(0.25, 1.80, 0.25), np.arange(-0.55, 1.00, 0.25))
-    scan = surface_scan(m, axes, 20, 0.1, 20000, 2000, "L_iN", seed=4,
-                        theta_true=[1.0, 0.2])
-    pt = scan.argmin_point()
-    assert abs(pt.sum() - 1.2) <= 0.5 + 1e-9
+    values = surface_scan(m, axes, 20, 0.1, 20000, 2000, "L_iN", seed=4,
+                          theta_true=[1.0, 0.2])
+    i, j = np.unravel_index(np.argmin(values), values.shape)
+    assert abs(axes[0][i] + axes[1][j] - 1.2) <= 0.5 + 1e-9
 
 
 def test_triplet_scan_kind_uses_polarised_contrast():
     m = make_model("linear")
     axes = (np.array([1.0, 1.6]), np.array([0.2, 0.8]))
-    scan = surface_scan(m, axes, 10, 0.1, 2000, 200, "L_ijkN", seed=6,
-                        theta_true=[1.0, 0.2])
+    values = surface_scan(m, axes, 10, 0.1, 2000, 200, "L_ijkN", seed=6,
+                          theta_true=[1.0, 0.2])
     # truth point should be near the minimum of the triplet surface too
-    assert scan.values[0, 0] == scan.values.min()
+    assert values[0, 0] == values.min()

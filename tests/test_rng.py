@@ -6,7 +6,6 @@ import pytest
 from ipslearn.rng import (
     NOISE_BUFFER_BYTES,
     BlockedNoise,
-    InvalidConfiguration,
     RngStream,
     particle_streams,
     replicate_seed,
@@ -31,13 +30,6 @@ def test_distinct_streams_differ():
     # crude independence check: empirical correlation is small
     r = np.corrcoef(a.ravel(), b.ravel())[0, 1]
     assert abs(r) < 0.3
-
-
-def test_nonpositive_dt_rejected():
-    with pytest.raises(InvalidConfiguration):
-        BlockedNoise(particle_streams(1, 2), 1, 0.0)
-    with pytest.raises(InvalidConfiguration):
-        BlockedNoise(particle_streams(1, 2), 1, -0.1)
 
 
 def test_increment_variance_matches_dt():

@@ -155,12 +155,6 @@ def test_excluded_replicates_stop_moving_and_observers_see_keep():
 # Trajectories
 
 
-def test_run_trajectory_rejects_bad_steps():
-    m = make_model("linear")
-    with pytest.raises(InvalidConfiguration):
-        run_trajectory(m, TruthSchedule.constant([1.0, 0.2]), 5, 0.1, 0, seed=1)
-
-
 def test_run_trajectory_deterministic():
     m = make_model("linear")
     truth = TruthSchedule.constant([1.0, 0.2])
