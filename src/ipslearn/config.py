@@ -6,10 +6,14 @@ schedule, discretisation, initial laws, estimators, replicate count, and
 the base seed.
 
 Each estimator is parsed straight into the `batch.EstimatorSetup` the run
-attaches: its learning-rate schedule, bounds box (the model's when none are
-given), free mask, RMSProp settings and weight override are resolved here,
-once.  Only the per-replicate initial estimate is left unset;
-`runner.initial_setups` draws it for each run.
+attaches: its learning-rate schedule, bounds box, free mask, RMSProp
+settings and weight override are resolved here, once.  Bounds that are
+-inf and +inf at every end, and no bounds on a drift estimator, give no box
+(`bounds` None: no bound check); a diffusion estimator with no bounds gets
+the model's eta box.  Only the per-replicate initial estimate is left
+unset; `runner.initial_setups` draws it for each run.
+
+A rule between two fields (lower <= upper, burn-in < horizon) names both.
 """
 
 from __future__ import annotations
@@ -190,7 +194,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     theta_high = _floats_of_length(_require(init, "theta_high", "init"), "init.theta_high",
                                    model_probe.p)
     if any(lo > hi for lo, hi in zip(theta_low, theta_high)):
-        raise ConfigError("init.theta_low", "lower bound exceeds upper bound")
+        raise ConfigError("init.theta_low, init.theta_high", "lower bound exceeds upper bound")
     eta_low = init.get("eta_low")
     eta_high = init.get("eta_high")
     if eta_low is not None:
@@ -198,7 +202,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     if eta_high is not None:
         eta_high = _float(eta_high, "init.eta_high")
     if eta_low is not None and eta_high is not None and eta_low > eta_high:
-        raise ConfigError("init.eta_low", "lower bound exceeds upper bound")
+        raise ConfigError("init.eta_low, init.eta_high", "lower bound exceeds upper bound")
 
     sweep = data.get("sweep")
     sweep_list = None
@@ -220,7 +224,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     if len(set(labels)) != len(labels):
         raise ConfigError("estimators", f"duplicate estimator labels: {labels}")
     if any(e.kind == "diffusion" for e in estimators) and (eta_low is None or eta_high is None):
-        raise ConfigError("init.eta_low", "diffusion estimator needs an eta init box")
+        raise ConfigError("init.eta_low, init.eta_high",
+                          "diffusion estimator needs an eta init box")
 
     replicates = _require(data, "replicates", "", int)
     if replicates < 1:
@@ -252,8 +257,11 @@ def parse_config(data: dict) -> ExperimentConfig:
         if hz < 1:
             raise ConfigError("surface.horizon_steps", "must be >= 1")
         bi = _int(surface.get("burn_in_steps", hz // 10), "surface.burn_in_steps")
-        if not 0 <= bi < hz:
-            raise ConfigError("surface.burn_in_steps", "need 0 <= burn_in < horizon")
+        if bi < 0:
+            raise ConfigError("surface.burn_in_steps", "must be >= 0")
+        if bi >= hz:
+            raise ConfigError("surface.burn_in_steps, surface.horizon_steps",
+                              "need burn_in < horizon")
         axes = [_floats(a, "surface.axes") for a in axes]
         if not all(axes):
             raise ConfigError("surface.axes", "every axis needs at least one value")
@@ -381,13 +389,14 @@ def _parse_estimator(d, index, model, n_particles) -> EstimatorSetup:
 
     lower = d.get("bounds_lower")
     upper = d.get("bounds_upper")
+    bounds_fields = f"{ctx}.bounds_lower, {ctx}.bounds_upper"
     if (lower is None) != (upper is None):
-        raise ConfigError(f"{ctx}.bounds_lower", "bounds must be given as a pair")
+        raise ConfigError(bounds_fields, "bounds must be given as a pair")
     if lower is not None:
         lower = _floats_of_length(lower, f"{ctx}.bounds_lower", n_par, infinite_ok=True)
         upper = _floats_of_length(upper, f"{ctx}.bounds_upper", n_par, infinite_ok=True)
         if any(lo > hi for lo, hi in zip(lower, upper)):
-            raise ConfigError(f"{ctx}.bounds_lower", "lower bound exceeds upper bound")
+            raise ConfigError(bounds_fields, "lower bound exceeds upper bound")
 
     rms_rho = _float(d.get("rms_rho", 0.99), f"{ctx}.rms_rho")
     if not 0.0 <= rms_rho < 1.0:
@@ -413,10 +422,12 @@ def _parse_estimator(d, index, model, n_particles) -> EstimatorSetup:
     if free is not None:
         free_mask = np.zeros(model.p, dtype=bool)
         free_mask[list(free)] = True
-    if lower is not None:
-        bounds = Box(lower, upper)
+    if lower is None:
+        bounds = model.eta_bounds if kind == "diffusion" else None
+    elif all(lo == -math.inf for lo in lower) and all(hi == math.inf for hi in upper):
+        bounds = None  # a box that only a NaN leaves: no bound check, see _apply_raw_update
     else:
-        bounds = model.eta_bounds if kind == "diffusion" else model.theta_bounds
+        bounds = Box(lower, upper)
     rmsprop = _typed(d.get("rmsprop", False), f"{ctx}.rmsprop", bool)
     return EstimatorSetup(
         kind=kind,

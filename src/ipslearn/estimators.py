@@ -189,35 +189,46 @@ def rmsprop_precondition(raw_update, state: EstimatorState, lr_vec, cfg: RmsProp
 def _apply_raw_update(state, D, t, options, keep=None):
     """Common tail of every update rule: step, mask, precondition, freeze, clamp.
 
-    The raw step is -gamma(t) * D.  A replicate, or an unbatched state,
-    freezes for good on a non-finite raw step or on a proposal outside the
-    bounds, keeping its last value.  Works in place on `state`'s arrays.
-    `keep` (bool, batch-shaped) marks replicates that must not change at all
-    this step.
+    The raw step is -gamma(t) * D, masked and, with RMSProp, preconditioned.
+    A replicate, or an unbatched state, freezes for good on a non-finite
+    step or on a proposal outside the bounds, keeping its last value.
+    Works in place on `state`'s arrays.  `keep` (bool, batch-shaped) marks
+    replicates that must not change at all this step.
+
+    No box (`options.bounds` None) means no bound check, and `config`
+    resolves a box whose ends are all -inf and +inf to no box.  The two are
+    the same: such a box rejects only a NaN proposal, theta is never NaN
+    and a finite step moves +-inf only to itself, so a NaN proposal needs a
+    non-finite step, and that replicate is frozen here before it moves.
     """
     lr_vec = options.schedule.vector(t)
-    raw = -lr_vec * D
+    step = -lr_vec * D
     if options.free_mask is not None:
-        raw = raw * options.free_mask
+        step = step * options.free_mask
+    if options.rmsprop is not None:
+        step, acc = rmsprop_precondition(step, state, lr_vec, options.rmsprop)
     hold = state.frozen if keep is None else state.frozen | keep
     freeze = None  # replicates newly frozen by this step
-    finite = np.isfinite(raw).all(axis=-1)
-    if not finite.all():
-        freeze = ~finite
-        raw = np.where(freeze[..., None], 0.0, raw)
-        hold = hold | freeze
-    step = raw
-    if options.rmsprop is not None:
-        step, acc = rmsprop_precondition(raw, state, lr_vec, options.rmsprop)
+    # a finite sum has only finite terms; a sum of finite terms can overflow
+    if not np.isfinite(np.add.reduce(step, axis=None)):
+        finite = np.isfinite(step).all(axis=-1)
+        if not finite.all():
+            freeze = ~finite
+            hold = hold | freeze
     proposal = state.theta + step
     if options.bounds is not None:
         outside = ~options.bounds.contains(proposal)
         hold = hold | outside
         freeze = outside if freeze is None else freeze | outside
-    move = ~hold[..., None]
-    np.copyto(state.theta, proposal, where=move)
-    if options.rmsprop is not None:
-        np.copyto(state.precond_acc, acc, where=move)
+    if hold.any():
+        move = ~hold[..., None]
+        np.copyto(state.theta, proposal, where=move)
+        if options.rmsprop is not None:
+            np.copyto(state.precond_acc, acc, where=move)
+    else:
+        state.theta[...] = proposal
+        if options.rmsprop is not None:
+            state.precond_acc[...] = acc
     if freeze is not None:
         np.logical_or(state.frozen, freeze if keep is None else freeze & ~keep, out=state.frozen)
 

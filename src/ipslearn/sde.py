@@ -102,15 +102,17 @@ def simulate(
         dw = noise.next_step().reshape(R, N, d)
         new_pos, dx = step_positions(model, theta_true, positions, dw, dt, eta_true, stat)
 
-        # one pass: the max is NaN or inf, and fails the test, if any entry is
-        ok = np.abs(new_pos.reshape(R, -1)).max(axis=1) <= BLOWUP_THRESHOLD
-        newly_dead = active & ~ok
-        if newly_dead.any():
-            blowup_step[newly_dead] = step
-            active &= ok
-            if not active.any():
-                break  # `positions` holds every replicate's last guarded state
-            keep = ~active
+        # the max is NaN or inf, and fails the test, if any entry is; the
+        # per-replicate maxima are needed only then
+        if not np.abs(new_pos).max() <= BLOWUP_THRESHOLD:
+            ok = np.abs(new_pos.reshape(R, -1)).max(axis=1) <= BLOWUP_THRESHOLD
+            newly_dead = active & ~ok
+            if newly_dead.any():
+                blowup_step[newly_dead] = step
+                active &= ok
+                if not active.any():
+                    break  # `positions` holds every replicate's last guarded state
+                keep = ~active
         if keep is not None:
             np.copyto(new_pos, positions, where=keep[:, None, None])
             dx[keep] = 0.0

@@ -344,7 +344,7 @@ BAD_INPUTS = {
     "sigma-negative": (_set("model", "sigma", -1.0), "model.sigma"),
     "eta_true-negative": (_both(_vol32, _set("eta_true", -1.0)), "eta_true"),
     "eta-box-reversed": (_both(_vol32, _set("init", "eta_low", 2.0),
-                               _set("init", "eta_high", 1.5)), "init.eta_low"),
+                               _set("init", "eta_high", 1.5)), "init.eta_low, init.eta_high"),
     "dump_trajectory-string": (_set("dump_trajectory", "false"), "dump_trajectory"),
     "rmsprop-string": (_set("estimators", 0, "rmsprop", "no"), "estimators[0].rmsprop"),
     "label-int": (_set("estimators", 0, "label", 7), "estimators[0].label"),
@@ -358,7 +358,7 @@ BAD_INPUTS = {
                            "surface.axes"),
     "bounds-reversed": (_both(_set("estimators", 0, "bounds_lower", [0.0, 5.0]),
                               _set("estimators", 0, "bounds_upper", [5.0, 0.0])),
-                        "estimators[0].bounds_lower"),
+                        "estimators[0].bounds_lower, estimators[0].bounds_upper"),
     "bounds_upper-short": (_both(_set("estimators", 0, "bounds_lower", [0.0, 0.0]),
                                  _set("estimators", 0, "bounds_upper", [5.0])),
                            "estimators[0].bounds_upper"),
@@ -422,7 +422,7 @@ BAD_INPUTS = {
                              "surface.horizon_steps"),
     "surface-burn-in-at-horizon": (
         _set("surface", {"axes": [[1.0], [0.2]], "horizon_steps": 10, "burn_in_steps": 10}),
-        "surface.burn_in_steps"),
+        "surface.burn_in_steps, surface.horizon_steps"),
 }
 
 
@@ -568,10 +568,6 @@ EDGE_CASES = [
     for keys, field in _fields(cfg)
     for value in _edge_values(functools.reduce(operator.getitem, keys, cfg), cfg["n_particles"])
 ]
-# a rule between the two ends of a box (or a surface's burn-in and horizon)
-# names the first of them, whichever end is wrong
-PAIRED_FIELDS = [("theta_high", "theta_low"), ("eta_high", "eta_low"),
-                 ("bounds_upper", "bounds_lower"), ("horizon_steps", "burn_in_steps")]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -579,8 +575,10 @@ PAIRED_FIELDS = [("theta_high", "theta_low"), ("eta_high", "eta_low"),
 @example(case=("m-averaged", ("estimators", 0, "pi"), "estimators[0].pi", []))
 @example(case=("kuramoto_ramp", ("truth", "end"), "truth.end", []))
 @example(case=("doublewell_fig5", ("truth", "values", 0), "truth.values", -1.0))
+@example(case=("linear_fig1", ("init", "theta_high", 0), "init.theta_high", -1.0))
 def test_wrong_value_in_a_config_exits_0_or_names_the_field(case):
-    """A valid config runs; an invalid one exits 2 naming the field.  The one
+    """A valid config runs; an invalid one exits 2 naming the field (a rule
+    between two fields, such as lower <= upper, names both).  The one
     exit 1 allowed is the runtime failure of a valid config whose every
     replicate blows up (a double-well truth of -1 does within 5 steps)."""
     name, keys, field, value = case
@@ -595,8 +593,8 @@ def test_wrong_value_in_a_config_exits_0_or_names_the_field(case):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli_main(["estimate", "--config", str(path), "--out", str(Path(tmp) / "o")])
     message = json.loads(err.getvalue())["message"] if code else ""
-    named = [field] + [field.replace(b, a) for b, a in PAIRED_FIELDS if field.endswith(b)]
-    assert (code == 0 or (code == 2 and message.startswith(tuple(named)))
+    named = message.split(": ", 1)[0].split(", ") if code == 2 else []
+    assert (code == 0 or any(n.startswith(field) for n in named)
             or (code == 1 and message == "every replicate blew up; nothing to report")
             ), (case, code, message)
 
@@ -607,6 +605,24 @@ def test_infinite_bounds_accepted():
     bounds = parse_config(cfg).estimators[0].bounds
     assert bounds.lower.tolist() == [-INF, 0.0]
     assert bounds.upper.tolist() == [INF, INF]
+
+
+def test_no_box_and_an_all_infinite_box_resolve_to_no_bound_check(tmp_path):
+    # an all-infinite box rejects only a NaN proposal, which the update
+    # freezes before any box is read: both mean "no box"
+    boxed = tiny_config()
+    for e in boxed["estimators"]:
+        e.update(bounds_lower=[-INF, -INF], bounds_upper=[INF, INF])
+    assert [e.bounds for e in parse_config(tiny_config()).estimators] == [None, None]
+    assert [e.bounds for e in parse_config(boxed).estimators] == [None, None]
+    for run, cfg in (("none", tiny_config()), ("inf", boxed)):
+        p = tmp_path / f"{run}.json"
+        p.write_text(json.dumps(cfg))
+        assert cli_main(["estimate", "--config", str(p), "--out", str(tmp_path / run)]) == 0
+    written = sorted(f.name for f in (tmp_path / "none").glob("*.csv"))
+    assert written == ["estimates_r000.csv", "estimates_r001.csv", "summary.csv"]
+    for name in written:
+        assert (tmp_path / "none" / name).read_bytes() == (tmp_path / "inf" / name).read_bytes()
 
 
 @pytest.mark.parametrize("key, value", [("particle", 4), ("triplet", [0, 1, 4]), ("pi", [0, 4])])
@@ -780,7 +796,9 @@ def test_a_parsed_config_can_be_run_again(tmp_path):
         assert now.theta_init is None
         for key in ("free_mask", "weight"):
             assert np.array_equal(getattr(was, key), getattr(now, key))
-        assert np.array_equal(was.bounds.lower, now.bounds.lower)
-        assert np.array_equal(was.bounds.upper, now.bounds.upper)
+        assert (was.bounds is None) == (now.bounds is None)  # the triplet has no box
+        if was.bounds is not None:
+            assert np.array_equal(was.bounds.lower, now.bounds.lower)
+            assert np.array_equal(was.bounds.upper, now.bounds.upper)
         assert np.array_equal(was.schedule.scale, now.schedule.scale)
         assert was.rmsprop == now.rmsprop

@@ -286,6 +286,47 @@ def test_unbounded_never_freezes():
     assert np.all(np.isfinite(state.theta))
 
 
+def test_finite_steps_whose_sum_overflows_move_and_do_not_freeze():
+    opts = options(make_model("linear"), const_sched(1.0, 1.0))
+    state = EstimatorState(theta=np.zeros((2, 2)))
+    D = np.array([[-1e308, -1e308], [0.5, -0.25]])  # the step is -D; its sum is inf
+    with np.errstate(over="ignore"):
+        est._apply_raw_update(state, D, 0.0, opts)
+    assert state.frozen.tolist() == [False, False]
+    assert state.theta.tolist() == [[1e308, 1e308], [-0.5, 0.25]]
+
+
+def test_a_nan_step_freezes_its_replicate_only():
+    opts = options(make_model("linear"), const_sched(0.5, 0.5))
+    state = EstimatorState(theta=np.array([[1.5, 0.75], [1.625, 0.875], [1.75, 0.5]]))
+    est._apply_raw_update(state, np.array([[1.0, 2.0], [np.nan, 2.0], [-1.0, 0.0]]), 0.0, opts)
+    assert state.frozen.tolist() == [False, True, False]
+    assert state.theta.tolist() == [[1.0, -0.25], [1.625, 0.875], [2.25, 0.5]]
+    est._apply_raw_update(state, np.ones((3, 2)), 0.1, opts)
+    assert state.theta.tolist() == [[0.5, -0.75], [1.625, 0.875], [1.75, 0.0]]
+    assert state.frozen.tolist() == [False, True, False]
+
+
+def test_rmsprop_held_replicates_keep_theta_and_accumulator():
+    # replicate 0 is frozen, 1 is kept this step, 2 moves; a step with no
+    # replicate held writes the same bytes into replicate 2
+    opts = options(make_model("linear"), const_sched(0.01, 0.02), rmsprop=RmsPropConfig(0.9, 1e-8))
+    theta = np.array([[1.5, 0.7], [1.6, 0.8], [1.7, 0.9]])
+    acc = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    D = np.array([[1.0, -2.0], [3.0, 0.5], [-1.5, 2.5]])
+    state = EstimatorState(theta=theta.copy(), precond_acc=acc.copy(),
+                           frozen=np.array([True, False, False]))
+    est._apply_raw_update(state, D, 0.0, opts, keep=np.array([False, True, False]))
+    assert state.frozen.tolist() == [True, False, False]
+    assert np.array_equal(state.theta[:2], theta[:2])
+    assert np.array_equal(state.precond_acc[:2], acc[:2])
+    free = EstimatorState(theta=theta.copy(), precond_acc=acc.copy())
+    est._apply_raw_update(free, D, 0.0, opts)
+    assert not free.frozen.any()
+    assert state.theta[2].tobytes() == free.theta[2].tobytes() != theta[2].tobytes()
+    assert state.precond_acc[2].tobytes() == free.precond_acc[2].tobytes() != acc[2].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # RMSProp
 

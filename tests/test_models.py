@@ -183,7 +183,8 @@ def test_shared_mean_field_statistic_is_bitwise_neutral(zoo_model):
 def test_mean_field_statistics():
     pos = np.array([[[0.0], [1.0], [2.0]]])
     assert make_model("linear").mean_field(pos).tolist() == [[1.0]]
-    cbar, sbar = make_model("kuramoto").mean_field(pos)
+    cbar, sbar, cos, sin = make_model("kuramoto").mean_field(pos)
+    assert cos.tobytes() == np.cos(pos).tobytes() and sin.tobytes() == np.sin(pos).tobytes()
     assert cbar[0, 0] == pytest.approx(np.cos([0.0, 1.0, 2.0]).mean())
     assert sbar[0, 0] == pytest.approx(np.sin([0.0, 1.0, 2.0]).mean())
     fhn = np.array([[1.0, 5.0], [3.0, 7.0]])
