@@ -7,11 +7,11 @@ the base seed.
 
 Each estimator is parsed straight into the `batch.EstimatorSetup` the run
 attaches: its learning-rate schedule, bounds box, free mask, RMSProp
-settings and weight override are resolved here, once.  Bounds that are
--inf and +inf at every end, and no bounds on a drift estimator, give no box
-(`bounds` None: no bound check); a diffusion estimator with no bounds gets
-the model's eta box.  Only the per-replicate initial estimate is left
-unset; `runner.initial_setups` draws it for each run.
+settings and weight override are resolved here, once.  A drift estimator
+without bounds gets no box (`bounds` None: no bound check); a diffusion
+estimator without bounds gets the model's eta box.  Only the per-replicate
+initial estimate is left unset; `runner.initial_setups` draws it for each
+run.
 
 A rule between two fields (lower <= upper, burn-in < horizon) names both.
 """
@@ -422,12 +422,10 @@ def _parse_estimator(d, index, model, n_particles) -> EstimatorSetup:
     if free is not None:
         free_mask = np.zeros(model.p, dtype=bool)
         free_mask[list(free)] = True
-    if lower is None:
-        bounds = model.eta_bounds if kind == "diffusion" else None
-    elif all(lo == -math.inf for lo in lower) and all(hi == math.inf for hi in upper):
-        bounds = None  # a box that only a NaN leaves: no bound check, see _apply_raw_update
-    else:
+    if lower is not None:
         bounds = Box(lower, upper)
+    else:
+        bounds = model.eta_bounds if kind == "diffusion" else None
     rmsprop = _typed(d.get("rmsprop", False), f"{ctx}.rmsprop", bool)
     return EstimatorSetup(
         kind=kind,

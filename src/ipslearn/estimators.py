@@ -195,22 +195,23 @@ def _apply_raw_update(state, D, t, options, keep=None):
     Works in place on `state`'s arrays.  `keep` (bool, batch-shaped) marks
     replicates that must not change at all this step.
 
-    No box (`options.bounds` None) means no bound check, and `config`
-    resolves a box whose ends are all -inf and +inf to no box.  The two are
-    the same: such a box rejects only a NaN proposal, theta is never NaN
-    and a finite step moves +-inf only to itself, so a NaN proposal needs a
-    non-finite step, and that replicate is frozen here before it moves.
+    No box (`options.bounds` None, as `config` gives a drift estimator
+    without bounds) means no bound check.  That is the same as a box that
+    is -inf to +inf at every end: such a box rejects only a NaN proposal,
+    theta is never NaN and a finite step moves +-inf only to itself, so a
+    NaN proposal needs a non-finite step, and that replicate is frozen here
+    before it moves.
     """
     lr_vec = options.schedule.vector(t)
     step = -lr_vec * D
     if options.free_mask is not None:
         step = step * options.free_mask
     if options.rmsprop is not None:
-        step, acc = rmsprop_precondition(step, state, lr_vec, options.rmsprop)
+        with np.errstate(invalid="ignore"):  # inf/inf of a non-finite raw step: frozen below
+            step, acc = rmsprop_precondition(step, state, lr_vec, options.rmsprop)
     hold = state.frozen if keep is None else state.frozen | keep
     freeze = None  # replicates newly frozen by this step
-    # a finite sum has only finite terms; a sum of finite terms can overflow
-    if not np.isfinite(np.add.reduce(step, axis=None)):
+    if not np.isfinite(step).all():
         finite = np.isfinite(step).all(axis=-1)
         if not finite.all():
             freeze = ~finite

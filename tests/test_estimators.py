@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -290,7 +292,8 @@ def test_finite_steps_whose_sum_overflows_move_and_do_not_freeze():
     opts = options(make_model("linear"), const_sched(1.0, 1.0))
     state = EstimatorState(theta=np.zeros((2, 2)))
     D = np.array([[-1e308, -1e308], [0.5, -0.25]])  # the step is -D; its sum is inf
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         est._apply_raw_update(state, D, 0.0, opts)
     assert state.frozen.tolist() == [False, False]
     assert state.theta.tolist() == [[1e308, 1e308], [-0.5, 0.25]]
@@ -325,6 +328,19 @@ def test_rmsprop_held_replicates_keep_theta_and_accumulator():
     assert not free.frozen.any()
     assert state.theta[2].tobytes() == free.theta[2].tobytes() != theta[2].tobytes()
     assert state.precond_acc[2].tobytes() == free.precond_acc[2].tobytes() != acc[2].tobytes()
+
+
+def test_rmsprop_non_finite_step_freezes_quietly():
+    opts = options(make_model("linear"), const_sched(0.01, 0.02), rmsprop=RmsPropConfig(0.9, 1e-8))
+    theta = np.array([[1.5, 0.7], [1.6, 0.8]])
+    acc = np.array([[0.1, 0.2], [0.3, 0.4]])
+    state = EstimatorState(theta=theta.copy(), precond_acc=acc.copy())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est._apply_raw_update(state, np.array([[-np.inf, 1.0], [1.0, -2.0]]), 0.0, opts)
+    assert state.frozen.tolist() == [True, False]
+    assert np.array_equal(state.theta[0], theta[0]) and np.array_equal(state.precond_acc[0], acc[0])
+    assert not np.array_equal(state.theta[1], theta[1])
 
 
 # ---------------------------------------------------------------------------
