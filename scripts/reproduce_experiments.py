@@ -1,48 +1,48 @@
 #!/usr/bin/env python3
-"""Run every bundled experiment config and collect the outputs under results/.
+"""Run every bundled experiment config through the ipslearn CLI.
 
-Path-style configs (estimate), sweep configs, and surface configs are routed
-to the matching runner.  Each experiment lands in its own directory with a
-manifest; rerunning reproduces byte-identical files.
+A config with a surface section runs `ipslearn surface`, any other
+`ipslearn estimate`, and with --with-sweeps also `ipslearn sweep` if it has a
+sweep section.  Each run writes to its own directory under --out.  The script
+stops at the first failed run and exits with the CLI's code; the CLI has
+written the error to stderr as one JSON line.
 """
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
+from ipslearn import cli
 from ipslearn.config import ConfigError, bundled_config_names, load_config
-from ipslearn.runner import run_experiment, run_surface, run_sweep
 
 
-def main():
+def runs(name, with_sweeps):
+    """(subcommand, output directory name) of each CLI run for config `name`."""
+    try:
+        config = load_config(name)
+    except ConfigError:
+        return [("estimate", name)]  # the CLI reports the error
+    if config.surface is not None:
+        return [("surface", name)]
+    sweep = with_sweeps and config.sweep_n_particles
+    return [("estimate", name)] + ([("sweep", f"{name}_sweep")] if sweep else [])
+
+
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="results", help="output root directory")
     ap.add_argument("--only", nargs="*", default=None,
                     help="subset of bundled config names to run")
     ap.add_argument("--with-sweeps", action="store_true",
                     help="also run the particle-count sweeps (slower)")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
-    names = args.only or bundled_config_names()
     root = Path(args.out)
-    for name in names:
-        try:
-            config = load_config(name)
-            t0 = time.time()
-            if config.surface is not None:
-                run_surface(config, root / name)
-                kind = "surface"
-            else:
-                run_experiment(config, root / name)
-                kind = "estimate"
-                if args.with_sweeps and config.sweep_n_particles:
-                    run_sweep(config, root / f"{name}_sweep")
-                    kind += "+sweep"
-        except ConfigError as e:
-            print(e, file=sys.stderr)
-            return 2
-        print(f"{name}: {kind} done in {time.time() - t0:.1f}s -> {root / name}")
+    for name in args.only or bundled_config_names():
+        for command, out in runs(name, args.with_sweeps):
+            code = cli.main([command, "--config", name, "--out", str(root / out)])
+            if code:
+                return code
     return 0
 
 

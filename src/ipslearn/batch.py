@@ -196,7 +196,6 @@ def run_batch(
     n_steps: int,
     seeds,
     estimator_setups=(),
-    eta_true=None,
     record_every: int | None = None,
     tail_fraction: float = 0.1,
 ) -> BatchResult:
@@ -208,7 +207,7 @@ def run_batch(
     ]
     estimators = _Estimators(runners, dt, n_steps, record_every, tail_fraction)
     positions, excluded, blowup_step = simulate(
-        model, truth, n_particles, dt, n_steps, seeds, (estimators,), eta_true
+        model, truth, n_particles, dt, n_steps, seeds, (estimators,)
     )
     return BatchResult(
         tracks=estimators.tracks(R),

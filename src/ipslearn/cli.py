@@ -17,7 +17,7 @@ import numpy as np
 from .batch import batch_seeds
 from .config import ConfigError, load_config, parse_config
 from .diagnostics import CLT_MIN_REPLICATES, clt_rescaled_moments, coupling_distance
-from .models import MODEL_ZOO, make_model
+from .models import MODEL_ZOO
 from .runner import (
     base_metadata,
     initial_setups,
@@ -121,7 +121,7 @@ def _cmd_diagnose(args):
         tracker = MomentTracker(config.n_steps)
         run_trajectory(
             model, config.truth, config.n_particles, config.dt, config.n_steps,
-            config.base_seed, observers=[tracker], eta_true=config.eta_true,
+            config.base_seed, observers=[tracker],
         )
         n = tracker.n_filled
         step = np.tile(np.arange(n), len(tracker.orders))
@@ -136,7 +136,7 @@ def _cmd_diagnose(args):
         series = np.array([
             coupling_distance(
                 model, config.truth, n_small, args.n_big, config.dt,
-                config.n_steps, config.base_seed, eta_true=config.eta_true,
+                config.n_steps, config.base_seed,
             )
             for n_small in args.n_small
         ]).reshape(-1)
@@ -151,7 +151,7 @@ def _cmd_diagnose(args):
         setup = initial_setups(config, batch_seeds(config.base_seed, config.replicates))[0]
         summary = clt_rescaled_moments(
             model, config.truth, config.n_particles, config.dt, config.n_steps,
-            config.replicates, setup, config.base_seed, eta_true=config.eta_true,
+            config.replicates, setup, config.base_seed,
         )
         free = setup.free_mask
         names = [n for k, n in enumerate(param_names(model, setup.kind))
@@ -170,8 +170,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     if args.list_models:
-        for mid in sorted(MODEL_ZOO):
-            m = make_model(mid)
+        for mid, m in sorted(MODEL_ZOO.items()):
             print(f"{mid}: p={m.p} d={m.d} weighting={m.weighting} "
                   f"params={','.join(m.param_names)}")
         return 0

@@ -3,7 +3,8 @@
 Unknown keys are rejected everywhere so a typo cannot silently fall back to
 a default.  A config captures one fully reproducible run: model, truth
 schedule, discretisation, initial laws, estimators, replicate count, and
-the base seed.
+the base seed.  The top-level `eta_true` is the `eta` argument of a model
+with diffusion parameters (one that declares `eta_names`).
 
 Each estimator is parsed straight into the `batch.EstimatorSetup` the run
 attaches: its learning-rate schedule, bounds box, free mask, RMSProp
@@ -102,7 +103,6 @@ class ExperimentConfig:
     model_id: str
     model_params: dict
     truth: TruthSchedule
-    eta_true: float | None
     n_particles: int
     dt: float
     n_steps: int
@@ -153,26 +153,28 @@ def parse_config(data: dict) -> ExperimentConfig:
     model_id = _require(mdl, "id", "model", str)
     if model_id not in MODEL_ZOO:
         raise ConfigError("model.id", f"unknown model {model_id!r}")
+    model_cls = MODEL_ZOO[model_id]
     model_params = {}
     if "sigma" in mdl:
-        if model_id == "vol32":
-            raise ConfigError("model.sigma", "vol32 takes eta_true, not a constant sigma")
+        if model_cls.eta_names:
+            raise ConfigError("model.sigma", f"{model_id} takes eta_true, not a constant sigma")
         model_params["sigma"] = _float(mdl["sigma"], "model.sigma")
         if model_params["sigma"] <= 0:
             raise ConfigError("model.sigma", "must be positive")
 
-    model_probe = make_model(model_id, **model_params)
-    truth = _parse_truth(_require(data, "truth", "", dict), model_probe.p)
+    truth = _parse_truth(_require(data, "truth", "", dict), model_cls.p)
 
     eta_true = data.get("eta_true")
-    if model_probe.diffusion.parametric and eta_true is None:
+    if model_cls.eta_names and eta_true is None:
         raise ConfigError("eta_true", f"{model_id} requires eta_true")
     if eta_true is not None:
         eta_true = _float(eta_true, "eta_true")
         if eta_true <= 0:
             raise ConfigError("eta_true", "must be positive")
-        if not model_probe.diffusion.parametric:
+        if not model_cls.eta_names:
             raise ConfigError("eta_true", f"{model_id} has a constant diffusion")
+        model_params["eta"] = eta_true
+    model_probe = make_model(model_id, **model_params)
 
     n_particles = _require(data, "n_particles", "", int)
     if n_particles < 1:
@@ -272,7 +274,6 @@ def parse_config(data: dict) -> ExperimentConfig:
         model_id=model_id,
         model_params=model_params,
         truth=truth,
-        eta_true=eta_true,
         n_particles=n_particles,
         dt=dt,
         n_steps=n_steps,
@@ -324,7 +325,7 @@ def _parse_estimator(d, index, model, n_particles) -> EstimatorSetup:
     kind = _require(d, "kind", ctx, str)
     if kind not in ESTIMATOR_KINDS:
         raise ConfigError(f"{ctx}.kind", f"unknown kind {kind!r}")
-    if kind == "diffusion" and not model.diffusion.parametric:
+    if kind == "diffusion" and not model.eta_names:
         raise ConfigError(f"{ctx}.kind", f"{model.model_id} has no diffusion parameters")
     label = _typed(d.get("label", kind), f"{ctx}.label", str)
     if any(c in label for c in ',"\r\n'):

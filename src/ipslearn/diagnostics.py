@@ -72,10 +72,10 @@ def l2_error_sweep(
     replicates: int,
     setups,
     base_seed: int,
-    eta_true=None,
     tail_fraction: float = 0.1,
 ) -> list:
-    """Per-parameter squared error of the tail-window estimate vs the truth.
+    """Per-parameter squared error of the tail-window estimate vs the truth
+    at the last step, the value `summary.csv` scores against.
 
     Runs the estimator `setups` at every particle count in `n_list` and
     returns six columns, one row per (N, estimator, parameter): N, the
@@ -84,13 +84,12 @@ def l2_error_sweep(
     blow up are counted and excluded from the statistics, never silently
     dropped.
     """
-    theta0_final = truth.at(np.inf) if truth.kind != "constant" else truth.at(0.0)
+    theta0_final = truth.at((n_steps - 1) * dt)
     seeds = batch_seeds(base_seed, replicates)
     blocks = []
     for n in n_list:
         result = run_batch(
-            model, truth, n, dt, n_steps, seeds, setups,
-            eta_true=eta_true, tail_fraction=tail_fraction,
+            model, truth, n, dt, n_steps, seeds, setups, tail_fraction=tail_fraction
         )
         ok = ~result.excluded
         if not np.any(ok):
@@ -118,7 +117,6 @@ def coupling_distance(
     dt: float,
     n_steps: int,
     seed: int,
-    eta_true=None,
     initial_positions=None,
 ):
     """Mean squared distance between matched particles of two system sizes.
@@ -137,7 +135,7 @@ def coupling_distance(
         # post-step state of every step
         hist = PositionHistory(n_steps, n_small, model.d, start=1)
         final = run_trajectory(
-            model, truth, n, dt, n_steps, seed, observers=[hist], eta_true=eta_true,
+            model, truth, n, dt, n_steps, seed, observers=[hist],
             initial_positions=None if init is None else init[:n],
         )
         return np.concatenate([hist.positions, final[None, :n_small]])
@@ -150,9 +148,7 @@ def coupling_distance(
 # Truth-pinned update stationarity
 
 
-def truth_stationarity(
-    model, truth, n_particles, dt, n_steps, seed, schedule, particle=0, eta_true=None
-):
+def truth_stationarity(model, truth, n_particles, dt, n_steps, seed, schedule, particle=0):
     """Accumulate the averaged-estimator update at the pinned true parameter.
 
     At the truth the descent term vanishes and the update is a martingale
@@ -179,10 +175,7 @@ def truth_stationarity(
             sq_sums[:] += upd**2
             count += 1
 
-    run_trajectory(
-        model, truth, n_particles, dt, n_steps, seed,
-        observers=[_Collector()], eta_true=eta_true,
-    )
+    run_trajectory(model, truth, n_particles, dt, n_steps, seed, observers=[_Collector()])
     mean = sums / count
     var = sq_sums / count - mean**2
     se = np.sqrt(var / count)
@@ -225,7 +218,6 @@ def clt_rescaled_moments(
     replicates: int,
     setup: EstimatorSetup,
     base_seed: int,
-    eta_true=None,
 ) -> MomentSummary:
     """Moments of gamma_T^(-1/2) (theta_T - pooled mean) across replicates.
 
@@ -236,9 +228,7 @@ def clt_rescaled_moments(
     minimiser is not available in closed form.
     """
     seeds = batch_seeds(base_seed, replicates)
-    result = run_batch(
-        model, truth, n_particles, dt, n_steps, seeds, [setup], eta_true=eta_true
-    )
+    result = run_batch(model, truth, n_particles, dt, n_steps, seeds, [setup])
     ok = ~result.excluded
     if ok.sum() < CLT_MIN_REPLICATES:
         raise RuntimeError("too many excluded replicates for moment estimates")

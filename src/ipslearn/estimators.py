@@ -334,7 +334,7 @@ def update_diffusion(state, options, positions, dx, dqv, stat, t, keep=None):
 
     For scalar noise: eta <- eta - delta * d_eta(sigma^2) * (sigma^2 dt - dQV),
     whose fixed point is the realized quadratic variation matching the
-    model's instantaneous variance.  Needs a parametric diffusion.
+    model's instantaneous variance.  Needs a model with `eta_names`.
     """
     (i,) = options.particles
     x_i = positions[..., i, :]

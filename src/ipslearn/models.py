@@ -111,11 +111,7 @@ class ConstantDiffusion:
         s = np.atleast_2d(np.asarray(self.sigma, dtype=float))
         object.__setattr__(self, "sigma", s)
 
-    @property
-    def parametric(self) -> bool:
-        return False
-
-    def apply(self, eta, positions, dw):
+    def apply(self, positions, dw):
         return dw @ self.sigma.T
 
 
@@ -123,18 +119,16 @@ class ConstantDiffusion:
 class PowerStateDiffusion:
     """Scalar state-dependent diffusion sigma(eta, x) = eta * |x|**exponent.
 
-    Only defined for d = 1.  sigma_sq and its eta-derivative feed the
-    quadratic-variation matching update for the diffusion parameter.
+    Only defined for d = 1.  `eta` is the true parameter that drives the
+    simulation; sigma_sq and its eta-derivative, evaluated at an estimate,
+    feed the quadratic-variation matching update for the diffusion parameter.
     """
 
+    eta: float
     exponent: float = 1.5
 
-    @property
-    def parametric(self) -> bool:
-        return True
-
-    def apply(self, eta, positions, dw):
-        return eta * np.abs(positions) ** self.exponent * dw
+    def apply(self, positions, dw):
+        return self.eta * np.abs(positions) ** self.exponent * dw
 
     def sigma_sq(self, eta, x):
         return eta**2 * np.abs(x) ** (2 * self.exponent)
@@ -176,7 +170,9 @@ class InteractionModel:
     A subclass sets `model_id`, the sizes `p` and `d`, `param_names`, its
     `weighting`, and `noisy`, the coordinates driven by noise, and defines
     drift_pair / grad_pair.  The constructor builds the constant diffusion
-    diag(sigma on the noisy coordinates, 0 elsewhere).
+    diag(sigma on the noisy coordinates, 0 elsewhere).  A model with
+    diffusion parameters declares `eta_names` and `eta_bounds` and builds its
+    diffusion from the true eta instead.
 
     The mean-field forms here average the pair drift over the ensemble, O(N)
     per particle; Cucker-Smale uses them as they are.  Subclasses whose
@@ -472,19 +468,20 @@ class Vol32Model(MeanPositionModel):
     """Mean-field 3/2 volatility: b = -x*(theta1*|x| - theta2) - theta3*(x - y),
     diffusion sigma(eta, x) = eta * |x|^(3/2), d = 1.
 
-    The diffusion parameter eta is estimated separately from realized
-    quadratic variation; drift residuals are identity-weighted.
+    The model is built with its true eta; the diffusion estimator learns eta
+    separately from realized quadratic variation.  Drift residuals are
+    identity-weighted.
     """
 
     model_id = "vol32"
     p, d = 3, 1
     param_names = ("theta1", "theta2", "theta3")
     eta_names = ("eta1",)
+    eta_bounds = Box(np.array([0.0]), np.array([np.inf]))
     weighting = "identity"
 
-    def __init__(self):
-        self.diffusion = PowerStateDiffusion(exponent=1.5)
-        self.eta_bounds = Box(np.array([0.0]), np.array([np.inf]))
+    def __init__(self, eta):
+        self.diffusion = PowerStateDiffusion(eta, exponent=1.5)
 
     def drift_pair(self, theta, x, y):
         return -x * (_col(theta, 0) * np.abs(x) - _col(theta, 1)) - _col(theta, 2) * (x - y)

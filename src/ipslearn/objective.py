@@ -107,7 +107,6 @@ def surface_scan(
     scan_kind: str,
     seed: int,
     theta_true,
-    eta_true=None,
 ) -> np.ndarray:
     """Time-averaged contrast over a parameter grid, one value per grid point.
 
@@ -123,9 +122,7 @@ def surface_scan(
     values = np.empty(shape)
 
     hist = PositionHistory(horizon, n_particles, model.d, start=burn_in)
-    run_trajectory(
-        model, truth, n_particles, dt, horizon, seed, observers=[hist], eta_true=eta_true
-    )
+    run_trajectory(model, truth, n_particles, dt, horizon, seed, observers=[hist])
     pos = hist.positions
     W = weight_matrix(model)
     theta0 = np.asarray(theta_true, dtype=float)

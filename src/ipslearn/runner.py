@@ -150,7 +150,6 @@ def run_experiment(config: ExperimentConfig, out_dir, trajectory_only: bool = Fa
             config.n_steps,
             seeds,
             initial_setups(config, seeds),
-            eta_true=config.eta_true,
             record_every=config.record_every,
             tail_fraction=config.tail_fraction,
         )
@@ -194,7 +193,7 @@ def _write_summary(config, model, result, out, meta):
     ok = ~result.excluded
     blocks = []
     for track in result.tracks:
-        truth = np.array([config.eta_true]) if track.kind == "diffusion" else theta_end
+        truth = np.array([model.diffusion.eta]) if track.kind == "diffusion" else theta_end
         R, p = track.tail_mean.shape
         pooled = track.tail_mean[ok].mean(axis=0)  # over non-excluded replicates
         blocks.append([
@@ -225,7 +224,7 @@ def _write_trajectories(config, model, seeds, out, meta):
                                record_every=config.record_every)
         run_trajectory(
             model, config.truth, config.n_particles, config.dt, config.n_steps,
-            seed, observers=[hist], eta_true=config.eta_true,
+            seed, observers=[hist],
         )
         # rows run over recorded steps, then particles, then coordinates
         n_rec, n, d = hist.positions.shape
@@ -259,7 +258,6 @@ def run_sweep(config: ExperimentConfig, out_dir) -> dict:
         config.replicates,
         initial_setups(config, seeds),
         config.base_seed,
-        eta_true=config.eta_true,
         tail_fraction=config.tail_fraction,
     )
     path = out / "sweep.csv"
@@ -289,7 +287,6 @@ def run_surface(config: ExperimentConfig, out_dir) -> dict:
         surface["scan_kind"],
         config.base_seed,
         config.truth.at(0.0),
-        eta_true=config.eta_true,
     )
     # one row per grid point, the last axis varying fastest
     grid = np.meshgrid(*surface["axes"], indexing="ij")

@@ -45,7 +45,7 @@ def realized_qv(dx: np.ndarray) -> np.ndarray:
     return dx[..., :, None] * dx[..., None, :]
 
 
-def step_positions(model, theta_true, positions, dw, dt, eta_true=None, stat=None):
+def step_positions(model, theta_true, positions, dw, dt, stat=None):
     """One Euler-Maruyama step; returns (new_positions, dx).
 
     dX = B(theta, x) dt + Sigma dW, with noise entering only the masked
@@ -53,7 +53,7 @@ def step_positions(model, theta_true, positions, dw, dt, eta_true=None, stat=Non
     `model.mean_field(positions)` when the caller already has it.
     """
     drift = model.drift_ensemble(np.asarray(theta_true, dtype=float), positions, stat)
-    dx = drift * dt + model.diffusion.apply(eta_true, positions, dw)
+    dx = drift * dt + model.diffusion.apply(positions, dw)
     return positions + dx, dx
 
 
@@ -65,7 +65,6 @@ def simulate(
     n_steps: int,
     seeds,
     observers=(),
-    eta_true=None,
     initial_positions: np.ndarray | None = None,
 ):
     """Run one replicate per seed; returns (positions, excluded, blowup_step).
@@ -100,7 +99,7 @@ def simulate(
 
         stat = model.mean_field(positions)  # shared by the drift and every observer
         dw = noise.next_step().reshape(R, N, d)
-        new_pos, dx = step_positions(model, theta_true, positions, dw, dt, eta_true, stat)
+        new_pos, dx = step_positions(model, theta_true, positions, dw, dt, stat)
 
         # the max is NaN or inf, and fails the test, if any entry is; the
         # per-replicate maxima are needed only then
@@ -132,7 +131,6 @@ def run_trajectory(
     n_steps: int,
     seed: int,
     observers=(),
-    eta_true=None,
     initial_positions: np.ndarray | None = None,
 ) -> np.ndarray:
     """One replicate of `simulate`; returns the final (N, d) positions.
@@ -143,7 +141,7 @@ def run_trajectory(
     if initial_positions is not None:
         initial_positions = np.asarray(initial_positions, dtype=float)[None]
     positions, excluded, blowup_step = simulate(
-        model, truth, n_particles, dt, n_steps, (seed,), observers, eta_true, initial_positions
+        model, truth, n_particles, dt, n_steps, (seed,), observers, initial_positions
     )
     if excluded[0]:
         step = int(blowup_step[0])

@@ -37,6 +37,11 @@ def random_probe(model, rng):
     return theta, x, y
 
 
+def build_zoo_model(model_id):
+    """The zoo model `model_id`; one with diffusion parameters gets eta = 0.7."""
+    return make_model(model_id, **({"eta": 0.7} if MODEL_ZOO[model_id].eta_names else {}))
+
+
 @pytest.fixture(params=sorted(MODEL_ZOO))
 def zoo_model(request):
-    return make_model(request.param)
+    return build_zoo_model(request.param)

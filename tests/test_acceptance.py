@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import fd_grad_contrast, fd_grad_pair, random_probe
+from conftest import build_zoo_model, fd_grad_contrast, fd_grad_pair, random_probe
 from ipslearn.batch import EstimatorSetup, batch_seeds
 from ipslearn.config import load_config
 from ipslearn.diagnostics import (
@@ -109,7 +109,7 @@ def test_c01_gradient_oracle():
     rng = np.random.default_rng(101)
     worst_g, worst_h = 0.0, 0.0
     for mid in sorted(MODEL_ZOO):
-        m = make_model(mid)
+        m = build_zoo_model(mid)
         for _ in range(100):
             theta, x, y = random_probe(m, rng)
             g = m.grad_pair(theta, x, y)
@@ -133,7 +133,7 @@ def test_c02_algebraic_identities():
     N = 7
     worst = 0.0
     for mid in sorted(MODEL_ZOO):
-        m = make_model(mid)
+        m = build_zoo_model(mid)
         for _ in range(20):
             pos = rng.standard_normal((N, m.d))
             theta = rng.standard_normal(m.p)

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import functools
+import importlib.util
 import io
 import json
 import operator
@@ -224,10 +225,16 @@ def test_surface_csv_schema(tmp_path):
 
 
 def test_cli_list_models(capsys):
+    # read from the model classes: vol32 is listed without an eta
     assert cli_main(["--list-models"]) == 0
-    out = capsys.readouterr().out
-    for mid in ("linear", "kuramoto", "vol32"):
-        assert mid in out
+    assert capsys.readouterr().out == (
+        "cucker-smale: p=3 d=2 weighting=identity params=theta1,theta2,theta3\n"
+        "double-well: p=3 d=1 weighting=inverse-diffusion params=theta1,theta2,theta3\n"
+        "fitzhugh-nagumo: p=4 d=2 weighting=identity params=theta1,theta2,theta3,theta4\n"
+        "kuramoto: p=1 d=1 weighting=inverse-diffusion params=theta1\n"
+        "linear: p=2 d=1 weighting=inverse-diffusion params=theta1,theta2\n"
+        "vol32: p=3 d=1 weighting=identity params=theta1,theta2,theta3\n"
+    )
 
 
 def test_cli_validate_bad_config_exit_2(tmp_path, capsys):
@@ -720,44 +727,6 @@ def test_cli_entrypoint_via_subprocess(tmp_path):
     assert payload["artifacts"] > 0
 
 
-def test_error_vs_particles_script_validates_replicates(tmp_path):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "error_vs_particles.py"
-    cfg = tiny_config(sweep={"n_particles": [3]}, n_steps=20)
-    p = tmp_path / "c.json"
-    p.write_text(json.dumps(cfg))
-
-    def run(replicates):
-        return subprocess.run(
-            [sys.executable, str(script), "--config", str(p), "--out", str(tmp_path / "o"),
-             "--replicates", replicates],
-            capture_output=True, text=True,
-        )
-
-    bad = run("0")
-    assert bad.returncode == 2 and bad.stderr.startswith("replicates:")
-    good = run("3")
-    assert good.returncode == 0, good.stderr
-    meta = json.loads((tmp_path / "o" / "sweep.csv.meta.json").read_text())
-    # the artifacts carry the hash of the config that actually ran
-    assert meta["replicates"] == 3
-    assert meta["config_hash"] == parse_config({**cfg, "replicates": 3}).content_hash()
-
-
-@pytest.mark.parametrize("script, field", [("error_vs_particles.py", "sweep"),
-                                           ("likelihood_surface.py", "surface")])
-def test_scripts_exit_2_on_a_config_without_their_section(tmp_path, script, field):
-    path = Path(__file__).resolve().parents[1] / "scripts" / script
-    p = tmp_path / "c.json"
-    p.write_text(json.dumps(tiny_config()))
-    proc = subprocess.run(
-        [sys.executable, str(path), "--config", str(p), "--out", str(tmp_path / "o")],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith(f"{field}:")
-    assert not (tmp_path / "o").exists()
-
-
 def test_reproduce_script_exits_2_on_an_unknown_config(tmp_path):
     path = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_experiments.py"
     proc = subprocess.run(
@@ -765,8 +734,52 @@ def test_reproduce_script_exits_2_on_an_unknown_config(tmp_path):
         capture_output=True, text=True,
     )
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("<file>:")
+    # the CLI's error line
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "validation"
+    assert payload["message"].startswith("<file>:")
     assert not (tmp_path / "o").exists()
+
+
+def _reproduce_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_experiments.py"
+    spec = importlib.util.spec_from_file_location("reproduce_experiments", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_reproduce_script_routes_each_config_through_the_cli(tmp_path, monkeypatch):
+    script = _reproduce_script()
+    monkeypatch.chdir(tmp_path)
+    Path("path.json").write_text(json.dumps(tiny_config(sweep={"n_particles": [3]})))
+    surface = {"axes": [[1.0], [0.2]], "horizon_steps": 10}
+    Path("surface.json").write_text(json.dumps(tiny_config(surface=surface)))
+    calls, codes = [], []
+
+    def fake_main(argv):
+        calls.append(argv)
+        return codes.pop(0) if codes else 0
+
+    monkeypatch.setattr(script.cli, "main", fake_main)
+
+    def expected(command, name, out):
+        return [command, "--config", name, "--out", str(Path("r") / out)]
+
+    only = ["--out", "r", "--only", "path.json", "surface.json"]
+    assert script.main(only) == 0
+    assert calls == [expected("estimate", "path.json", "path.json"),
+                     expected("surface", "surface.json", "surface.json")]
+    calls.clear()
+    assert script.main(only + ["--with-sweeps"]) == 0
+    assert calls == [expected("estimate", "path.json", "path.json"),
+                     expected("sweep", "path.json", "path.json_sweep"),
+                     expected("surface", "surface.json", "surface.json")]
+    # the first non-zero code ends the run and is the script's exit code
+    calls.clear()
+    codes[:] = [0, 3, 1]
+    assert script.main(only + ["--with-sweeps"]) == 3
+    assert [argv[0] for argv in calls] == ["estimate", "sweep"]
 
 
 def test_a_parsed_config_can_be_run_again(tmp_path):

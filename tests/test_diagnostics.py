@@ -16,9 +16,9 @@ from ipslearn.diagnostics import (
     standardized_moments,
 )
 from ipslearn.estimators import LearningRateSchedule
-from ipslearn.models import TruthSchedule, make_model
+from ipslearn.models import TruthSchedule, Vol32Model, make_model
 from ipslearn.rng import InvalidConfiguration
-from ipslearn.runner import run_experiment
+from ipslearn.runner import run_experiment, run_sweep
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +156,43 @@ def test_sweep_surfaces_exclusions():
         l2_error_sweep(m, truth, [3], 0.1, 500, 3, _linear_setups(thetas), 7)
 
 
+def test_sweep_and_summary_score_against_the_same_final_truth(tmp_path):
+    # the switch at t = 1000 lies after the last step of a 2000-step run of
+    # dt 0.1: both files score the tail mean against the truth the run saw
+    # last (the start value), not against a later one
+    cfg = {
+        "name": "late-switch",
+        "model": {"id": "linear", "sigma": 1.0},
+        "truth": {"kind": "changepoint", "start": [1.0, 0.2], "end": [3.0, 0.2],
+                  "switch_time": 1000.0},
+        "n_particles": 5, "dt": 0.1, "n_steps": 2000,
+        "init": {"theta_low": [1.5, 0.5], "theta_high": [2.5, 1.0]},
+        "estimators": [{"kind": "averaged", "free_params": [0],
+                        "learning_rate": {"kind": "constant", "gamma0": 1.0,
+                                          "scale": [0.008, 0.005]}}],
+        "replicates": 4, "base_seed": 5, "sweep": {"n_particles": [5]},
+    }
+    config = parse_config(cfg)
+    run_experiment(config, tmp_path / "estimate")
+    run_sweep(config, tmp_path / "sweep")
+    with open(tmp_path / "estimate" / "summary.csv") as fh:
+        summary = list(csv.DictReader(fh))
+    with open(tmp_path / "sweep" / "sweep.csv") as fh:
+        sweep = list(csv.DictReader(fh))
+    assert [row["param"] for row in sweep] == ["0", "1"]
+    for k, name in enumerate(("theta1", "theta2")):
+        sq = [float(row["sq_error_truth"]) for row in summary if row["param"] == name]
+        assert len(sq) == 4
+        assert float(sweep[k]["mse"]) == pytest.approx(np.mean(sq), rel=1e-12)
+    assert float(sweep[0]["mse"]) < 0.5  # 2.08 when scored against the end value
+
+
 def test_run_batch_flags_partial_blowups():
     # vol32 near the Euler stability edge: some replicates explode, the rest
     # carry on; flags carry the step index
-    m = make_model("vol32")
+    m = make_model("vol32", eta=1.0)
     truth = TruthSchedule.constant([2.7, 2.3, 1.0])
-    res = run_batch(m, truth, 3, 0.2, 500, batch_seeds(1, 12), [], eta_true=1.0)
+    res = run_batch(m, truth, 3, 0.2, 500, batch_seeds(1, 12), [])
     n_excl = int(res.excluded.sum())
     assert 0 < n_excl < 12
     assert np.all(res.blowup_step[res.excluded] >= 0)
@@ -188,8 +219,7 @@ def test_summary_csv_reports_exclusions(tmp_path):
         "replicates": 12, "base_seed": 1, "record_every": 100,
     })
     run_experiment(config, tmp_path)
-    res = run_batch(config.make_model(), config.truth, 3, 0.2, 500, batch_seeds(1, 12), [],
-                    eta_true=1.0)
+    res = run_batch(config.make_model(), config.truth, 3, 0.2, 500, batch_seeds(1, 12), [])
     ok = ~res.excluded
     assert 0 < res.excluded.sum() < 12
     with open(tmp_path / "summary.csv") as fh:
@@ -253,4 +283,4 @@ def test_clt_names_a_diffusion_estimator_by_eta(tmp_path):
     assert cli_main(["diagnose", "--config", str(path), "--mode", "clt", "--out", str(out)]) == 0
     with open(out / "clt.csv") as fh:
         rows = list(csv.DictReader(fh))
-    assert [r["param"] for r in rows] == list(make_model("vol32").eta_names)
+    assert [r["param"] for r in rows] == list(Vol32Model.eta_names)

@@ -166,7 +166,7 @@ def test_m_full_invariant_under_pi_permutation():
 
 
 def test_update_diffusion_fixed_point_and_hand_step():
-    m = make_model("vol32")
+    m = make_model("vol32", eta=0.7)
     opts = options(m, LearningRateSchedule("constant", 0.01))
     pos = np.array([[1.0]])
     # exact fixed point: dQV = eta^2 |x|^3 dt
@@ -572,7 +572,7 @@ def test_every_rule_call_goes_through_its_module_attribute(monkeypatch):
             return _rule(*args)
 
         monkeypatch.setattr(est, name, counting)
-    m = make_model("vol32")
+    m = make_model("vol32", eta=0.7)
     sched = const_sched(0.01, 0.01, 0.05)
     thetas = np.array([2.7, 2.3, 1.0])
     setups = [
@@ -584,7 +584,6 @@ def test_every_rule_call_goes_through_its_module_attribute(monkeypatch):
                        theta_init=np.array([0.7])),
     ]
     n_steps, seeds = 25, batch_seeds(3, 2)
-    res = run_batch(m, TruthSchedule.constant(thetas), 5, 0.01, n_steps, seeds, setups,
-                    eta_true=0.7)
+    res = run_batch(m, TruthSchedule.constant(thetas), 5, 0.01, n_steps, seeds, setups)
     assert not res.excluded.any()
     assert calls == {name: [(2,)] * n_steps for name in RULES.values()}

@@ -166,11 +166,11 @@ def _case_cucker_smale():
 
 
 def _case_vol32_partial_blowup():
-    model = make_model("vol32")
+    model = make_model("vol32", eta=2.0)
     sched = const(0.01, 0.01, 0.05)
     return dict(
         model=model, truth=TruthSchedule.constant([2.7, 2.3, 1.0]), n=10, dt=0.045, seed=3,
-        init=([1.0, 3.5, 0.0], [1.5, 4.0, 0.2]), record_every=10, eta_true=2.0,
+        init=([1.0, 3.5, 0.0], [1.5, 4.0, 0.2]), record_every=10,
         setups=[
             EstimatorSetup("averaged", schedule=sched),
             EstimatorSetup("triplet", schedule=sched),
@@ -213,7 +213,7 @@ def run_case(name):
         warnings.simplefilter("ignore", RuntimeWarning)
         res = run_batch(
             spec["model"], spec["truth"], spec["n"], spec["dt"], N_STEPS, seeds,
-            spec["setups"], eta_true=spec.get("eta_true"), record_every=spec["record_every"],
+            spec["setups"], record_every=spec["record_every"],
         )
     return spec, res
 
@@ -282,9 +282,7 @@ class _DrivenLinear(LinearModel):
         model = self
 
         class _Drive:
-            parametric = False
-
-            def apply(self, eta, positions, dw):
+            def apply(self, positions, dw):
                 out = np.zeros_like(positions)
                 for r, (v, s) in enumerate(zip(model.targets, model.at)):
                     if model.step == s - 1:

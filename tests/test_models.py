@@ -141,8 +141,7 @@ def test_drift_mean_linear_closed_form():
 
 
 def test_drift_mean_single_particle_reduces_to_pair():
-    for mid in ("linear", "kuramoto", "vol32"):
-        m = make_model(mid)
+    for m in (make_model("linear"), make_model("kuramoto"), make_model("vol32", eta=0.7)):
         rng = np.random.default_rng(3)
         pos = rng.standard_normal((1, m.d))
         th = rng.standard_normal(m.p)
@@ -208,8 +207,8 @@ def test_drift_mean_permutation_invariant(zoo_model):
 def test_identity_weighting_never_inverts():
     # degenerate sigma blocks would make the inverse blow up; identity
     # weighting must not touch them
-    for mid in ("fitzhugh-nagumo", "cucker-smale", "vol32"):
-        m = make_model(mid)
+    for m in (make_model("fitzhugh-nagumo"), make_model("cucker-smale"),
+              make_model("vol32", eta=0.7)):
         assert m.weighting == "identity"
         assert np.array_equal(weight_matrix(m), np.eye(m.d))
 
@@ -243,12 +242,26 @@ def test_constant_sigma_constructor(model_id, sigma, weight):
 
 
 def test_vol32_diffusion_values():
-    m = make_model("vol32")
-    eta = np.array([0.7])
+    m = make_model("vol32", eta=0.7)
+    # the simulation's noise uses the model's own eta ...
+    dw = m.diffusion.apply(np.array([[-2.0]]), np.array([[0.5]]))
+    assert dw == pytest.approx(np.array([[0.7 * 2.0**1.5 * 0.5]]), rel=1e-12)
+    # ... the estimator's variance terms the estimate they are given
+    eta = np.array([0.3])
     sig_sq = m.diffusion.sigma_sq(eta, np.array([-2.0]))
-    assert sig_sq == pytest.approx([0.49 * 2.0**3], rel=1e-12)
+    assert sig_sq == pytest.approx([0.09 * 2.0**3], rel=1e-12)
     dsig1 = m.diffusion.d_eta_sigma_sq(eta, np.array([1.0]))
-    assert dsig1 == pytest.approx([1.4], rel=1e-12)
+    assert dsig1 == pytest.approx([0.6], rel=1e-12)
+
+
+def test_the_true_eta_is_a_constructor_argument():
+    # a model with diffusion parameters cannot be built without its eta,
+    # and a model without them takes none
+    with pytest.raises(TypeError):
+        make_model("vol32")
+    with pytest.raises(TypeError):
+        make_model("linear", eta=0.7)
+    assert make_model("vol32", eta=0.7).diffusion.eta == 0.7
 
 
 # ---------------------------------------------------------------------------

@@ -59,16 +59,15 @@ def test_increment_reconstruction_bitwise(zoo_model):
     # arithmetic order, and the next step must start from x + dX
     rng = np.random.default_rng(5)
     theta = rng.standard_normal(zoo_model.p) * 0.3
-    eta = np.array([0.7]) if zoo_model.diffusion.parametric else None
     obs = Steps()
     final = run_trajectory(zoo_model, TruthSchedule.constant(theta), 5, 0.1, 4, seed=8,
-                           observers=[obs], eta_true=eta)
+                           observers=[obs])
     noise = _noise(8, 5, zoo_model.d)
     noise.initial_positions()
     ends = [positions for _, _, positions, _, _ in obs.seen[1:]] + [final[None]]
     for (_, _, positions, dx, _), end in zip(obs.seen, ends):
         drift = zoo_model.drift_ensemble(theta, positions)
-        noise_term = zoo_model.diffusion.apply(eta, positions, noise.next_step()[None])
+        noise_term = zoo_model.diffusion.apply(positions, noise.next_step()[None])
         assert np.array_equal(dx, drift * 0.1 + noise_term)
         assert np.array_equal(end, positions + dx)
 
@@ -104,12 +103,11 @@ def test_each_replicate_equals_its_own_run(zoo_model):
     # depend on the replicates run alongside it
     rng = np.random.default_rng(17)
     truth = TruthSchedule.constant(rng.standard_normal(zoo_model.p) * 0.3)
-    eta = 0.7 if zoo_model.diffusion.parametric else None
     seeds = (31, 32, 33)
-    batch, excluded, blowup_step = simulate(zoo_model, truth, 6, 0.05, 60, seeds, eta_true=eta)
+    batch, excluded, blowup_step = simulate(zoo_model, truth, 6, 0.05, 60, seeds)
     assert not excluded.any() and np.all(blowup_step == -1)
     for r, seed in enumerate(seeds):
-        alone = run_trajectory(zoo_model, truth, 6, 0.05, 60, seed, eta_true=eta)
+        alone = run_trajectory(zoo_model, truth, 6, 0.05, 60, seed)
         assert alone.tobytes() == batch[r].tobytes()
 
 
@@ -123,9 +121,8 @@ def test_simulate_rejects_misshapen_initial_positions():
 def test_excluded_replicates_keep_their_last_guarded_state():
     # vol32 with a large eta: every replicate blows up, at steps 7, 53 and 5;
     # each must report the state before its blow-up step, inside the guard
-    m = make_model("vol32")
-    res = run_batch(m, TruthSchedule.constant([2.7, 2.3, 1.0]), 10, 0.2, 500, [1, 2, 3],
-                    eta_true=1.5)
+    m = make_model("vol32", eta=1.5)
+    res = run_batch(m, TruthSchedule.constant([2.7, 2.3, 1.0]), 10, 0.2, 500, [1, 2, 3])
     assert res.excluded.all()
     assert res.blowup_step.tolist() == [7, 53, 5]
     assert np.abs(res.final_positions).max(axis=(1, 2)).max() <= BLOWUP_THRESHOLD
@@ -134,11 +131,10 @@ def test_excluded_replicates_keep_their_last_guarded_state():
 def test_excluded_replicates_stop_moving_and_observers_see_keep():
     # replicates excluded at steps 7 and 5 freeze; the third runs on with
     # zero increments for the other two
-    m = make_model("vol32")
+    m = make_model("vol32", eta=1.5)
     truth = TruthSchedule.constant([2.7, 2.3, 1.0])
     obs = Steps()
-    final, excluded, blowup_step = simulate(m, truth, 10, 0.2, 20, (1, 3, 4), [obs],
-                                            eta_true=1.5)
+    final, excluded, blowup_step = simulate(m, truth, 10, 0.2, 20, (1, 3, 4), [obs])
     assert blowup_step[0] == 7 and blowup_step[1] == 5
     assert excluded.tolist() == [True, True, False]
     for step, _, positions, dx, keep in obs.seen:
@@ -216,13 +212,12 @@ def test_changepoint_truth_applied_at_switch_step():
 
 
 def test_blowup_raises_with_step_and_flushes_observers():
-    m = make_model("vol32")
+    # eta far above stable range at this step size explodes quickly
+    m = make_model("vol32", eta=8.0)
     truth = TruthSchedule.constant([2.7, 2.3, 1.0])
     rec = PositionHistory(2000, 5, 1)
     with pytest.raises(SimulationBlowup) as exc:
-        # eta far above stable range at this step size explodes quickly
-        run_trajectory(m, truth, 5, 0.5, 2000, seed=2, observers=[rec],
-                       eta_true=8.0)
+        run_trajectory(m, truth, 5, 0.5, 2000, seed=2, observers=[rec])
     step = exc.value.step
     assert 0 < step < 2000
     # partial output was delivered before the error; later steps stay NaN
