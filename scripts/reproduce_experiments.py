@@ -3,9 +3,10 @@
 
 A config with a surface section runs `ipslearn surface`, any other
 `ipslearn estimate`, and with --with-sweeps also `ipslearn sweep` if it has a
-sweep section.  Each run writes to its own directory under --out.  The script
-stops at the first failed run and exits with the CLI's code; the CLI has
-written the error to stderr as one JSON line.
+sweep section.  Each run writes to its own directory under --out, named
+after the config's file stem.  The script stops at the first failed run and
+exits with the CLI's code; the CLI has written the error to stderr as one
+JSON line.
 """
 
 import argparse
@@ -17,15 +18,20 @@ from ipslearn.config import ConfigError, bundled_config_names, load_config
 
 
 def runs(name, with_sweeps):
-    """(subcommand, output directory name) of each CLI run for config `name`."""
+    """(subcommand, output directory name) of each CLI run for config `name`.
+
+    The directory is named after the config's file stem, so a config given
+    as a path (`/abs/c.json`) writes to `c`, never to the path itself.
+    """
+    stem = Path(name).stem
     try:
         config = load_config(name)
     except ConfigError:
-        return [("estimate", name)]  # the CLI reports the error
+        return [("estimate", stem)]  # the CLI reports the error
     if config.surface is not None:
-        return [("surface", name)]
+        return [("surface", stem)]
     sweep = with_sweeps and config.sweep_n_particles
-    return [("estimate", name)] + ([("sweep", f"{name}_sweep")] if sweep else [])
+    return [("estimate", stem)] + ([("sweep", f"{stem}_sweep")] if sweep else [])
 
 
 def main(argv=None):

@@ -27,7 +27,10 @@ from .rng import GENERATOR_NAME, replicate_seed
 from .sde import PositionHistory, run_trajectory
 
 
-CSV_BLOCK_ROWS = 1024  # rows formatted per write; larger blocks raise peak memory, not speed
+# rows formatted per write; larger blocks raise peak memory, not speed.  The
+# block also bounds the sort that finds each column's distinct values.
+CSV_BLOCK_ROWS = 1024
+SHA256_CHUNK_BYTES = 1 << 20  # an artifact is hashed in chunks of this size
 
 
 def _fmt(v):
@@ -43,17 +46,22 @@ def _fmt(v):
 def _format_column(col):
     """The CSV text of each value of one column, as `_fmt` would give it.
 
-    numpy bool, integer and float columns are converted once per column;
-    anything else (strings, Python lists that mix ints and floats) value by
-    value.
+    A numpy bool, integer, float or string column formats each distinct
+    value once and maps the texts back to the rows.  Floats are told apart
+    by their bit pattern, so -0.0 and 0.0 keep their own texts.  Anything
+    else (Python lists that mix ints and floats, for one) is formatted value
+    by value.
     """
-    if isinstance(col, np.ndarray):
-        if col.dtype.kind == "b":
-            return ["1" if v else "0" for v in col.tolist()]
-        if col.dtype.kind in "iu":
-            return list(map(str, col.tolist()))
-        if col.dtype.kind == "f":
-            return list(map(repr, col.tolist()))
+    kind = col.dtype.kind if isinstance(col, np.ndarray) else None
+    if kind in ("b", "i", "u", "f", "U"):
+        keys = col.view(f"i{col.itemsize}") if kind == "f" else col
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        distinct = col[first].tolist()
+        if kind == "b":
+            texts = ["1" if v else "0" for v in distinct]
+        else:
+            texts = list(map(repr if kind == "f" else str, distinct))
+        return [texts[k] for k in inverse.tolist()]
     return [_fmt(v) for v in col]
 
 
@@ -84,7 +92,9 @@ def write_sidecar(csv_path: Path, meta: dict):
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
-    h.update(path.read_bytes())
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(SHA256_CHUNK_BYTES), b""):
+            h.update(chunk)
     return h.hexdigest()
 
 
@@ -170,8 +180,9 @@ def _write_estimates(config, model, result, out, meta):
     # rows run over estimators, then recorded steps, then parameters
     step = np.concatenate([np.repeat(tr.record_steps, len(nm)) for tr, nm in zip(tracks, names)])
     time = np.concatenate([np.repeat(tr.record_times, len(nm)) for tr, nm in zip(tracks, names)])
-    label = [tr.label for tr, nm in zip(tracks, names) for _ in range(len(tr.record_steps) * len(nm))]
-    param = [name for tr, nm in zip(tracks, names) for _ in tr.record_steps for name in nm]
+    label = np.concatenate([np.full(len(tr.record_steps) * len(nm), tr.label)
+                            for tr, nm in zip(tracks, names)])
+    param = np.concatenate([np.tile(nm, len(tr.record_steps)) for tr, nm in zip(tracks, names)])
     paths = []
     for r in range(config.replicates):
         value = np.concatenate([tr.theta_path[:, r, :].reshape(-1) for tr in tracks])

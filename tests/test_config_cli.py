@@ -768,18 +768,37 @@ def test_reproduce_script_routes_each_config_through_the_cli(tmp_path, monkeypat
 
     only = ["--out", "r", "--only", "path.json", "surface.json"]
     assert script.main(only) == 0
-    assert calls == [expected("estimate", "path.json", "path.json"),
-                     expected("surface", "surface.json", "surface.json")]
+    assert calls == [expected("estimate", "path.json", "path"),
+                     expected("surface", "surface.json", "surface")]
     calls.clear()
     assert script.main(only + ["--with-sweeps"]) == 0
-    assert calls == [expected("estimate", "path.json", "path.json"),
-                     expected("sweep", "path.json", "path.json_sweep"),
-                     expected("surface", "surface.json", "surface.json")]
+    assert calls == [expected("estimate", "path.json", "path"),
+                     expected("sweep", "path.json", "path_sweep"),
+                     expected("surface", "surface.json", "surface")]
     # the first non-zero code ends the run and is the script's exit code
     calls.clear()
     codes[:] = [0, 3, 1]
     assert script.main(only + ["--with-sweeps"]) == 3
     assert [argv[0] for argv in calls] == ["estimate", "sweep"]
+
+
+@pytest.mark.parametrize("absolute", [True, False])
+def test_reproduce_script_names_run_directories_after_the_config_stem(absolute, tmp_path,
+                                                                       monkeypatch):
+    # a config path given to --only names its runs by its stem: the output
+    # directory was once the config path itself (an absolute path made
+    # `--out / path` the config file, and the run failed with "File exists")
+    monkeypatch.chdir(tmp_path)
+    Path("cfg").mkdir()
+    config = Path("cfg") / "c.json"
+    config.write_text(json.dumps(tiny_config(sweep={"n_particles": [3]})))
+    name = str(config.resolve() if absolute else config)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = _reproduce_script().main(["--out", "r", "--only", name, "--with-sweeps"])
+    assert code == 0
+    assert sorted(p.name for p in Path("r").iterdir()) == ["c", "c_sweep"]
+    assert (Path("r") / "c" / "manifest.json").is_file()
+    assert (Path("r") / "c_sweep" / "sweep.csv").is_file()
 
 
 def test_a_parsed_config_can_be_run_again(tmp_path):

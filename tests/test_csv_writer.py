@@ -88,6 +88,33 @@ def test_columns_write_the_bytes_of_the_row_writer(data, tmp_path_factory):
     assert_same_bytes(tmp_path_factory.mktemp("csv"), columns)
 
 
+# Small pools drawn with many repeats: the writer formats each distinct value
+# of a block once, so equal values must share a text and values that only
+# compare equal (-0.0 and 0.0) must not.  NaNs carry different payloads.
+NAN64 = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                  0x7FF8DEADBEEF0001], dtype=np.uint64).view(np.float64)
+NAN32 = np.array([0x7FC00000, 0xFFC00000, 0x7F800001, 0x7FC0BEEF], dtype=np.uint32).view(np.float32)
+POOLS = {
+    "float64": np.concatenate([[-0.0, 0.0, math.inf, -math.inf, 0.1], NAN64]),
+    "float32": np.concatenate([np.array([-0.0, 0.0, math.inf, -math.inf, 0.1], np.float32), NAN32]),
+    "uint8": np.array([0, 1, 255], dtype=np.uint8),
+    "bool": np.array([True, False]),
+    "str": np.array(["", "theta1", "averaged", "é"]),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_repeated_values_write_the_bytes_of_the_row_writer(data, tmp_path_factory):
+    n = data.draw(st.integers(0, 60), label="rows")
+    kinds = data.draw(st.lists(st.sampled_from(sorted(POOLS)), min_size=1, max_size=5))
+    columns = []
+    for kind in kinds:
+        picks = st.lists(st.integers(0, len(POOLS[kind]) - 1), min_size=n, max_size=n)
+        columns.append(POOLS[kind][np.array(data.draw(picks, label=kind), dtype=np.intp)])
+    assert_same_bytes(tmp_path_factory.mktemp("csv"), columns)
+
+
 @pytest.mark.parametrize("n", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
 def test_block_boundaries(n, tmp_path):
     rng = np.random.default_rng(n)
