@@ -63,6 +63,16 @@ def rate_function_a(t: float, x: float, alpha: float, A: float, C: float = 1.0) 
 # L2-error sweep over the particle count
 
 
+def final_truth(model: InteractionModel, truth: TruthSchedule, kind: str, n_steps: int,
+                dt: float) -> np.ndarray:
+    """What the tail mean of an estimator of `kind` is scored against at the
+    end of an `n_steps` run: the model's true eta for the diffusion
+    estimator, the drift truth at the last step for any other."""
+    if kind == "diffusion":
+        return np.array([model.diffusion.eta])
+    return truth.at((n_steps - 1) * dt)
+
+
 def l2_error_sweep(
     model: InteractionModel,
     truth: TruthSchedule,
@@ -74,8 +84,8 @@ def l2_error_sweep(
     base_seed: int,
     tail_fraction: float = 0.1,
 ) -> list:
-    """Per-parameter squared error of the tail-window estimate vs the truth
-    at the last step, the value `summary.csv` scores against.
+    """Per-parameter squared error of the tail-window estimate vs its
+    `final_truth`, the value `summary.csv` scores against.
 
     Runs the estimator `setups` at every particle count in `n_list` and
     returns six columns, one row per (N, estimator, parameter): N, the
@@ -84,7 +94,6 @@ def l2_error_sweep(
     blow up are counted and excluded from the statistics, never silently
     dropped.
     """
-    theta0_final = truth.at((n_steps - 1) * dt)
     seeds = batch_seeds(base_seed, replicates)
     blocks = []
     for n in n_list:
@@ -95,7 +104,8 @@ def l2_error_sweep(
         if not np.any(ok):
             raise RuntimeError(f"all replicates blew up at N={n}")
         for track in result.tracks:
-            err = (track.tail_mean[ok] - theta0_final) ** 2  # (R_ok, p)
+            target = final_truth(model, truth, track.kind, n_steps, dt)
+            err = (track.tail_mean[ok] - target) ** 2  # (R_ok, p)
             p = err.shape[1]
             blocks.append([
                 np.full(p, n), np.full(p, track.label), np.arange(p), err.mean(axis=0),

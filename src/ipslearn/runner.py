@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .batch import batch_seeds, draw_initial_thetas, run_batch
 from .config import ConfigError, ExperimentConfig
-from .diagnostics import l2_error_sweep
+from .diagnostics import final_truth, l2_error_sweep
 from .objective import surface_scan
 from .rng import GENERATOR_NAME, replicate_seed
 from .sde import PositionHistory, run_trajectory
@@ -200,11 +200,10 @@ def _write_estimates(config, model, result, out, meta):
 
 
 def _write_summary(config, model, result, out, meta):
-    theta_end = config.truth.at((config.n_steps - 1) * config.dt)
     ok = ~result.excluded
     blocks = []
     for track in result.tracks:
-        truth = np.array([model.diffusion.eta]) if track.kind == "diffusion" else theta_end
+        truth = final_truth(model, config.truth, track.kind, config.n_steps, config.dt)
         R, p = track.tail_mean.shape
         pooled = track.tail_mean[ok].mean(axis=0)  # over non-excluded replicates
         blocks.append([

@@ -156,22 +156,46 @@ def test_sweep_surfaces_exclusions():
         l2_error_sweep(m, truth, [3], 0.1, 500, 3, _linear_setups(thetas), 7)
 
 
-def test_sweep_and_summary_score_against_the_same_final_truth(tmp_path):
-    # the switch at t = 1000 lies after the last step of a 2000-step run of
-    # dt 0.1: both files score the tail mean against the truth the run saw
-    # last (the start value), not against a later one
-    cfg = {
-        "name": "late-switch",
-        "model": {"id": "linear", "sigma": 1.0},
-        "truth": {"kind": "changepoint", "start": [1.0, 0.2], "end": [3.0, 0.2],
-                  "switch_time": 1000.0},
-        "n_particles": 5, "dt": 0.1, "n_steps": 2000,
-        "init": {"theta_low": [1.5, 0.5], "theta_high": [2.5, 1.0]},
-        "estimators": [{"kind": "averaged", "free_params": [0],
-                        "learning_rate": {"kind": "constant", "gamma0": 1.0,
-                                          "scale": [0.008, 0.005]}}],
-        "replicates": 4, "base_seed": 5, "sweep": {"n_particles": [5]},
-    }
+# the switch at t = 1000 lies after the last step of a 2000-step run of dt
+# 0.1: both files score the tail mean against the truth the run saw last
+# (the start value), not against a later one
+LATE_SWITCH = {
+    "name": "late-switch",
+    "model": {"id": "linear", "sigma": 1.0},
+    "truth": {"kind": "changepoint", "start": [1.0, 0.2], "end": [3.0, 0.2],
+              "switch_time": 1000.0},
+    "n_particles": 5, "dt": 0.1, "n_steps": 2000,
+    "init": {"theta_low": [1.5, 0.5], "theta_high": [2.5, 1.0]},
+    "estimators": [{"kind": "averaged", "free_params": [0],
+                    "learning_rate": {"kind": "constant", "gamma0": 1.0,
+                                      "scale": [0.008, 0.005]}}],
+    "replicates": 4, "base_seed": 5, "sweep": {"n_particles": [5]},
+}
+# both files score the diffusion estimator's one parameter against the true
+# eta, not against the drift truth
+VOL32_DIFFUSION = {
+    "name": "vol32-diffusion",
+    "model": {"id": "vol32"},
+    "truth": {"kind": "constant", "values": [2.7, 2.3, 1.0]},
+    "eta_true": 0.7,
+    "n_particles": 5, "dt": 0.045, "n_steps": 200,
+    "init": {"theta_low": [1.0, 3.5, 0.0], "theta_high": [1.5, 4.0, 0.2],
+             "eta_low": 1.5, "eta_high": 2.0},
+    "estimators": [
+        {"kind": "averaged",
+         "learning_rate": {"kind": "constant", "gamma0": 1.0, "scale": [0.01, 0.01, 0.05]}},
+        {"kind": "diffusion", "learning_rate": {"kind": "constant", "gamma0": 0.01}},
+    ],
+    "replicates": 4, "base_seed": 3, "sweep": {"n_particles": [5]},
+}
+
+
+@pytest.mark.parametrize("cfg, params, first_mse_below", [
+    (LATE_SWITCH, {"averaged": ["theta1", "theta2"]}, 0.5),  # 2.08 against the end value
+    (VOL32_DIFFUSION, {"averaged": ["theta1", "theta2", "theta3"], "diffusion": ["eta1"]}, None),
+], ids=["late-switch", "vol32-diffusion"])
+def test_sweep_and_summary_score_against_the_same_final_truth(cfg, params, first_mse_below,
+                                                              tmp_path):
     config = parse_config(cfg)
     run_experiment(config, tmp_path / "estimate")
     run_sweep(config, tmp_path / "sweep")
@@ -179,12 +203,16 @@ def test_sweep_and_summary_score_against_the_same_final_truth(tmp_path):
         summary = list(csv.DictReader(fh))
     with open(tmp_path / "sweep" / "sweep.csv") as fh:
         sweep = list(csv.DictReader(fh))
-    assert [row["param"] for row in sweep] == ["0", "1"]
-    for k, name in enumerate(("theta1", "theta2")):
-        sq = [float(row["sq_error_truth"]) for row in summary if row["param"] == name]
+    assert [(row["estimator"], row["param"]) for row in sweep] == [
+        (label, str(k)) for label, names in params.items() for k in range(len(names))]
+    for row in sweep:
+        name = params[row["estimator"]][int(row["param"])]
+        sq = [float(s["sq_error_truth"]) for s in summary
+              if s["estimator_id"] == row["estimator"] and s["param"] == name]
         assert len(sq) == 4
-        assert float(sweep[k]["mse"]) == pytest.approx(np.mean(sq), rel=1e-12)
-    assert float(sweep[0]["mse"]) < 0.5  # 2.08 when scored against the end value
+        assert float(row["mse"]) == pytest.approx(np.mean(sq), rel=1e-12)
+    if first_mse_below is not None:
+        assert float(sweep[0]["mse"]) < first_mse_below
 
 
 def test_run_batch_flags_partial_blowups():
