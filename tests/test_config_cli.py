@@ -785,9 +785,8 @@ def test_reproduce_script_routes_each_config_through_the_cli(tmp_path, monkeypat
 @pytest.mark.parametrize("absolute", [True, False])
 def test_reproduce_script_names_run_directories_after_the_config_stem(absolute, tmp_path,
                                                                        monkeypatch):
-    # a config path given to --only names its runs by its stem: the output
-    # directory was once the config path itself (an absolute path made
-    # `--out / path` the config file, and the run failed with "File exists")
+    # a config path given to --only names its runs by its stem, so an absolute
+    # path cannot make `--out / path` the config file itself
     monkeypatch.chdir(tmp_path)
     Path("cfg").mkdir()
     config = Path("cfg") / "c.json"
