@@ -18,13 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators as est
-from .estimators import (
-    EstimatorState,
-    LearningRateSchedule,
-    RmsPropConfig,
-    UpdateOptions,
-    build_cyclic_triplets,
-)
+from .estimators import EstimatorState, LearningRateSchedule, RmsPropConfig, UpdateOptions
 from .models import Box, InteractionModel, TruthSchedule, weight_matrix
 from .rng import PARAM_INIT_STREAM, RngStream, replicate_seed
 from .sde import realized_qv, simulate
@@ -46,9 +40,8 @@ class EstimatorSetup:
 
     kind: str
     label: str = ""
-    particle: int = 0
-    triplet: tuple = (0, 1, 2)
-    pi: tuple | None = None
+    particles: tuple = (0,)  # (particle,), or the sorted Pi of the M-averaged form
+    triplets: tuple = ((0, 1, 2),)  # (triplet,), or C(Pi) of the M-averaged form
     schedule: LearningRateSchedule = None
     free_mask: np.ndarray | None = None
     bounds: Box | None = None
@@ -87,9 +80,8 @@ class _RunningEstimator:
     """One estimator of a batch: its update rule, the options resolved for
     it once, and its state, which the rule updates in place."""
 
-    def __init__(self, setup: EstimatorSetup, model, dt, n_replicates, n_particles):
+    def __init__(self, setup: EstimatorSetup, model, dt, n_replicates):
         self.setup = setup
-        kind = setup.kind
         theta0 = np.asarray(setup.theta_init, dtype=float)
         if theta0.ndim == 1:
             theta0 = np.broadcast_to(theta0, (n_replicates, theta0.shape[0]))
@@ -100,9 +92,8 @@ class _RunningEstimator:
             dt=dt,
             schedule=setup.schedule,
             weight=setup.weight if setup.weight is not None else weight_matrix(model),
-            particles=tuple(sorted(setup.pi)) if kind == "averaged_m" else (setup.particle,),
-            triplets=build_cyclic_triplets(setup.pi, n_particles) if kind == "triplet_m"
-            else (tuple(setup.triplet),),
+            particles=setup.particles,
+            triplets=setup.triplets,
             free_mask=None if setup.free_mask is None
             else np.asarray(setup.free_mask, dtype=float),
             bounds=setup.bounds,
@@ -110,8 +101,8 @@ class _RunningEstimator:
         )
         # looked up by name when the run starts, so a wrapper put on the
         # module attribute sees every call
-        self.rule = getattr(est, RULES[kind])
-        self.needs_qv = kind == "diffusion"
+        self.rule = getattr(est, RULES[setup.kind])
+        self.needs_qv = setup.kind == "diffusion"
 
 
 def draw_initial_thetas(seeds, low, high):
@@ -202,9 +193,7 @@ def run_batch(
     """Simulate one replicate per seed with the estimators observing every step."""
     seeds = tuple(int(s) for s in seeds)
     R = len(seeds)
-    runners = [
-        _RunningEstimator(setup, model, dt, R, n_particles) for setup in estimator_setups
-    ]
+    runners = [_RunningEstimator(setup, model, dt, R) for setup in estimator_setups]
     estimators = _Estimators(runners, dt, n_steps, record_every, tail_fraction)
     positions, excluded, blowup_step = simulate(
         model, truth, n_particles, dt, n_steps, seeds, (estimators,)

@@ -113,7 +113,7 @@ def _cmd_diagnose(args):
         if not validate_schedule(config.estimators[0].schedule).rate_conditions_ok:
             raise ConfigError("estimators[0].learning_rate",
                               "the CLT check needs a power-law schedule with beta in (1/2, 1)")
-    model = config.make_model()
+    model = config.model
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     meta = base_metadata(config)
@@ -133,13 +133,10 @@ def _cmd_diagnose(args):
         write_sidecar(path, {**meta, "growth_detected": tracker.growth_detected()})
     elif args.mode == "coupling":
         # one (n_steps,) series per n_small, each a block of rows
-        series = np.array([
-            coupling_distance(
-                model, config.truth, n_small, args.n_big, config.dt,
-                config.n_steps, config.base_seed,
-            )
-            for n_small in args.n_small
-        ]).reshape(-1)
+        series = coupling_distance(
+            model, config.truth, args.n_small, args.n_big, config.dt,
+            config.n_steps, config.base_seed,
+        ).reshape(-1)
         step = np.tile(np.arange(config.n_steps), len(args.n_small))
         path = out / "coupling.csv"
         write_csv(path, ["step", "time", "n_small", "n_big", "mean_sq_distance"], [
@@ -154,12 +151,12 @@ def _cmd_diagnose(args):
             config.replicates, setup, config.base_seed,
         )
         free = setup.free_mask
-        names = [n for k, n in enumerate(param_names(model, setup.kind))
-                 if free is None or free[k]]
+        names = np.array([n for k, n in enumerate(param_names(model, setup.kind))
+                          if free is None or free[k]])
         path = out / "clt.csv"
         write_csv(path, ["param", "variance", "skewness", "excess_kurtosis", "replicates"], [
             names, summary.variance, summary.skewness, summary.excess_kurtosis,
-            [summary.replicates] * len(names),
+            np.full(len(names), summary.replicates),
         ])
         write_sidecar(path, meta)
     print(f"wrote {path}")

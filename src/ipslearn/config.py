@@ -3,16 +3,17 @@
 Unknown keys are rejected everywhere so a typo cannot silently fall back to
 a default.  A config captures one fully reproducible run: model, truth
 schedule, discretisation, initial laws, estimators, replicate count, and
-the base seed.  The top-level `eta_true` is the `eta` argument of a model
-with diffusion parameters (one that declares `eta_names`).
+the base seed.  The model is built here, once; the top-level `eta_true` is
+the `eta` argument of a model with diffusion parameters (`eta_names`).
 
 Each estimator is parsed straight into the `batch.EstimatorSetup` the run
 attaches: its learning-rate schedule, bounds box, free mask, RMSProp
-settings and weight override are resolved here, once.  A drift estimator
-without bounds gets no box (`bounds` None: no bound check); a diffusion
-estimator without bounds gets the model's eta box.  Only the per-replicate
-initial estimate is left unset; `runner.initial_setups` draws it for each
-run.
+settings, weight override and indices are resolved here, once.  `particles`
+is `(particle,)` or the sorted Pi, `triplets` is `(triplet,)` or C(Pi).  A
+drift estimator without bounds gets no box (`bounds` None: no bound check);
+a diffusion estimator without bounds gets the model's eta box.  Only the
+per-replicate initial estimate is left unset; `runner.initial_setups`
+draws it for each run.
 
 A rule between two fields (lower <= upper, burn-in < horizon) names both.
 """
@@ -28,8 +29,8 @@ from importlib import resources
 import numpy as np
 
 from .batch import ESTIMATOR_KINDS, EstimatorSetup
-from .estimators import LearningRateSchedule, RmsPropConfig
-from .models import MODEL_ZOO, Box, TruthSchedule, make_model, weight_matrix
+from .estimators import LearningRateSchedule, RmsPropConfig, build_cyclic_triplets
+from .models import MODEL_ZOO, Box, InteractionModel, TruthSchedule, make_model, weight_matrix
 
 
 class ConfigError(ValueError):
@@ -100,8 +101,7 @@ def _ints(v, ctx):
 @dataclass
 class ExperimentConfig:
     name: str
-    model_id: str
-    model_params: dict
+    model: InteractionModel
     truth: TruthSchedule
     n_particles: int
     dt: float
@@ -119,9 +119,6 @@ class ExperimentConfig:
     sweep_n_particles: list | None
     surface: dict | None
     raw: dict = field(repr=False, default_factory=dict)
-
-    def make_model(self):
-        return make_model(self.model_id, **self.model_params)
 
     def content_hash(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -154,12 +151,12 @@ def parse_config(data: dict) -> ExperimentConfig:
     if model_id not in MODEL_ZOO:
         raise ConfigError("model.id", f"unknown model {model_id!r}")
     model_cls = MODEL_ZOO[model_id]
-    model_params = {}
+    model_kwargs = {}
     if "sigma" in mdl:
         if model_cls.eta_names:
             raise ConfigError("model.sigma", f"{model_id} takes eta_true, not a constant sigma")
-        model_params["sigma"] = _float(mdl["sigma"], "model.sigma")
-        if model_params["sigma"] <= 0:
+        model_kwargs["sigma"] = _float(mdl["sigma"], "model.sigma")
+        if model_kwargs["sigma"] <= 0:
             raise ConfigError("model.sigma", "must be positive")
 
     truth = _parse_truth(_require(data, "truth", "", dict), model_cls.p)
@@ -173,8 +170,8 @@ def parse_config(data: dict) -> ExperimentConfig:
             raise ConfigError("eta_true", "must be positive")
         if not model_cls.eta_names:
             raise ConfigError("eta_true", f"{model_id} has a constant diffusion")
-        model_params["eta"] = eta_true
-    model_probe = make_model(model_id, **model_params)
+        model_kwargs["eta"] = eta_true
+    model = make_model(model_id, **model_kwargs)
 
     n_particles = _require(data, "n_particles", "", int)
     if n_particles < 1:
@@ -192,9 +189,9 @@ def parse_config(data: dict) -> ExperimentConfig:
     if particle_init != "standard-normal":
         raise ConfigError("init.particles", f"unknown law {particle_init!r}")
     theta_low = _floats_of_length(_require(init, "theta_low", "init"), "init.theta_low",
-                                  model_probe.p)
+                                  model.p)
     theta_high = _floats_of_length(_require(init, "theta_high", "init"), "init.theta_high",
-                                   model_probe.p)
+                                   model.p)
     if any(lo > hi for lo, hi in zip(theta_low, theta_high)):
         raise ConfigError("init.theta_low, init.theta_high", "lower bound exceeds upper bound")
     eta_low = init.get("eta_low")
@@ -220,7 +217,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     if not est_list:
         raise ConfigError("estimators", "need at least one estimator")
     estimators = [
-        _parse_estimator(e, i, model_probe, n_min) for i, e in enumerate(est_list)
+        _parse_estimator(e, i, model, n_min) for i, e in enumerate(est_list)
     ]
     labels = [e.label for e in estimators]
     if len(set(labels)) != len(labels):
@@ -247,8 +244,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         surface_keys = {"axes", "scan_kind", "horizon_steps", "burn_in_steps"}
         _check_keys(_typed(surface, "surface", dict), surface_keys, "surface")
         axes = _require(surface, "axes", "surface", list)
-        if len(axes) != model_probe.p:
-            raise ConfigError("surface.axes", f"expected {model_probe.p} axes")
+        if len(axes) != model.p:
+            raise ConfigError("surface.axes", f"expected {model.p} axes")
         kind = surface.get("scan_kind", "L_iN")
         if kind not in ("L_iN", "L_ijkN"):
             raise ConfigError("surface.scan_kind", f"unknown kind {kind!r}")
@@ -271,8 +268,7 @@ def parse_config(data: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         name=name,
-        model_id=model_id,
-        model_params=model_params,
+        model=model,
         truth=truth,
         n_particles=n_particles,
         dt=dt,
@@ -359,6 +355,9 @@ def _parse_estimator(d, index, model, n_particles) -> EstimatorSetup:
             raise ConfigError(f"{ctx}.pi", f"triplets need at least 3 particles, N={n_particles}")
     elif pi is not None:
         raise ConfigError(f"{ctx}.pi", f"pi is only valid for the M-averaged kinds")
+    # Pi is held sorted, so the order it was given in cannot change the sum
+    particles = tuple(sorted(pi)) if kind == "averaged_m" else (particle,)
+    triplets = build_cyclic_triplets(pi) if kind == "triplet_m" else (triplet,)
 
     lr = _require(d, "learning_rate", ctx, dict)
     _check_keys(lr, {"kind", "gamma0", "beta", "scale"}, f"{ctx}.learning_rate")
@@ -431,9 +430,8 @@ def _parse_estimator(d, index, model, n_particles) -> EstimatorSetup:
     return EstimatorSetup(
         kind=kind,
         label=label,
-        particle=particle,
-        triplet=triplet,
-        pi=pi,
+        particles=particles,
+        triplets=triplets,
         schedule=LearningRateSchedule(
             kind=lr_kind, gamma0=gamma0, beta=beta,
             scale=None if scale is None else np.asarray(scale, dtype=float),

@@ -30,6 +30,8 @@ class LearningRateSchedule:
 
     `scale` is a fixed positive per-parameter vector; the time dependence is
     a shared scalar.  `config` checks gamma0 > 0, beta in (0, 1] and scale > 0.
+    `value(t)` is the 1-d rate vector, computed once (read-only) when the
+    schedule is constant.
     """
 
     kind: str
@@ -40,26 +42,16 @@ class LearningRateSchedule:
     def __post_init__(self):
         if self.scale is not None:
             object.__setattr__(self, "scale", np.asarray(self.scale, dtype=float))
-        fixed = None
+        object.__setattr__(self, "_fixed", None)
         if self.kind == "constant":
-            fixed = np.atleast_1d(self.value(0.0))
-            fixed.flags.writeable = False
-        object.__setattr__(self, "_fixed", fixed)
-
-    def scalar(self, t) -> float:
-        if self.kind == "constant":
-            return self.gamma0
-        return self.gamma0 * (1.0 + t) ** (-self.beta)
+            object.__setattr__(self, "_fixed", self.value(0.0))
+            self._fixed.flags.writeable = False
 
     def value(self, t) -> np.ndarray:
-        g = self.scalar(t)
-        return g * self.scale if self.scale is not None else np.asarray(g)
-
-    def vector(self, t) -> np.ndarray:
-        """value(t) as a 1-d array; computed once (read-only) when constant."""
         if self._fixed is not None:
             return self._fixed
-        return np.atleast_1d(self.value(t))
+        g = self.gamma0 if self.kind == "constant" else self.gamma0 * (1.0 + t) ** (-self.beta)
+        return g * self.scale if self.scale is not None else np.array([g])
 
 
 @dataclass(frozen=True)
@@ -102,19 +94,20 @@ def validate_schedule(schedule: LearningRateSchedule) -> ScheduleReport:
 # Cyclic triplets
 
 
-def build_cyclic_triplets(pi, n: int) -> tuple:
-    """Cyclic triplets C(Pi) of an ordered index subset Pi of [0, n).
+def build_cyclic_triplets(pi) -> tuple:
+    """Cyclic triplets C(Pi) of an ordered index subset Pi.
 
     For |Pi| >= 3 the triples are (i_l, i_{l+1}, i_{l+2}) with indices taken
     cyclically.  For |Pi| in {1, 2}, Pi is first extended to size 3 with the
-    smallest indices not already in Pi, the cyclic triples of the extension
-    are formed, and only those whose first index lies in the original Pi are
-    kept, so the result size is always |Pi|.  `config` checks that Pi is
-    non-empty and distinct, and that n >= 3 when |Pi| < 3.
+    smallest indices not already in Pi (always among 0, 1 and 2), the cyclic
+    triples of the extension are formed, and only those whose first index
+    lies in the original Pi are kept, so the result size is always |Pi|.
+    `config` checks that Pi is non-empty and distinct, and that N >= 3 when
+    |Pi| < 3.
     """
     pi = list(pi)
     if len(pi) < 3:
-        aux = [i for i in range(n) if i not in pi]
+        aux = [i for i in range(3) if i not in pi]
         extended = pi + aux[: 3 - len(pi)]
         return tuple(t for t in _cyclic(extended) if t[0] in pi)
     return _cyclic(pi)
@@ -202,7 +195,7 @@ def _apply_raw_update(state, D, t, options, keep=None):
     NaN proposal needs a non-finite step, and that replicate is frozen here
     before it moves.
     """
-    lr_vec = options.schedule.vector(t)
+    lr_vec = options.schedule.value(t)
     step = -lr_vec * D
     if options.free_mask is not None:
         step = step * options.free_mask
@@ -319,8 +312,8 @@ def update_three_particle(state, options, positions, dx, dqv, stat, t, keep=None
 
 def update_m_averaged_full(state, options, positions, dx, dqv, stat, t, keep=None):
     """Single update from the mean averaged gradient over the primary indices
-    Pi.  Pi is held sorted, so the summation order (hence the float result)
-    does not depend on the order Pi was supplied in."""
+    Pi.  `config` holds Pi sorted, so the summation order (hence the float
+    result) does not depend on the order Pi was supplied in."""
     _apply_raw_update(state, _averaged_mean(state, options, positions, dx, stat), t, options, keep)
 
 

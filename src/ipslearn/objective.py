@@ -21,7 +21,6 @@ import numpy as np
 
 from .estimators import _weighted
 from .models import InteractionModel, TruthSchedule, weight_matrix
-from .rng import InvalidConfiguration
 from .sde import PositionHistory, run_trajectory
 
 # steps per block of a scan's time average; the blocks fix the summation
@@ -81,13 +80,12 @@ def linear_model_analytic_objective(theta, theta_true, sigma):
     Under the stationary zero-mean Gaussian law the drift difference is
     -((theta1+theta2) - (theta01+theta02)) * x, so the contrast averages to
     ds^2 * v0 / (2 sigma^2) with v0 = sigma^2 / (2 (theta01+theta02)).  Zero
-    exactly on the ridge theta1 + theta2 = theta01 + theta02.
+    exactly on the ridge theta1 + theta2 = theta01 + theta02.  The stationary
+    law needs theta01 + theta02 > 0.
     """
     theta = np.asarray(theta, dtype=float)
     theta_true = np.asarray(theta_true, dtype=float)
     s0 = theta_true[0] + theta_true[1]
-    if s0 <= 0:
-        raise InvalidConfiguration("no stationary law: theta01 + theta02 must be positive")
     ds = (theta[0] + theta[1]) - s0
     v0 = sigma**2 / (2.0 * s0)
     return ds**2 * v0 / (2.0 * sigma**2)

@@ -27,10 +27,6 @@ _U64 = np.uint64
 _MASK64 = (1 << 64) - 1
 
 
-class InvalidConfiguration(ValueError):
-    """Raised when an operation is called with inadmissible arguments."""
-
-
 class RngStream:
     """An independent Gaussian increment stream keyed by (seed, stream_id).
 

@@ -24,7 +24,7 @@ from .config import ConfigError, ExperimentConfig
 from .diagnostics import final_truth, l2_error_sweep
 from .objective import surface_scan
 from .rng import GENERATOR_NAME, replicate_seed
-from .sde import PositionHistory, run_trajectory
+from .sde import PositionHistory, SimulationBlowup, run_trajectory
 
 
 # rows formatted per write; larger blocks raise peak memory, not speed.  The
@@ -33,40 +33,27 @@ CSV_BLOCK_ROWS = 1024
 SHA256_CHUNK_BYTES = 1 << 20  # an artifact is hashed in chunks of this size
 
 
-def _fmt(v):
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
 def _format_column(col):
-    """The CSV text of each value of one column, as `_fmt` would give it.
+    """The CSV text of each value of one numpy bool, integer, float or
+    string column.
 
-    A numpy bool, integer, float or string column formats each distinct
-    value once and maps the texts back to the rows.  Floats are told apart
-    by their bit pattern, so -0.0 and 0.0 keep their own texts.  Anything
-    else (Python lists that mix ints and floats, for one) is formatted value
-    by value.
+    Each distinct value is formatted once and the texts are mapped back to
+    the rows.  Floats are told apart by their bit pattern, so -0.0 and 0.0
+    keep their own texts.
     """
-    kind = col.dtype.kind if isinstance(col, np.ndarray) else None
-    if kind in ("b", "i", "u", "f", "U"):
-        keys = col.view(f"i{col.itemsize}") if kind == "f" else col
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        distinct = col[first].tolist()
-        if kind == "b":
-            texts = ["1" if v else "0" for v in distinct]
-        else:
-            texts = list(map(repr if kind == "f" else str, distinct))
-        return [texts[k] for k in inverse.tolist()]
-    return [_fmt(v) for v in col]
+    kind = col.dtype.kind
+    keys = col.view(f"i{col.itemsize}") if kind == "f" else col
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    distinct = col[first].tolist()
+    if kind == "b":
+        texts = ["1" if v else "0" for v in distinct]
+    else:
+        texts = list(map(repr if kind == "f" else str, distinct))
+    return [texts[k] for k in inverse.tolist()]
 
 
 def write_csv(path: Path, header, columns):
-    """Write equal-length `columns` under `header`, one CSV row per index.
+    """Write equal-length numpy `columns` under `header`, one CSV row per index.
 
     Floats are written as Python's shortest round-trip repr, bools as 1/0
     and integers in decimal.
@@ -102,7 +89,7 @@ def base_metadata(config: ExperimentConfig) -> dict:
     return {
         "config_name": config.name,
         "config_hash": config.content_hash(),
-        "model_id": config.model_id,
+        "model_id": config.model.model_id,
         "dt": config.dt,
         "generator": GENERATOR_NAME,
         "base_seed": config.base_seed,
@@ -146,14 +133,13 @@ def run_experiment(config: ExperimentConfig, out_dir, trajectory_only: bool = Fa
     """Execute a config end to end and return the output manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model = config.make_model()
     seeds = batch_seeds(config.base_seed, config.replicates)
     meta = base_metadata(config)
     artifacts = []
 
     if not trajectory_only:
         result = run_batch(
-            model,
+            config.model,
             config.truth,
             config.n_particles,
             config.dt,
@@ -165,18 +151,18 @@ def run_experiment(config: ExperimentConfig, out_dir, trajectory_only: bool = Fa
         )
         if np.all(result.excluded):
             raise RuntimeError("every replicate blew up; nothing to report")
-        artifacts += _write_estimates(config, model, result, out, meta)
-        artifacts += _write_summary(config, model, result, out, meta)
+        artifacts += _write_estimates(config, result, out, meta)
+        artifacts += _write_summary(config, result, out, meta)
 
     if trajectory_only or config.dump_trajectory:
-        artifacts += _write_trajectories(config, model, seeds, out, meta)
+        artifacts += _write_trajectories(config, seeds, out, meta)
 
     return _finish_manifest(config, out, artifacts)
 
 
-def _write_estimates(config, model, result, out, meta):
+def _write_estimates(config, result, out, meta):
     tracks = result.tracks
-    names = [param_names(model, track.kind) for track in tracks]
+    names = [param_names(config.model, track.kind) for track in tracks]
     # rows run over estimators, then recorded steps, then parameters
     step = np.concatenate([np.repeat(tr.record_steps, len(nm)) for tr, nm in zip(tracks, names)])
     time = np.concatenate([np.repeat(tr.record_times, len(nm)) for tr, nm in zip(tracks, names)])
@@ -199,16 +185,16 @@ def _write_estimates(config, model, result, out, meta):
     return paths
 
 
-def _write_summary(config, model, result, out, meta):
+def _write_summary(config, result, out, meta):
     ok = ~result.excluded
     blocks = []
     for track in result.tracks:
-        truth = final_truth(model, config.truth, track.kind, config.n_steps, config.dt)
+        truth = final_truth(config.model, config.truth, track.kind, config.n_steps, config.dt)
         R, p = track.tail_mean.shape
         pooled = track.tail_mean[ok].mean(axis=0)  # over non-excluded replicates
         blocks.append([
             np.repeat(np.arange(R), p), np.full(R * p, track.label),
-            np.tile(param_names(model, track.kind), R),
+            np.tile(param_names(config.model, track.kind), R),
             track.final, track.tail_mean, (track.tail_mean - truth) ** 2,
             (track.tail_mean - pooled) ** 2,
             np.repeat(result.excluded, p), np.repeat(result.blowup_step, p),
@@ -227,27 +213,48 @@ def _write_summary(config, model, result, out, meta):
     return [path, side]
 
 
-def _write_trajectories(config, model, seeds, out, meta):
+def _write_trajectories(config, seeds, out, meta):
+    """One trajectory CSV per replicate, each re-simulated from its seed.
+
+    A replicate that blows up is written up to its last recorded step
+    before the blow-up, and its sidecar holds `blowup_step`; the run fails
+    only if every replicate blows up.
+    """
     paths = []
+    blown = 0
     for r, seed in enumerate(seeds):
-        hist = PositionHistory(config.n_steps, config.n_particles, model.d,
-                               record_every=config.record_every)
-        run_trajectory(
-            model, config.truth, config.n_particles, config.dt, config.n_steps,
-            seed, observers=[hist],
-        )
-        # rows run over recorded steps, then particles, then coordinates
-        n_rec, n, d = hist.positions.shape
-        step = np.repeat(hist.steps, n * d)
-        particle = np.tile(np.repeat(np.arange(n), d), n_rec)
-        coord = np.tile(np.arange(d), n_rec * n)
         path = out / f"trajectory_r{r:03d}.csv"
-        write_csv(path, ["step", "time", "particle", "coord", "value"],
-                  [step, step * config.dt, particle, coord, hist.positions.reshape(-1)])
-        side = write_sidecar(path, {**meta, "replicate": r, "seed": seed,
-                                    "record_every": config.record_every})
-        paths += [path, side]
+        side = {**meta, "replicate": r, "seed": seed, "record_every": config.record_every}
+        blowup_step = _write_trajectory(config, seed, path)
+        if blowup_step is not None:
+            side["blowup_step"] = blowup_step
+            blown += 1
+        paths += [path, write_sidecar(path, side)]
+    if blown == len(seeds):
+        raise RuntimeError("every replicate blew up; nothing to report")
     return paths
+
+
+def _write_trajectory(config, seed, path):
+    """Write one replicate's recording to `path` (freed on return); returns
+    the step at which the replicate blew up, or None."""
+    hist = PositionHistory(config.n_steps, config.n_particles, config.model.d,
+                           record_every=config.record_every)
+    blowup_step = None
+    try:
+        run_trajectory(config.model, config.truth, config.n_particles, config.dt,
+                       config.n_steps, seed, observers=[hist])
+    except SimulationBlowup as e:
+        blowup_step = e.step
+    # rows run over the steps recorded before any blow-up, then particles, then coordinates
+    n_rec = np.count_nonzero(hist.steps < (config.n_steps if blowup_step is None else blowup_step))
+    _, n, d = hist.positions.shape
+    step = np.repeat(hist.steps[:n_rec], n * d)
+    particle = np.tile(np.repeat(np.arange(n), d), n_rec)
+    coord = np.tile(np.arange(d), n_rec * n)
+    write_csv(path, ["step", "time", "particle", "coord", "value"],
+              [step, step * config.dt, particle, coord, hist.positions[:n_rec].reshape(-1)])
+    return blowup_step
 
 
 def run_sweep(config: ExperimentConfig, out_dir) -> dict:
@@ -260,7 +267,7 @@ def run_sweep(config: ExperimentConfig, out_dir) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     seeds = batch_seeds(config.base_seed, config.replicates)
     columns = l2_error_sweep(
-        config.make_model(),
+        config.model,
         config.truth,
         config.sweep_n_particles,
         config.dt,
@@ -288,7 +295,7 @@ def run_surface(config: ExperimentConfig, out_dir) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     surface = config.surface
     values = surface_scan(
-        config.make_model(),
+        config.model,
         surface["axes"],
         config.n_particles,
         config.dt,

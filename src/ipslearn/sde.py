@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .models import InteractionModel, TruthSchedule
-from .rng import BlockedNoise, InvalidConfiguration, particle_streams
+from .rng import BlockedNoise, particle_streams
 
 BLOWUP_THRESHOLD = 1e6  # |x| guard; superlinear diffusions can explode under Euler
 
@@ -83,8 +83,6 @@ def simulate(
         positions = noise.initial_positions().reshape(R, N, d)
     else:
         positions = np.array(initial_positions, dtype=float)
-        if positions.shape != (R, N, d):
-            raise InvalidConfiguration(f"initial positions must be {(R, N, d)}")
 
     active = np.ones(R, dtype=bool)
     keep = None  # ~active once a replicate is excluded: it no longer moves

@@ -32,7 +32,7 @@ def replayed_information(config, phi, start_time=0.0):
     phi maps (R, N, d) positions to the (R,) regressor at particle 0.  The
     noise streams are built as in run_batch, one per (replicate, particle).
     """
-    model = config.make_model()
+    model = config.model
     seeds = batch_seeds(config.base_seed, config.replicates)
     R, N, d = len(seeds), config.n_particles, model.d
     noise = BlockedNoise([RngStream(s, i) for s in seeds for i in range(N)], d, config.dt)
@@ -67,7 +67,7 @@ def kuramoto_m0(positions):
 def linear_fig1_tails():
     """Tail estimates {label: (R, 2)} of linear_fig1's estimators."""
     config = load_config("linear_fig1")
-    model = config.make_model()
+    model = config.model
     seeds = batch_seeds(config.base_seed, config.replicates)
     res = run_batch(
         model, config.truth, config.n_particles, config.dt, config.n_steps, seeds,
@@ -80,7 +80,7 @@ def test_replay_follows_the_batch_paths():
     config = load_config("linear_fig1")
     _, final = replayed_information(config, linear_xbar)
     res = run_batch(
-        config.make_model(), config.truth, config.n_particles, config.dt,
+        config.model, config.truth, config.n_particles, config.dt,
         config.n_steps, batch_seeds(config.base_seed, config.replicates),
     )
     np.testing.assert_array_equal(final, res.final_positions)

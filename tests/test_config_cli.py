@@ -50,7 +50,7 @@ def tiny_config(**overrides):
 
 def test_bundled_fig1_constants():
     c = load_config("linear_fig1")
-    assert c.model_id == "linear"
+    assert c.model.model_id == "linear"
     assert c.truth.at(0.0) == pytest.approx([1.0, 0.2])
     assert c.n_particles == 50 and c.n_steps == 10000 and c.dt == 0.1
     assert c.theta_init_low == [1.5, 0.5] and c.theta_init_high == [2.5, 1.0]
@@ -693,6 +693,48 @@ def test_cli_simulate_writes_trajectories_only(tmp_path):
     assert cli_main(["simulate", "--config", str(p), "--out", str(out)]) == 0
     assert (out / "trajectory_r000.csv").exists()
     assert not (out / "estimates_r000.csv").exists()
+
+
+def _vol32_blowup_config(tmp_path, **overrides):
+    cfg = {**load_config("vol32").raw, "eta_true": 2.0, "n_particles": 10, "replicates": 3,
+           "n_steps": 200, "base_seed": 3, **overrides}
+    del cfg["sweep"]
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    return str(p)
+
+
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+def test_cli_dumps_a_partial_blowup_up_to_its_last_recorded_step(tmp_path, capsys, command):
+    # replicates 1 and 2 blow up at steps 98 and 9; replicate 0 runs all 200 steps
+    out = tmp_path / "o"
+    config = _vol32_blowup_config(tmp_path, dump_trajectory=True)
+    assert cli_main([command, "--config", config, "--out", str(out)]) == 0, capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    names = {a["name"] for a in manifest["artifacts"]}
+    assert {f"trajectory_r{r:03d}.csv" for r in range(3)} <= names
+    for r, last_step in ((0, 190), (1, 90), (2, 0)):
+        rows = (out / f"trajectory_r{r:03d}.csv").read_text().splitlines()[1:]
+        assert len(rows) == (last_step // 10 + 1) * 10  # 10 particles, d = 1
+        assert rows[-1].startswith(f"{last_step},")
+        assert all(np.isfinite(float(row.split(",")[-1])) for row in rows)
+        side = json.loads((out / f"trajectory_r{r:03d}.csv.meta.json").read_text())
+        assert side.get("blowup_step") == {1: 98, 2: 9}.get(r)
+    if command == "estimate":
+        rows = [row.split(",") for row in (out / "summary.csv").read_text().splitlines()[1:]]
+        excluded = {row[0]: row[-2:] for row in rows}
+        assert excluded == {"0": ["0", "-1"], "1": ["1", "98"], "2": ["1", "9"]}
+
+
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+def test_cli_fails_when_every_replicate_blows_up(tmp_path, capsys, command):
+    # eta 1.5 at dt 0.2: seeds 1, 2 and 3 blow up at steps 7, 53 and 5
+    out = tmp_path / "o"
+    config = _vol32_blowup_config(tmp_path, eta_true=1.5, dt=0.2, n_steps=500, base_seed=1,
+                                  dump_trajectory=True)
+    assert cli_main([command, "--config", config, "--out", str(out)]) == 1
+    assert "every replicate blew up" in json.loads(capsys.readouterr().err)["message"]
+    assert not (out / "manifest.json").exists()
 
 
 def test_cli_diagnose_moments(tmp_path):

@@ -17,8 +17,8 @@ from ipslearn.diagnostics import (
 )
 from ipslearn.estimators import LearningRateSchedule
 from ipslearn.models import TruthSchedule, Vol32Model, make_model
-from ipslearn.rng import InvalidConfiguration
 from ipslearn.runner import run_experiment, run_sweep
+from ipslearn.sde import run_trajectory
 
 
 # ---------------------------------------------------------------------------
@@ -60,16 +60,6 @@ def test_rate_function_a_decreasing_in_t():
         assert np.all(np.diff(vals) < 0)
 
 
-def test_rate_functions_reject_bad_arguments():
-    for bad in [(0, 1), (5, 0)]:
-        with pytest.raises(InvalidConfiguration):
-            rho_rate(*bad)
-    with pytest.raises(InvalidConfiguration):
-        poc_rate(10, -0.5)
-    with pytest.raises(InvalidConfiguration):
-        rate_function_a(1.0, 1.0, 0.5, -1.0)
-
-
 # ---------------------------------------------------------------------------
 # Coupling distance
 
@@ -77,7 +67,7 @@ def test_rate_functions_reject_bad_arguments():
 def test_coupling_identical_sizes_is_zero():
     m = make_model("linear")
     truth = TruthSchedule.constant([1.0, 0.2])
-    series = coupling_distance(m, truth, 8, 8, 0.1, 100, seed=4)
+    (series,) = coupling_distance(m, truth, [8], 8, 0.1, 100, seed=4)
     assert np.all(series == 0.0)
 
 
@@ -87,8 +77,8 @@ def test_coupling_zero_noise_pure_interaction_stays_zero():
     m = make_model("linear", sigma=0.0)
     truth = TruthSchedule.constant([0.0, 0.7])
     init = np.full((30, 1), 0.9)
-    series = coupling_distance(
-        m, truth, 5, 30, 0.1, 200, seed=5, initial_positions=init
+    (series,) = coupling_distance(
+        m, truth, [5], 30, 0.1, 200, seed=5, initial_positions=init
     )
     assert np.all(series == 0.0)
 
@@ -96,11 +86,29 @@ def test_coupling_zero_noise_pure_interaction_stays_zero():
 def test_coupling_distance_positive_for_finite_sizes():
     m = make_model("linear")
     truth = TruthSchedule.constant([1.0, 0.2])
-    series = coupling_distance(m, truth, 5, 100, 0.1, 500, seed=6)
+    (series,) = coupling_distance(m, truth, [5], 100, 0.1, 500, seed=6)
     # shared initial conditions: after one step only the drift difference
     # (order dt^2 in squared distance) has accumulated
     assert 0 < series[0] < 1e-3
     assert series[100:].mean() > series[0]
+
+
+def test_coupling_runs_the_big_system_once_and_matches_a_run_per_size(monkeypatch):
+    # reference: both systems run for each size, the distance taken step by step
+    m = make_model("linear")
+    truth = TruthSchedule.constant([1.0, 0.2])
+    sizes, n_big, n_steps = (3, 7, 5), 12, 40
+    want = []
+    for n in sizes:
+        paths = [np.array([run_trajectory(m, truth, size, 0.1, k + 1, 9)[:n]
+                           for k in range(n_steps)]) for size in (n, n_big)]
+        want.append([np.mean(np.sum(d**2, axis=1)) for d in paths[0] - paths[1]])
+    calls = []
+    monkeypatch.setattr("ipslearn.diagnostics.run_trajectory",
+                        lambda *a, **kw: calls.append(a[2]) or run_trajectory(*a, **kw))
+    got = coupling_distance(m, truth, sizes, n_big, 0.1, n_steps, 9)
+    assert got.tobytes() == np.array(want).tobytes()
+    assert sorted(calls) == [3, 5, 7, 12]
 
 
 def diagnose_error(tmp_path, capsys, *args):
@@ -247,7 +255,7 @@ def test_summary_csv_reports_exclusions(tmp_path):
         "replicates": 12, "base_seed": 1, "record_every": 100,
     })
     run_experiment(config, tmp_path)
-    res = run_batch(config.make_model(), config.truth, 3, 0.2, 500, batch_seeds(1, 12), [])
+    res = run_batch(config.model, config.truth, 3, 0.2, 500, batch_seeds(1, 12), [])
     ok = ~res.excluded
     assert 0 < res.excluded.sum() < 12
     with open(tmp_path / "summary.csv") as fh:
@@ -280,11 +288,6 @@ def test_standardized_moments_gaussian_sanity():
     assert s.skewness == pytest.approx([0.0, 0.0], abs=0.05)
     assert s.excess_kurtosis == pytest.approx([0.0, 0.0], abs=0.1)
     assert s.variance == pytest.approx([1.0, 1.0], rel=0.02)
-
-
-def test_standardized_moments_needs_samples():
-    with pytest.raises(InvalidConfiguration):
-        standardized_moments(np.zeros((1, 2)))
 
 
 def test_clt_rejects_constant_schedule(tmp_path, capsys):

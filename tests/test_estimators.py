@@ -23,6 +23,7 @@ from ipslearn.estimators import (
     validate_schedule,
 )
 from ipslearn.models import Box, TruthSchedule, make_model, weight_matrix
+from ipslearn.runner import run_experiment
 
 
 def const_sched(*scale):
@@ -46,21 +47,21 @@ def apply(rule, theta, opts, pos, dx, t=0.0, dqv=None, keep=None):
 
 
 def test_cyclic_triplets_standard():
-    assert build_cyclic_triplets([2, 5, 7], 10) == ((2, 5, 7), (5, 7, 2), (7, 2, 5))
+    assert build_cyclic_triplets([2, 5, 7]) == ((2, 5, 7), (5, 7, 2), (7, 2, 5))
 
 
 def test_cyclic_triplets_full_small_system():
-    assert build_cyclic_triplets([0, 1, 2], 3) == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    assert build_cyclic_triplets([0, 1, 2]) == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 def test_cyclic_triplets_extend_singleton():
     # Pi = {4} is extended with the smallest free indices {0, 1}; only the
     # cyclic triple starting in Pi is kept
-    assert build_cyclic_triplets([4], 10) == ((4, 0, 1),)
+    assert build_cyclic_triplets([4]) == ((4, 0, 1),)
 
 
 def test_cyclic_triplets_extend_pair():
-    ts = build_cyclic_triplets([4, 2], 10)
+    ts = build_cyclic_triplets([4, 2])
     assert len(ts) == 2
     assert all(t[0] in (4, 2) for t in ts)
     for t in ts:
@@ -73,11 +74,13 @@ def test_cyclic_triplets_properties(data):
     n = data.draw(st.integers(3, 12))
     m = data.draw(st.integers(1, n))
     pi = data.draw(st.permutations(range(n)).map(lambda p: tuple(p[:m])))
-    ts = build_cyclic_triplets(pi, n)
+    ts = build_cyclic_triplets(pi)
     assert len(ts) == len(pi)
     assert tuple(t[0] for t in ts if t[0] in pi) == tuple(t[0] for t in ts)
     for t in ts:
         assert len(set(t)) == 3 and all(0 <= i < n for i in t)
+        # fewer than 3 indices are completed from 0, 1 and 2, so any N >= 3 has them
+        assert all(i in pi or i in (0, 1, 2) for i in t)
     if len(pi) >= 3:
         assert tuple(t[0] for t in ts) == pi
 
@@ -129,7 +132,7 @@ def test_m_triplet_with_single_triple_reduces_exactly():
     rng = np.random.default_rng(4)
     pos = rng.standard_normal((10, 1))
     dx = rng.standard_normal((10, 1)) * 0.1
-    opts = options(m, const_sched(8e-3, 5e-3), triplets=build_cyclic_triplets([4], 10))
+    opts = options(m, const_sched(8e-3, 5e-3), triplets=build_cyclic_triplets([4]))
     via_m = apply(update_m_averaged_triplets, [1.5, 0.7], opts, pos, dx)
     direct = apply(update_three_particle, [1.5, 0.7], opts, pos, dx)
     assert np.array_equal(via_m.theta, direct.theta)
@@ -150,19 +153,23 @@ def test_m_full_equals_mean_of_per_particle_updates():
     assert via_m.theta == pytest.approx(np.mean(singles, axis=0), abs=1e-14)
 
 
-def test_m_full_invariant_under_pi_permutation():
-    # the batch holds Pi sorted: any supplied order gives the same bytes
-    m = make_model("double-well")
-    truth = TruthSchedule.constant([1.0, 1.0, 0.5])
-    sched = const_sched(8e-3, 8e-3, 8e-3)
-    setups = [
-        EstimatorSetup("averaged_m", label=str(pi), pi=pi, schedule=sched,
-                       theta_init=np.array([0.5, 3.0, 2.0]))
-        for pi in ((5, 1, 7, 2, 6), (6, 2, 7, 1, 5), (1, 2, 5, 6, 7))
-    ]
-    res = run_batch(m, truth, 8, 0.1, 50, batch_seeds(6, 2), setups, record_every=1)
-    a, b, c = (tr.theta_path for tr in res.tracks)
-    assert np.array_equal(a, b) and np.array_equal(a, c)
+def test_m_full_invariant_under_pi_permutation(tmp_path):
+    # the config holds Pi sorted: any supplied order gives the same indices
+    # and the same estimate bytes
+    base = {**load_config("doublewell_fig5").raw, "n_particles": 8, "n_steps": 50,
+            "replicates": 2, "base_seed": 6, "record_every": 1, "sweep": None}
+    outputs = []
+    for pi in ((5, 1, 7, 2, 6), (6, 2, 7, 1, 5), (1, 2, 5, 6, 7)):
+        config = parse_config({**base, "estimators": [{
+            "kind": "averaged_m", "pi": list(pi),
+            "learning_rate": {"kind": "constant", "gamma0": 1.0,
+                              "scale": [8e-3, 8e-3, 8e-3]}}]})
+        assert config.estimators[0].particles == (1, 2, 5, 6, 7)
+        out = tmp_path / "".join(map(str, pi))
+        run_experiment(config, out)
+        outputs.append([(out / name).read_bytes() for name in
+                        ("estimates_r000.csv", "estimates_r001.csv", "summary.csv")])
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_update_diffusion_fixed_point_and_hand_step():
@@ -224,11 +231,12 @@ def test_keep_mask_leaves_a_replicate_untouched():
 
 def test_constant_schedule_vector_is_computed_once():
     sched = const_sched(0.008, 0.005)
-    v = sched.vector(0.0)
-    assert sched.vector(123.0) is v and not v.flags.writeable
-    assert np.array_equal(v, sched.value(5.0))
+    v = sched.value(0.0)
+    assert sched.value(123.0) is v and not v.flags.writeable
+    assert v.tolist() == [0.008, 0.005]
+    assert LearningRateSchedule("constant", 0.3).value(7.0).tolist() == [0.3]
     power = LearningRateSchedule("power-law", 0.5, beta=0.7)
-    assert power.vector(3.0) == pytest.approx([0.5 * 4.0**-0.7])
+    assert power.value(3.0).tolist() == [0.5 * 4.0**-0.7]
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +586,9 @@ def test_every_rule_call_goes_through_its_module_attribute(monkeypatch):
     setups = [
         EstimatorSetup("averaged", schedule=sched, theta_init=thetas),
         EstimatorSetup("triplet", schedule=sched, theta_init=thetas),
-        EstimatorSetup("averaged_m", pi=(3, 0), schedule=sched, theta_init=thetas),
-        EstimatorSetup("triplet_m", pi=(1, 2), schedule=sched, theta_init=thetas),
+        EstimatorSetup("averaged_m", particles=(0, 3), schedule=sched, theta_init=thetas),
+        EstimatorSetup("triplet_m", triplets=build_cyclic_triplets((1, 2)), schedule=sched,
+                       theta_init=thetas),
         EstimatorSetup("diffusion", schedule=LearningRateSchedule("constant", 0.01),
                        theta_init=np.array([0.7])),
     ]

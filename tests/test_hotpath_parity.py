@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from ipslearn.batch import EstimatorSetup, batch_seeds, draw_initial_thetas, run_batch
-from ipslearn.estimators import LearningRateSchedule, RmsPropConfig
+from ipslearn.estimators import LearningRateSchedule, RmsPropConfig, build_cyclic_triplets
 from ipslearn.models import Box, LinearModel, TruthSchedule, make_model
 
 DIGESTS = Path(__file__).with_name("data") / "hotpath_digests.json"
@@ -52,10 +52,10 @@ def _case_linear_all_kinds():
         model=model, truth=TruthSchedule.constant([1.0, 0.2]), n=8, dt=0.1, seed=101,
         init=([1.5, 0.5], [2.5, 1.0]), record_every=7,
         setups=[
-            EstimatorSetup("averaged", particle=3, schedule=sched),
-            EstimatorSetup("triplet", triplet=(2, 0, 5), schedule=sched),
-            EstimatorSetup("averaged_m", pi=(5, 1, 7), schedule=sched),
-            EstimatorSetup("triplet_m", pi=(0, 2), schedule=sched),
+            EstimatorSetup("averaged", particles=(3,), schedule=sched),
+            EstimatorSetup("triplet", triplets=((2, 0, 5),), schedule=sched),
+            EstimatorSetup("averaged_m", particles=(1, 5, 7), schedule=sched),
+            EstimatorSetup("triplet_m", triplets=build_cyclic_triplets((0, 2)), schedule=sched),
             EstimatorSetup("averaged", label="identity_weight", schedule=sched,
                            weight=np.eye(1)),
         ],
@@ -72,7 +72,8 @@ def _case_linear_mask_power_rmsprop():
                            free_mask=np.array([False, True])),
             EstimatorSetup("triplet", schedule=const(0.02, 0.02),
                            rmsprop=RmsPropConfig(0.9, 1e-8)),
-            EstimatorSetup("averaged_m", pi=(0, 1, 2, 3), schedule=power(0.02, 0.01, beta=1.0),
+            EstimatorSetup("averaged_m", particles=(0, 1, 2, 3),
+                           schedule=power(0.02, 0.01, beta=1.0),
                            rmsprop=RmsPropConfig(0.99, 1e-6),
                            free_mask=np.array([True, False])),
         ],
@@ -102,7 +103,8 @@ def _case_double_well_bounded():
             EstimatorSetup("averaged", schedule=const(0.05, 0.05, 0.05), bounds=box),
             EstimatorSetup("triplet", schedule=const(0.01, 0.01, 0.01), bounds=box,
                            rmsprop=RmsPropConfig(0.9, 1e-8)),
-            EstimatorSetup("triplet_m", pi=(1, 2, 3, 4), schedule=const(0.002, 0.002, 0.002)),
+            EstimatorSetup("triplet_m", triplets=build_cyclic_triplets((1, 2, 3, 4)),
+                           schedule=const(0.002, 0.002, 0.002)),
         ],
         expect=lambda res: _some_not_all(
             res.tracks[0].frozen_final | res.tracks[1].frozen_final, "box freeze"),
@@ -116,10 +118,10 @@ def _case_fitzhugh_nagumo():
         model=model, truth=TruthSchedule.constant([0.5, 0.3, 0.7, 1.0]), n=6, dt=0.1, seed=505,
         init=([1.0, 0.0, 0.0, 1.0], [2.0, 1.0, 0.5, 1.5]), record_every=4,
         setups=[
-            EstimatorSetup("averaged", particle=1, schedule=sched),
+            EstimatorSetup("averaged", particles=(1,), schedule=sched),
             EstimatorSetup("triplet", schedule=sched),
-            EstimatorSetup("averaged_m", pi=(0, 3, 5), schedule=sched),
-            EstimatorSetup("triplet_m", pi=(4,), schedule=sched),
+            EstimatorSetup("averaged_m", particles=(0, 3, 5), schedule=sched),
+            EstimatorSetup("triplet_m", triplets=build_cyclic_triplets((4,)), schedule=sched),
         ],
     )
 
@@ -134,8 +136,9 @@ def _case_kuramoto_changepoint():
             EstimatorSetup("averaged", schedule=const(gamma0=0.5)),
             EstimatorSetup("triplet", schedule=const(gamma0=0.5),
                            bounds=Box(np.array([0.0]), np.array([5.0]))),
-            EstimatorSetup("averaged_m", pi=(8, 0, 4), schedule=const(gamma0=0.5)),
-            EstimatorSetup("triplet_m", pi=(1, 2, 3), schedule=power(0.5)),
+            EstimatorSetup("averaged_m", particles=(0, 4, 8), schedule=const(gamma0=0.5)),
+            EstimatorSetup("triplet_m", triplets=build_cyclic_triplets((1, 2, 3)),
+                           schedule=power(0.5)),
         ],
     )
 
@@ -159,8 +162,9 @@ def _case_cucker_smale():
         setups=[
             EstimatorSetup("averaged", schedule=sched, free_mask=free),
             EstimatorSetup("triplet", schedule=sched, free_mask=free),
-            EstimatorSetup("averaged_m", pi=(1, 4), schedule=sched),
-            EstimatorSetup("triplet_m", pi=(0, 1, 2, 5), schedule=sched, free_mask=free),
+            EstimatorSetup("averaged_m", particles=(1, 4), schedule=sched),
+            EstimatorSetup("triplet_m", triplets=build_cyclic_triplets((0, 1, 2, 5)),
+                           schedule=sched, free_mask=free),
         ],
     )
 
@@ -174,7 +178,7 @@ def _case_vol32_partial_blowup():
         setups=[
             EstimatorSetup("averaged", schedule=sched),
             EstimatorSetup("triplet", schedule=sched),
-            EstimatorSetup("averaged_m", pi=(0, 1, 2), schedule=sched),
+            EstimatorSetup("averaged_m", particles=(0, 1, 2), schedule=sched),
             EstimatorSetup("diffusion", schedule=const(gamma0=0.01), bounds=model.eta_bounds),
         ],
         expect=lambda res: _some_not_all(res.excluded, "blow-up"),

@@ -12,7 +12,6 @@ from ipslearn.objective import (
     linear_model_analytic_objective,
     surface_scan,
 )
-from ipslearn.rng import InvalidConfiguration
 
 
 def test_contrast_vanishes_at_truth(zoo_model):
@@ -137,11 +136,6 @@ def test_analytic_objective_values():
     v = linear_model_analytic_objective([1.5, 0.7], th0, 1.0)
     assert v == pytest.approx(1.0 * (1.0 / 2.4) / 2.0, rel=1e-14)  # 0.208333...
     assert linear_model_analytic_objective([1.2, 0.0], th0, 1.0) == 0.0  # ridge
-
-
-def test_analytic_objective_requires_stable_truth():
-    with pytest.raises(InvalidConfiguration):
-        linear_model_analytic_objective([1.0, 0.2], [-1.0, 0.5], 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from ipslearn.batch import run_batch
 from ipslearn.models import TruthSchedule, make_model
-from ipslearn.rng import BlockedNoise, InvalidConfiguration, particle_streams
+from ipslearn.rng import BlockedNoise, particle_streams
 from ipslearn.sde import (
     BLOWUP_THRESHOLD,
     MomentTracker,
@@ -109,13 +109,6 @@ def test_each_replicate_equals_its_own_run(zoo_model):
     for r, seed in enumerate(seeds):
         alone = run_trajectory(zoo_model, truth, 6, 0.05, 60, seed)
         assert alone.tobytes() == batch[r].tobytes()
-
-
-def test_simulate_rejects_misshapen_initial_positions():
-    m = make_model("linear")
-    with pytest.raises(InvalidConfiguration):
-        simulate(m, TruthSchedule.constant([1.0, 0.2]), 3, 0.1, 5, (1, 2),
-                 initial_positions=np.zeros((3, 1)))
 
 
 def test_excluded_replicates_keep_their_last_guarded_state():
