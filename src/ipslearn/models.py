@@ -18,8 +18,11 @@ from the pair drift:
 - Kuramoto writes the average of sin(x - x_j) in closed form from the mean
   cosine and sine;
 - Cucker-Smale averages the pair drift over the ensemble, O(N) per particle;
-  its `drift_ensemble` evaluates the (N, N) pair terms in chunks of at most
-  PAIR_BLOCK_BYTES (256 KiB), so its working set does not grow with R or N.
+  its `drift_ensemble` evaluates the (N, N) pair terms in chunks, so its
+  working set does not grow with R or N.  The chunks are shared out among
+  one worker thread per CPU of the process's affinity mask, and the workers
+  split one PAIR_BLOCK_BYTES (256 KiB) budget per scratch buffer rather than
+  each taking one.  No result depends on the worker count.
 
 All evaluators broadcast over leading batch axes: theta has shape (..., p),
 states have shape (..., d), and ensembles have shape (..., N, d).
@@ -31,13 +34,86 @@ ensemble computes it once and passes it as `stat`.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 # Scratch budget of one chunk of the Cucker-Smale pair kernel: two such
-# buffers bound its per-step working set, whatever R and N.
+# buffers bound its per-step working set, whatever R and N.  The workers
+# split it; they do not each get one.
 PAIR_BLOCK_BYTES = 256 * 1024
+
+# Threads that share out the chunks of the Cucker-Smale pair kernel: one per
+# CPU the process may run on.
+if hasattr(os, "sched_getaffinity"):
+    _WORKERS = len(os.sched_getaffinity(0))
+else:
+    _WORKERS = os.cpu_count() or 1
+
+
+class _SharePool:
+    """Daemon threads that run the shares of a chunked kernel call.
+
+    Threads start on the first call with several shares and then idle
+    between calls.  A call returns only when all of its shares are done, so
+    an idle daemon never holds up interpreter exit.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._tasks = None
+        self._threads = 0
+
+    def run(self, work, shares):
+        """work(share) for every share: the first on the calling thread, each
+        other one on a pool thread in a copy of the caller's context, so that
+        the caller's np.errstate holds there too.  Returns when every share is
+        done and raises the first error.
+        """
+        if len(shares) == 1:
+            work(shares[0])
+            return
+        import queue  # here, not at module import: single-share runs never need it
+
+        with self._lock:
+            if self._tasks is None:
+                self._tasks = queue.SimpleQueue()
+            for _ in range(self._threads, len(shares) - 1):
+                threading.Thread(target=self._serve, daemon=True).start()
+                self._threads += 1
+        done = queue.SimpleQueue()
+        for share in shares[1:]:
+            self._tasks.put((contextvars.copy_context(), work, share, done))
+        try:
+            work(shares[0])
+        finally:
+            errors = [done.get() for _ in shares[1:]]
+        for err in errors:
+            if err is not None:
+                raise err
+
+    def _serve(self):
+        while True:
+            self._run_task(*self._tasks.get())
+
+    @staticmethod
+    def _run_task(context, work, share, done):
+        # a function of its own, so that an idle thread keeps no reference
+        # to the last call's arrays
+        try:
+            context.run(work, share)
+        except BaseException as err:  # raised again by the caller
+            done.put(err)
+        else:
+            done.put(None)
+
+
+_POOL = _SharePool()
+# A forked child has none of the parent's threads: it starts its own pool.
+os.register_at_fork(after_in_child=_POOL.__init__)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +467,11 @@ class CuckerSmaleModel(InteractionModel):
     with communication rate psi(theta3, u) = (1 + u)^(-theta3).
 
     `drift_ensemble` costs O(N^2) per step per replicate, in row blocks of
-    bounded memory: two scratch buffers of at most PAIR_BLOCK_BYTES each.
+    bounded memory.  Its chunks run on one thread per CPU of the process's
+    affinity mask; each thread has two scratch buffers, and all of them
+    together hold at most 2 * PAIR_BLOCK_BYTES, whatever the CPU count, for
+    any N whose row of pair terms fits in PAIR_BLOCK_BYTES.  The result is
+    the same, bit for bit, at any worker count.
     """
 
     model_id = "cucker-smale"
@@ -432,23 +512,32 @@ class CuckerSmaleModel(InteractionModel):
     def drift_ensemble(self, theta, positions, stat=None):
         """Mean-field drift of every particle, shape (..., N, d).
 
-        The (N, N) pair terms are evaluated in chunks of at most
-        PAIR_BLOCK_BYTES: several whole replicates when one replicate's
-        8 N^2 bytes fit, otherwise a block of rows i of one replicate.  A row
-        always holds all N columns j, so each mean over j sums the same
-        contiguous row as the full (..., N, N) evaluation, bit for bit.
+        The (N, N) pair terms are evaluated in chunks: several whole
+        replicates when one replicate's 8 N^2 bytes fit, otherwise a block of
+        rows i of one replicate.  The chunks are dealt out among the workers,
+        no more of them than whole rows fit in the budget, each with buffers
+        of at most PAIR_BLOCK_BYTES / workers, and each writes only its own
+        rows of the result.  A row always holds all N columns j, so each mean
+        over j sums the same contiguous row as the full (..., N, N)
+        evaluation, bit for bit, at any worker count.
         """
         q, v = positions[..., 0], positions[..., 1]
         n = q.shape[-1]
         qs, vs = q.reshape(-1, n), v.reshape(-1, n)
-        cells = PAIR_BLOCK_BYTES // 8
+        workers = max(1, min(_WORKERS, PAIR_BLOCK_BYTES // 8 // n))
+        cells = PAIR_BLOCK_BYTES // 8 // workers
         reps = min(len(qs), max(1, cells // (n * n)))
         rows = min(n, max(1, cells // n))
-        u_buf = np.empty((reps, rows, n))
-        w_buf = np.empty((reps, rows, n))
+        row_blocks = -(-n // rows)
+        chunks = -(-len(qs) // reps) * row_blocks
+        workers = min(workers, chunks)
         inter = np.empty(qs.shape)
-        for r in range(0, len(qs), reps):
-            for i in range(0, n, rows):
+
+        def work(worker):
+            u_buf = np.empty((reps, rows, n))
+            w_buf = np.empty((reps, rows, n))
+            for c in range(worker, chunks, workers):
+                r, i = reps * (c // row_blocks), rows * (c % row_blocks)
                 qi, vi = qs[r : r + reps, i : i + rows], vs[r : r + reps, i : i + rows]
                 k, b = qi.shape
                 u, w = u_buf[:k, :b], w_buf[:k, :b]
@@ -460,6 +549,8 @@ class CuckerSmaleModel(InteractionModel):
                 np.subtract(vi[..., None], vs[r : r + k, None, :], out=w)
                 w *= u
                 w.mean(axis=-1, out=inter[r : r + k, i : i + b])
+
+        _POOL.run(work, range(workers))
         b2 = -theta[0] * q - theta[1] * inter.reshape(q.shape)
         return np.stack([v, b2], axis=-1)
 

@@ -686,6 +686,33 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_starts_no_thread_and_the_pool_lets_the_process_exit():
+    # the Cucker-Smale pool costs nothing until a call has 2 chunks, its idle
+    # threads do not hold up exit, and a forked child starts its own pool
+    code = """
+import os, sys, threading
+import numpy as np
+import ipslearn.cli
+from ipslearn import models
+print(threading.active_count(), "concurrent.futures" in sys.modules)
+models._WORKERS = 2
+m, th = models.make_model("cucker-smale"), np.array([0.4, 1.3, 0.5])
+pos = np.random.default_rng(0).standard_normal((1, 500, 2))
+m.drift_ensemble(th, pos[:, :50])
+print(threading.active_count())
+want = m.drift_ensemble(th, pos)
+print(threading.active_count())
+pid = os.fork()
+if pid == 0:
+    os._exit(0 if m.drift_ensemble(th, pos).tobytes() == want.tobytes() else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "False", "1", "2", "0"]
+
+
 def test_cli_simulate_writes_trajectories_only(tmp_path):
     p = tmp_path / "c.json"
     p.write_text(json.dumps(tiny_config()))

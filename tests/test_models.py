@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fd_grad_pair, random_probe
+from ipslearn import models
 from ipslearn.models import Box, TruthSchedule, make_model, weight_matrix
 
 
@@ -60,6 +63,11 @@ def test_cucker_smale_exponent_gradient():
     assert g[2, 1] == pytest.approx(fd[2, 1], rel=1e-6)
 
 
+# forced worker counts of the Cucker-Smale kernel, so that a 1-CPU machine
+# still runs the split; 8 is more workers than chunks at small sizes
+WORKER_COUNTS = (1, 2, 3, 8)
+
+
 def _full_pair_drift(model, theta, positions):
     """Oracle: the Cucker-Smale ensemble drift over whole (..., N, N) pair arrays."""
     q, v = positions[..., 0], positions[..., 1]
@@ -72,40 +80,114 @@ def _full_pair_drift(model, theta, positions):
 
 @pytest.mark.parametrize("lead", [(), (1,), (3,)])
 @pytest.mark.parametrize("n", [1, 2, 50, 64, 65, 66, 131, 500, 1200])
-def test_cucker_smale_row_blocks_match_full_pairs_bitwise(lead, n):
+def test_cucker_smale_row_blocks_match_full_pairs_bitwise(lead, n, monkeypatch):
     # one chunk, several replicates per chunk, row blocks with a ragged last
-    # block (N = 500 and 1200): the same bits as the full evaluation
+    # block (N = 500 and 1200), and more workers than chunks: the same bits as
+    # the full evaluation at every worker count, whatever the CPU count
     m = make_model("cucker-smale")
     pos = np.random.default_rng(n).standard_normal(lead + (n, 2))
     pos[..., n // 2, :] = pos[..., 0, :]  # coincident particles
     for t3 in (0.0, 0.5, 1.7):
         th = np.array([0.4, 1.3, t3])
-        got, want = m.drift_ensemble(th, pos), _full_pair_drift(m, th, pos)
-        assert got.shape == want.shape == lead + (n, 2)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        want = _full_pair_drift(m, th, pos)
+        for workers in WORKER_COUNTS:
+            monkeypatch.setattr(models, "_WORKERS", workers)
+            got = m.drift_ensemble(th, pos)
+            assert got.shape == want.shape == lead + (n, 2)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), workers
 
 
-def test_cucker_smale_ragged_replicate_chunk_matches_full_pairs_bitwise():
-    # at N = 50 a chunk holds 13 whole replicates, so R = 30 ends on a chunk of 4
+def test_cucker_smale_pool_keeps_the_bits_under_fast_thread_switching(monkeypatch):
+    # more workers than CPUs and a thread switch every microsecond: a lost or
+    # misplaced row of the result would change the bits
+    monkeypatch.setattr(models, "_WORKERS", 8)
     m = make_model("cucker-smale")
-    pos = np.random.default_rng(5).standard_normal((30, 50, 2))
+    pos = np.random.default_rng(2).standard_normal((2, 1200, 2))
+    th = np.array([0.4, 1.3, 0.5])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = m.drift_ensemble(th, pos)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got.tobytes() == _full_pair_drift(m, th, pos).tobytes()
+
+
+def test_cucker_smale_ragged_replicate_chunk_matches_full_pairs_bitwise(monkeypatch):
+    # a chunk holds `reps` whole replicates, so R = 2 reps + 1 ends on a chunk of 1
+    m, n = make_model("cucker-smale"), 20
     th = np.array([0.4, 1.3, 1.7])
-    assert m.drift_ensemble(th, pos).tobytes() == _full_pair_drift(m, th, pos).tobytes()
+    for workers in WORKER_COUNTS:
+        monkeypatch.setattr(models, "_WORKERS", workers)
+        reps = models.PAIR_BLOCK_BYTES // 8 // workers // n**2
+        assert reps >= 2
+        pos = np.random.default_rng(5).standard_normal((2 * reps + 1, n, 2))
+        assert m.drift_ensemble(th, pos).tobytes() == _full_pair_drift(m, th, pos).tobytes()
 
 
 @pytest.mark.parametrize("r,n", [(2, 2000), (400, 50)])
-def test_cucker_smale_drift_memory_is_bounded(r, n):
+def test_cucker_smale_drift_memory_is_bounded(r, n, monkeypatch):
     # a single full (R, N, N) temporary is 64 MB at R = 2, N = 2000 (row
-    # blocks) and 8 MB at R = 400, N = 50 (chunks of whole replicates)
+    # blocks) and 8 MB at R = 400, N = 50 (chunks of whole replicates); the
+    # workers split one budget, so the bound holds at every worker count
     m = make_model("cucker-smale")
     pos = np.random.default_rng(0).standard_normal((r, n, 2))
-    tracemalloc.start()
-    try:
-        m.drift_ensemble(np.array([0.4, 1.3, 0.5]), pos)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+    for workers in (1, 2, 8):
+        monkeypatch.setattr(models, "_WORKERS", workers)
+        tracemalloc.start()
+        try:
+            m.drift_ensemble(np.array([0.4, 1.3, 0.5]), pos)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, workers
+
+
+def test_cucker_smale_workers_stay_within_one_budget_when_rows_are_long(monkeypatch):
+    # at N = 8000 one row of pair terms is 64 KB: eight workers of one row
+    # each would hold twice the budget, so only the four whose rows fit run
+    m = make_model("cucker-smale")
+    pos = np.random.default_rng(0).standard_normal((1, 8000, 2))
+    th = np.array([0.4, 1.3, 0.5])
+    peaks = {}
+    for workers in (1, 8):
+        monkeypatch.setattr(models, "_WORKERS", workers)
+        m.drift_ensemble(th, pos)  # any pool thread starts outside the traced call
+        tracemalloc.start()
+        try:
+            m.drift_ensemble(th, pos)
+            peaks[workers] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[8] < peaks[1] + models.PAIR_BLOCK_BYTES
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cucker_smale_pool_share_raises_under_the_callers_errstate(workers, monkeypatch):
+    # a row mean overflows only in the first row of the second chunk, which a
+    # pool thread runs when there are 2 workers; it raises as the serial path
+    # does, does not hang the call, and the next call still returns the bits
+    monkeypatch.setattr(models, "_WORKERS", workers)
+    m, n = make_model("cucker-smale"), 500
+    th = np.array([0.4, 1.3, 0.0])
+    pos = np.zeros((1, n, 2))
+    pos[0, models.PAIR_BLOCK_BYTES // 8 // 2 // n, 1] = 1e308
+    raised = []
+
+    def call():
+        with np.errstate(over="raise"):
+            try:
+                m.drift_ensemble(th, pos)
+            except FloatingPointError as err:
+                raised.append(err)
+
+    caller = threading.Thread(target=call, daemon=True)  # a hung call fails the test, not exit
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert len(raised) == 1
+    pos = np.random.default_rng(1).standard_normal((1, n, 2))
+    assert m.drift_ensemble(th, pos).tobytes() == _full_pair_drift(m, th, pos).tobytes()
 
 
 def test_gradients_match_finite_differences(zoo_model):
