@@ -4,7 +4,8 @@
 array with one noise stream per (replicate, particle), and attaches the
 estimators as its observer.  The estimator update rules broadcast over the
 replicate axis, which keeps long sweeps and large replicate counts fast
-without changing any per-replicate arithmetic.
+without changing any per-replicate arithmetic.  A rule reads the
+estimator's `EstimatorSetup` itself; the batch adds only the state.
 
 Replicates that blow up are frozen in place, flagged with the offending
 step index, and excluded from aggregation; an estimator whose update turns
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import estimators as est
-from .estimators import EstimatorState, LearningRateSchedule, RmsPropConfig, UpdateOptions
-from .models import Box, InteractionModel, TruthSchedule, weight_matrix
+from .estimators import EstimatorState, LearningRateSchedule, RmsPropConfig
+from .models import Box, InteractionModel, TruthSchedule
 from .rng import PARAM_INIT_STREAM, RngStream, replicate_seed
 from .sde import realized_qv, simulate
 
@@ -36,17 +37,18 @@ ESTIMATOR_KINDS = tuple(RULES)
 
 @dataclass
 class EstimatorSetup:
-    """Runtime description of one online estimator attached to a run."""
+    """One online estimator as `config` resolves it.  Its update rule reads
+    it as it is on every step: nothing is filled in or converted per run."""
 
     kind: str
     label: str = ""
     particles: tuple = (0,)  # (particle,), or the sorted Pi of the M-averaged form
     triplets: tuple = ((0, 1, 2),)  # (triplet,), or C(Pi) of the M-averaged form
     schedule: LearningRateSchedule = None
-    free_mask: np.ndarray | None = None
+    free_mask: np.ndarray | None = None  # float 0/1, multiplied into the step; 0 = pinned
     bounds: Box | None = None
     rmsprop: RmsPropConfig | None = None
-    weight: np.ndarray | None = None
+    weight: np.ndarray | None = None  # (d, d) residual weighting; None for diffusion
     theta_init: np.ndarray = None  # (R, p) or (p,)
 
     def __post_init__(self):
@@ -76,35 +78,6 @@ class BatchResult:
     n_steps: int
 
 
-class _RunningEstimator:
-    """One estimator of a batch: its update rule, the options resolved for
-    it once, and its state, which the rule updates in place."""
-
-    def __init__(self, setup: EstimatorSetup, model, dt, n_replicates):
-        self.setup = setup
-        theta0 = np.asarray(setup.theta_init, dtype=float)
-        if theta0.ndim == 1:
-            theta0 = np.broadcast_to(theta0, (n_replicates, theta0.shape[0]))
-        # a copy: the state is updated in place, never the caller's theta_init
-        self.state = EstimatorState(theta=theta0.copy())
-        self.options = UpdateOptions(
-            model=model,
-            dt=dt,
-            schedule=setup.schedule,
-            weight=setup.weight if setup.weight is not None else weight_matrix(model),
-            particles=setup.particles,
-            triplets=setup.triplets,
-            free_mask=None if setup.free_mask is None
-            else np.asarray(setup.free_mask, dtype=float),
-            bounds=setup.bounds,
-            rmsprop=setup.rmsprop,
-        )
-        # looked up by name when the run starts, so a wrapper put on the
-        # module attribute sees every call
-        self.rule = getattr(est, RULES[setup.kind])
-        self.needs_qv = setup.kind == "diffusion"
-
-
 def draw_initial_thetas(seeds, low, high):
     """Per-replicate uniform-box draws from the reserved parameter stream.
 
@@ -125,46 +98,56 @@ def draw_initial_thetas(seeds, low, high):
 
 
 class _Estimators:
-    """Observer that runs a batch's estimators and their tail and record bookkeeping."""
+    """Observer that runs a batch's estimators (rule k reads `setups[k]` and
+    updates `states[k]` in place) and their tail and record bookkeeping."""
 
-    def __init__(self, runners, dt, n_steps, record_every, tail_fraction):
-        self.runners = runners
+    def __init__(self, setups, model, dt, n_replicates, n_steps, record_every, tail_fraction):
+        self.setups = setups
+        self.model = model
         self.dt = dt
-        self.needs_qv = any(r.needs_qv for r in runners)
+        self.states = []
+        for s in setups:
+            theta = np.empty((n_replicates, np.shape(s.theta_init)[-1]))
+            theta[...] = s.theta_init  # a copy: the rules never write the caller's array
+            self.states.append(EstimatorState(theta=theta))
+        # looked up by name when the run starts, so a wrapper put on the
+        # module attribute sees every call
+        self.rules = [getattr(est, RULES[s.kind]) for s in setups]
+        self.needs_qv = any(s.kind == "diffusion" for s in setups)
         self.record_every = record_every
         self.tail_start = n_steps - max(1, int(round(tail_fraction * n_steps)))
-        self.tail_sums = [np.zeros_like(r.state.theta) for r in runners]
+        self.tail_sums = [np.zeros_like(s.theta) for s in self.states]
         self.tail_count = 0
         self.rec_steps = []
-        self.rec_theta = [[] for _ in runners]
-        self.rec_frozen = [[] for _ in runners]
+        self.rec_theta = [[] for _ in setups]
+        self.rec_frozen = [[] for _ in setups]
 
     def on_step(self, step, t, positions, dx, stat, keep):
-        runners = self.runners
+        model, dt = self.model, self.dt
         dqv = realized_qv(dx) if self.needs_qv else None
-        for r in runners:
-            r.rule(r.state, r.options, positions, dx, dqv, stat, t, keep)
+        for rule, setup, state in zip(self.rules, self.setups, self.states):
+            rule(state, setup, model, dt, positions, dx, dqv, stat, t, keep)
 
         if step >= self.tail_start:
-            for k, r in enumerate(runners):
-                self.tail_sums[k] += r.state.theta
+            for total, state in zip(self.tail_sums, self.states):
+                total += state.theta
             self.tail_count += 1
 
         if self.record_every is not None and step % self.record_every == 0:
             self.rec_steps.append(step)
-            for k, r in enumerate(runners):
-                self.rec_theta[k].append(r.state.theta.copy())
-                self.rec_frozen[k].append(r.state.frozen.copy())
+            for k, state in enumerate(self.states):
+                self.rec_theta[k].append(state.theta.copy())
+                self.rec_frozen[k].append(state.frozen.copy())
 
     def tracks(self, n_replicates):
         steps = np.asarray(self.rec_steps, dtype=np.int64)
         out = []
-        for k, r in enumerate(self.runners):
-            theta, frozen = r.state.theta, r.state.frozen
+        for k, (setup, state) in enumerate(zip(self.setups, self.states)):
+            theta, frozen = state.theta, state.frozen
             out.append(
                 EstimatorTrack(
-                    label=r.setup.label,
-                    kind=r.setup.kind,
+                    label=setup.label,
+                    kind=setup.kind,
                     record_steps=steps,
                     record_times=steps * self.dt,
                     theta_path=np.asarray(self.rec_theta[k]) if self.rec_theta[k]
@@ -193,8 +176,9 @@ def run_batch(
     """Simulate one replicate per seed with the estimators observing every step."""
     seeds = tuple(int(s) for s in seeds)
     R = len(seeds)
-    runners = [_RunningEstimator(setup, model, dt, R) for setup in estimator_setups]
-    estimators = _Estimators(runners, dt, n_steps, record_every, tail_fraction)
+    estimators = _Estimators(
+        list(estimator_setups), model, dt, R, n_steps, record_every, tail_fraction
+    )
     positions, excluded, blowup_step = simulate(
         model, truth, n_particles, dt, n_steps, seeds, (estimators,)
     )

@@ -6,14 +6,16 @@ schedule, discretisation, initial laws, estimators, replicate count, and
 the base seed.  The model is built here, once; the top-level `eta_true` is
 the `eta` argument of a model with diffusion parameters (`eta_names`).
 
-Each estimator is parsed straight into the `batch.EstimatorSetup` the run
-attaches: its learning-rate schedule, bounds box, free mask, RMSProp
-settings, weight override and indices are resolved here, once.  `particles`
-is `(particle,)` or the sorted Pi, `triplets` is `(triplet,)` or C(Pi).  A
-drift estimator without bounds gets no box (`bounds` None: no bound check);
-a diffusion estimator without bounds gets the model's eta box.  Only the
-per-replicate initial estimate is left unset; `runner.initial_setups`
-draws it for each run.
+Each estimator is parsed straight into the `batch.EstimatorSetup` its
+update rule reads on every step: schedule, bounds box, float 0/1 free
+mask, RMSProp settings, weight matrix (the model's, or the `weighting`
+override; None for diffusion) and indices are resolved here, once.
+`particles` is `(particle,)` or the sorted Pi, `triplets` is `(triplet,)`
+or C(Pi).  A drift estimator without bounds gets no box (`bounds` None: no
+bound check); a diffusion estimator without bounds gets the model's eta
+box.  A field its kind does not read is rejected.  Only the per-replicate
+initial estimate is left unset; `runner.initial_setups` draws it for each
+run.
 
 A rule between two fields (lower <= upper, burn-in < horizon) names both.
 """
@@ -328,6 +330,10 @@ def _parse_estimator(d, index, model, n_particles) -> EstimatorSetup:
         # labels are written unquoted into CSV rows
         raise ConfigError(f"{ctx}.label", f"no comma, quote or line break allowed: {label!r}")
 
+    for key, kinds in (("particle", ("averaged", "diffusion")), ("triplet", ("triplet",))):
+        if key in d and kind not in kinds:
+            raise ConfigError(f"{ctx}.{key}",
+                              f"only valid for kind {' or '.join(kinds)}, not {kind}")
     particle = _int(d.get("particle", 0), f"{ctx}.particle")
     if not 0 <= particle < n_particles:
         raise ConfigError(f"{ctx}.particle", f"index {particle} out of range for N={n_particles}")
@@ -398,6 +404,10 @@ def _parse_estimator(d, index, model, n_particles) -> EstimatorSetup:
         if any(lo > hi for lo, hi in zip(lower, upper)):
             raise ConfigError(bounds_fields, "lower bound exceeds upper bound")
 
+    rmsprop = _typed(d.get("rmsprop", False), f"{ctx}.rmsprop", bool)
+    for key in ("rms_rho", "rms_eps"):
+        if key in d and not rmsprop:
+            raise ConfigError(f"{ctx}.{key}", 'only valid with "rmsprop": true')
     rms_rho = _float(d.get("rms_rho", 0.99), f"{ctx}.rms_rho")
     if not 0.0 <= rms_rho < 1.0:
         raise ConfigError(f"{ctx}.rms_rho", "must lie in [0, 1)")
@@ -420,13 +430,12 @@ def _parse_estimator(d, index, model, n_particles) -> EstimatorSetup:
 
     free_mask = None
     if free is not None:
-        free_mask = np.zeros(model.p, dtype=bool)
-        free_mask[list(free)] = True
+        free_mask = np.zeros(model.p)
+        free_mask[list(free)] = 1.0
     if lower is not None:
         bounds = Box(lower, upper)
     else:
         bounds = model.eta_bounds if kind == "diffusion" else None
-    rmsprop = _typed(d.get("rmsprop", False), f"{ctx}.rmsprop", bool)
     return EstimatorSetup(
         kind=kind,
         label=label,
@@ -439,8 +448,7 @@ def _parse_estimator(d, index, model, n_particles) -> EstimatorSetup:
         free_mask=free_mask,
         bounds=bounds,
         rmsprop=RmsPropConfig(rms_rho, rms_eps) if rmsprop else None,
-        weight=weight_matrix(model, mode=weighting)
-        if weighting is not None and weighting != model.weighting else None,
+        weight=None if kind == "diffusion" else weight_matrix(model, mode=weighting),
     )
 
 

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Box
-
 
 # ---------------------------------------------------------------------------
 # Learning-rate schedules
@@ -119,7 +117,7 @@ def _cyclic(idx):
 
 
 # ---------------------------------------------------------------------------
-# Estimator state and update options
+# Estimator state
 
 
 @dataclass
@@ -151,22 +149,6 @@ class RmsPropConfig:
     eps: float = 1e-8
 
 
-@dataclass(frozen=True)
-class UpdateOptions:
-    """Everything an update rule reads apart from the step's data, resolved
-    once when a run starts."""
-
-    model: object
-    dt: float
-    schedule: LearningRateSchedule
-    weight: np.ndarray | None = None  # (d, d) weighting of the drift residual
-    particles: tuple = (0,)  # (particle,), or the sorted Pi of the M-averaged form
-    triplets: tuple = ()  # ((i, j, k),), or C(Pi) of the M-averaged form
-    free_mask: np.ndarray | None = None  # float; zero entries are known, never updated
-    bounds: Box | None = None
-    rmsprop: RmsPropConfig | None = None
-
-
 def rmsprop_precondition(raw_update, state: EstimatorState, lr_vec, cfg: RmsPropConfig):
     """Scale the raw step by the root of an EMA of squared gradients.
 
@@ -179,7 +161,7 @@ def rmsprop_precondition(raw_update, state: EstimatorState, lr_vec, cfg: RmsProp
     return raw_update / (np.sqrt(acc) + cfg.eps), acc
 
 
-def _apply_raw_update(state, D, t, options, keep=None):
+def _apply_raw_update(state, D, t, setup, keep=None):
     """Common tail of every update rule: step, mask, precondition, freeze, clamp.
 
     The raw step is -gamma(t) * D, masked and, with RMSProp, preconditioned.
@@ -188,20 +170,20 @@ def _apply_raw_update(state, D, t, options, keep=None):
     Works in place on `state`'s arrays.  `keep` (bool, batch-shaped) marks
     replicates that must not change at all this step.
 
-    No box (`options.bounds` None, as `config` gives a drift estimator
+    No box (`setup.bounds` None, as `config` gives a drift estimator
     without bounds) means no bound check.  That is the same as a box that
     is -inf to +inf at every end: such a box rejects only a NaN proposal,
     theta is never NaN and a finite step moves +-inf only to itself, so a
     NaN proposal needs a non-finite step, and that replicate is frozen here
     before it moves.
     """
-    lr_vec = options.schedule.value(t)
+    lr_vec = setup.schedule.value(t)
     step = -lr_vec * D
-    if options.free_mask is not None:
-        step = step * options.free_mask
-    if options.rmsprop is not None:
+    if setup.free_mask is not None:
+        step = step * setup.free_mask
+    if setup.rmsprop is not None:
         with np.errstate(invalid="ignore"):  # inf/inf of a non-finite raw step: frozen below
-            step, acc = rmsprop_precondition(step, state, lr_vec, options.rmsprop)
+            step, acc = rmsprop_precondition(step, state, lr_vec, setup.rmsprop)
     hold = state.frozen if keep is None else state.frozen | keep
     freeze = None  # replicates newly frozen by this step
     if not np.isfinite(step).all():
@@ -210,18 +192,18 @@ def _apply_raw_update(state, D, t, options, keep=None):
             freeze = ~finite
             hold = hold | freeze
     proposal = state.theta + step
-    if options.bounds is not None:
-        outside = ~options.bounds.contains(proposal)
+    if setup.bounds is not None:
+        outside = ~setup.bounds.contains(proposal)
         hold = hold | outside
         freeze = outside if freeze is None else freeze | outside
     if hold.any():
         move = ~hold[..., None]
         np.copyto(state.theta, proposal, where=move)
-        if options.rmsprop is not None:
+        if setup.rmsprop is not None:
             np.copyto(state.precond_acc, acc, where=move)
     else:
         state.theta[...] = proposal
-        if options.rmsprop is not None:
+        if setup.rmsprop is not None:
             state.precond_acc[...] = acc
     if freeze is not None:
         np.logical_or(state.frozen, freeze if keep is None else freeze & ~keep, out=state.frozen)
@@ -259,25 +241,25 @@ def _mean(terms):
     return sum(terms[1:], terms[0]) / len(terms)
 
 
-def _averaged_mean(state, o, positions, dx, stat):
-    """Mean of the averaged gradient over the particles of `o`."""
+def _averaged_mean(state, setup, model, dt, positions, dx, stat):
+    """Mean of the averaged gradient over the particles of `setup`."""
     return _mean([
         averaged_gradient(
-            o.model, state.theta, positions[..., i, :], positions, dx[..., i, :], o.dt, o.weight,
+            model, state.theta, positions[..., i, :], positions, dx[..., i, :], dt, setup.weight,
             stat,
         )
-        for i in o.particles
+        for i in setup.particles
     ])
 
 
-def _triplet_mean(state, o, positions, dx):
-    """Mean of the three-particle gradient over the triplets of `o`."""
+def _triplet_mean(state, setup, model, dt, positions, dx):
+    """Mean of the three-particle gradient over the triplets of `setup`."""
     return _mean([
         triplet_gradient(
-            o.model, state.theta, positions[..., i, :], positions[..., j, :],
-            positions[..., k, :], dx[..., i, :], o.dt, o.weight,
+            model, state.theta, positions[..., i, :], positions[..., j, :],
+            positions[..., k, :], dx[..., i, :], dt, setup.weight,
         )
-        for i, j, k in o.triplets
+        for i, j, k in setup.triplets
     ])
 
 
@@ -286,53 +268,58 @@ def _triplet_mean(state, o, positions, dx):
 #
 # One per estimator kind, all with the signature
 #
-#     rule(state, options, positions, dx, dqv, stat, t, keep=None)
+#     rule(state, setup, model, dt, positions, dx, dqv, stat, t, keep=None)
 #
-# Each forms its kind's gradient estimate D from the ensemble at the step
-# start (`positions`, (..., N, d)), the increments realised over the step
-# (`dx`; `dqv` = realized_qv(dx), read only by the diffusion rule) and the
-# ensemble statistic `stat` = model.mean_field(positions), then hands D to
+# `setup` is the estimator's `batch.EstimatorSetup` as `config` resolved it,
+# read as it is: its indices, weight matrix (None only for diffusion),
+# schedule, float free mask, box and RMSProp settings.  Each rule forms its
+# kind's gradient estimate D from the ensemble at the step start
+# (`positions`, (..., N, d)), the increments realised over the step (`dx`;
+# `dqv` = realized_qv(dx), read only by the diffusion rule) and the ensemble
+# statistic `stat` = model.mean_field(positions), then hands D to
 # `_apply_raw_update`, which advances `state` in place with the schedule
 # evaluated at the step-start time t.  `keep` marks replicates to leave
 # untouched.  A rule with a single particle or triplet is its M-averaged
 # form over that one index: the mean of one term is the term itself.
 
 
-def update_averaged(state, options, positions, dx, dqv, stat, t, keep=None):
+def update_averaged(state, setup, model, dt, positions, dx, dqv, stat, t, keep=None):
     """Full-observation update from one particle's residual against the
     empirical-measure drift."""
-    _apply_raw_update(state, _averaged_mean(state, options, positions, dx, stat), t, options, keep)
+    D = _averaged_mean(state, setup, model, dt, positions, dx, stat)
+    _apply_raw_update(state, D, t, setup, keep)
 
 
-def update_three_particle(state, options, positions, dx, dqv, stat, t, keep=None):
+def update_three_particle(state, setup, model, dt, positions, dx, dqv, stat, t, keep=None):
     """Three-particle update; reads only the states of its triplet (i, j, k)
     and the increment of i, never the full ensemble."""
-    _apply_raw_update(state, _triplet_mean(state, options, positions, dx), t, options, keep)
+    _apply_raw_update(state, _triplet_mean(state, setup, model, dt, positions, dx), t, setup, keep)
 
 
-def update_m_averaged_full(state, options, positions, dx, dqv, stat, t, keep=None):
+def update_m_averaged_full(state, setup, model, dt, positions, dx, dqv, stat, t, keep=None):
     """Single update from the mean averaged gradient over the primary indices
     Pi.  `config` holds Pi sorted, so the summation order (hence the float
     result) does not depend on the order Pi was supplied in."""
-    _apply_raw_update(state, _averaged_mean(state, options, positions, dx, stat), t, options, keep)
+    D = _averaged_mean(state, setup, model, dt, positions, dx, stat)
+    _apply_raw_update(state, D, t, setup, keep)
 
 
-def update_m_averaged_triplets(state, options, positions, dx, dqv, stat, t, keep=None):
+def update_m_averaged_triplets(state, setup, model, dt, positions, dx, dqv, stat, t, keep=None):
     """Single update from the mean three-particle gradient over C(Pi)."""
-    _apply_raw_update(state, _triplet_mean(state, options, positions, dx), t, options, keep)
+    _apply_raw_update(state, _triplet_mean(state, setup, model, dt, positions, dx), t, setup, keep)
 
 
-def update_diffusion(state, options, positions, dx, dqv, stat, t, keep=None):
+def update_diffusion(state, setup, model, dt, positions, dx, dqv, stat, t, keep=None):
     """Diffusion-parameter update matching realized quadratic variation.
 
     For scalar noise: eta <- eta - delta * d_eta(sigma^2) * (sigma^2 dt - dQV),
     whose fixed point is the realized quadratic variation matching the
     model's instantaneous variance.  Needs a model with `eta_names`.
     """
-    (i,) = options.particles
+    (i,) = setup.particles
     x_i = positions[..., i, :]
     dqv_i = dqv[..., i, :, 0]  # scalar-noise models: dQV is (..., N, 1, 1)
-    diffusion = options.model.diffusion
+    diffusion = model.diffusion
     sig_sq = diffusion.sigma_sq(state.theta, x_i)
-    D = diffusion.d_eta_sigma_sq(state.theta, x_i) * (sig_sq * options.dt - dqv_i)
-    _apply_raw_update(state, D, t, options, keep)
+    D = diffusion.d_eta_sigma_sq(state.theta, x_i) * (sig_sq * dt - dqv_i)
+    _apply_raw_update(state, D, t, setup, keep)

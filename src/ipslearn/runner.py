@@ -118,7 +118,7 @@ def initial_setups(config: ExperimentConfig, seeds):
         else:
             init = theta_inits.copy()
             if setup.free_mask is not None:
-                fixed = ~setup.free_mask
+                fixed = setup.free_mask == 0
                 init[:, fixed] = theta_start[fixed]
         setups.append(dataclasses.replace(setup, theta_init=init))
     return setups

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from ipslearn.cli import main as cli_main
 from ipslearn.config import ConfigError, bundled_config_names, load_config, parse_config
 from ipslearn.estimators import RmsPropConfig
+from ipslearn.models import make_model, weight_matrix
 from ipslearn.runner import run_experiment, run_surface, run_sweep
 
 
@@ -123,11 +124,13 @@ def test_vol32_requires_eta():
 
 
 def test_weighting_override_accepted_and_applied():
-    cfg = tiny_config()
+    cfg = tiny_config(model={"id": "linear", "sigma": 2.0})
     cfg["estimators"][0]["weighting"] = "identity"
     setups = parse_config(cfg).estimators
     assert np.array_equal(setups[0].weight, np.eye(1))  # overridden
-    assert setups[1].weight is None  # model default
+    # the model's own weight, resolved in config, not left for the run to fill in
+    assert np.array_equal(setups[1].weight, weight_matrix(make_model("linear", sigma=2.0)))
+    assert setups[1].weight.tolist() == [[0.25]]
 
 
 def test_weighting_override_rejects_degenerate_inverse():
@@ -278,6 +281,50 @@ def test_cli_rms_rho_out_of_range_exits_2(tmp_path, capsys):
     assert payload["error"] == "validation"
     assert "estimators[0].rms_rho" in payload["message"]
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind, fields", [
+    ("triplet", {"particle": 0}),
+    ("averaged_m", {"pi": [0, 1], "particle": 1}),
+    ("triplet_m", {"pi": [0, 1, 2], "particle": 0}),
+    ("averaged", {"triplet": [0, 1, 2]}),
+    ("averaged_m", {"pi": [0, 1], "triplet": [0, 1, 2]}),
+    ("triplet_m", {"pi": [0, 1, 2], "triplet": [0, 1, 2]}),
+    ("averaged", {"rms_rho": 0.9}),
+    ("triplet", {"rmsprop": False, "rms_eps": 1e-6}),
+], ids=lambda v: v if isinstance(v, str) else "-".join(v))
+def test_estimator_field_of_another_kind_exits_2(tmp_path, capsys, kind, fields):
+    # a field the kind never reads is rejected, not silently ignored
+    cfg = tiny_config()
+    est = {"kind": kind, "learning_rate": {"kind": "constant", "gamma0": 0.01}, **fields}
+    cfg["estimators"] = [est]
+    key = next(k for k in fields if k not in ("pi", "rmsprop"))
+    with pytest.raises(ConfigError) as e:
+        parse_config(cfg)
+    assert e.value.field == f"estimators[0].{key}"
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    assert cli_main(["estimate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "validation"
+    assert payload["message"].startswith(f"estimators[0].{key}:")
+
+
+def test_estimator_fields_of_their_own_kind_accepted():
+    cfg = tiny_config()
+    _vol32(cfg)
+    cfg["estimators"] = [
+        {"kind": "averaged", "particle": 1, "rmsprop": True, "rms_rho": 0.9, "rms_eps": 1e-6,
+         "learning_rate": {"kind": "constant", "gamma0": 0.01}},
+        {"kind": "triplet", "triplet": [2, 0, 1],
+         "learning_rate": {"kind": "constant", "gamma0": 0.01}},
+        {"kind": "diffusion", "particle": 2,
+         "learning_rate": {"kind": "constant", "gamma0": 0.01}},
+    ]
+    setups = parse_config(cfg).estimators
+    assert [s.particles for s in setups] == [(1,), (0,), (2,)]
+    assert setups[1].triplets == ((2, 0, 1),)
+    assert setups[0].rmsprop == RmsPropConfig(0.9, 1e-6)
 
 
 def _vol32(cfg):
@@ -636,6 +683,7 @@ def test_estimator_indices_checked_against_every_sweep_size(tmp_path, capsys, ke
     # index 4 exists at N = 5 but not in the sweep's N = 4
     cfg = tiny_config(sweep={"n_particles": [4, 5]})
     kind = {"particle": "averaged", "triplet": "triplet", "pi": "averaged_m"}[key]
+    cfg["estimators"][1].pop("triplet")  # only valid for the triplet kind
     cfg["estimators"][1].update(kind=kind, label="probe", **{key: value})
     parsed = parse_config({**cfg, "sweep": {"n_particles": [5, 6]}})
     assert parsed.sweep_n_particles == [5, 6]

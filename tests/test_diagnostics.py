@@ -16,7 +16,7 @@ from ipslearn.diagnostics import (
     standardized_moments,
 )
 from ipslearn.estimators import LearningRateSchedule
-from ipslearn.models import TruthSchedule, Vol32Model, make_model
+from ipslearn.models import TruthSchedule, Vol32Model, make_model, weight_matrix
 from ipslearn.runner import run_experiment, run_sweep
 from ipslearn.sde import run_trajectory
 
@@ -111,6 +111,34 @@ def test_coupling_runs_the_big_system_once_and_matches_a_run_per_size(monkeypatc
     assert sorted(calls) == [3, 5, 7, 12]
 
 
+# Log-log slopes of the coupling distance against N for seeds 0-5 of the
+# test below: -1.06, -0.97, -1.02, -1.08, -1.00, -0.83 (mean -0.99, sd 0.087).
+COUPLING_SLOPE_SD = 0.087
+
+
+def test_coupling_distance_falls_at_the_propagation_of_chaos_rate():
+    # The squared coupling distance of the linear model (alpha = 0) should
+    # fall as poc_rate(N, 0)^2 = N^-1 (Cattiaux et al. 2008).  Tolerances
+    # are sized from the committed spread: every seed within 3 sd of the
+    # rate, their mean within 3 standard errors of the mean, and a spread
+    # at most twice the committed one.
+    c = load_config("linear_fig1")
+    ns = np.array([5, 10, 20, 40, 80])
+    rate = np.polyfit(np.log(ns), np.log([poc_rate(n, 0.0) ** 2 for n in ns]), 1)[0]
+    assert rate == pytest.approx(-1.0, abs=1e-12)
+    seeds = range(6)
+    slopes = np.array([
+        np.polyfit(np.log(ns), np.log(
+            coupling_distance(c.model, c.truth, tuple(ns), 500, c.dt, 2000, seed)[:, 1000:]
+            .mean(axis=1)), 1)[0]
+        for seed in seeds
+    ])
+    shown = ", ".join(f"{s:.3f}" for s in slopes)
+    assert np.all(np.abs(slopes - rate) <= 3 * COUPLING_SLOPE_SD), shown
+    assert abs(slopes.mean() - rate) <= 3 * COUPLING_SLOPE_SD / np.sqrt(len(seeds)), shown
+    assert slopes.std(ddof=1) <= 2 * COUPLING_SLOPE_SD, shown
+
+
 def diagnose_error(tmp_path, capsys, *args):
     """The error message of an `ipslearn diagnose` run that must exit 2 and
     leave no output directory."""
@@ -134,9 +162,10 @@ def test_coupling_requires_ordered_sizes(tmp_path, capsys):
 
 def _linear_setups(thetas):
     sched = LearningRateSchedule("constant", 1.0, scale=np.array([8e-3, 5e-3]))
+    weight = weight_matrix(make_model("linear"))
     return [
-        EstimatorSetup(kind="averaged", schedule=sched, theta_init=thetas),
-        EstimatorSetup(kind="triplet", schedule=sched, theta_init=thetas),
+        EstimatorSetup(kind="averaged", schedule=sched, theta_init=thetas, weight=weight),
+        EstimatorSetup(kind="triplet", schedule=sched, theta_init=thetas, weight=weight),
     ]
 
 

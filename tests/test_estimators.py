@@ -12,7 +12,6 @@ from ipslearn.estimators import (
     EstimatorState,
     LearningRateSchedule,
     RmsPropConfig,
-    UpdateOptions,
     build_cyclic_triplets,
     rmsprop_precondition,
     update_averaged,
@@ -30,15 +29,18 @@ def const_sched(*scale):
     return LearningRateSchedule("constant", 1.0, scale=np.array(scale, dtype=float))
 
 
-def options(model, schedule, **kw):
-    """Update options at dt = 0.1 with the model's own weighting."""
-    return UpdateOptions(model, 0.1, schedule, weight_matrix(model), **kw)
+DT = 0.1
 
 
-def apply(rule, theta, opts, pos, dx, t=0.0, dqv=None, keep=None):
-    """A fresh state at `theta` after one call of `rule`."""
+def make_setup(model, schedule, kind="averaged", **kw):
+    """An estimator setup as `config` resolves it: the model's own weight."""
+    return EstimatorSetup(kind, schedule=schedule, weight=weight_matrix(model), **kw)
+
+
+def apply(rule, theta, model, setup, pos, dx, t=0.0, dqv=None, keep=None):
+    """A fresh state at `theta` after one call of `rule` at dt = DT."""
     s = EstimatorState(theta=np.array(theta, dtype=float))
-    rule(s, opts, pos, dx, dqv, opts.model.mean_field(pos), t, keep)
+    rule(s, setup, model, DT, pos, dx, dqv, model.mean_field(pos), t, keep)
     return s
 
 
@@ -96,7 +98,8 @@ def test_update_averaged_single_particle_step():
     m = make_model("linear", sigma=1.0)
     pos = np.array([[1.0]])
     dx = np.array([[-1.0 * 1.0 * 0.1]])  # truth theta0 = (1.0, 0.2), N=1
-    new = apply(update_averaged, [1.5, 0.7], options(m, const_sched(8e-3, 5e-3)), pos, dx)
+    setup = make_setup(m, const_sched(8e-3, 5e-3))
+    new = apply(update_averaged, [1.5, 0.7], m, setup, pos, dx)
     resid = (-1.5 * 0.1) - (-0.1)  # = -0.05
     assert new.theta[0] == pytest.approx(1.5 - 8e-3 * (-1.0) * resid, abs=1e-15)
     assert new.theta[0] == pytest.approx(1.4996, abs=1e-12)
@@ -108,7 +111,7 @@ def test_update_averaged_zero_rate_is_identity():
     pos = np.array([[1.0], [0.5]])
     dx = np.array([[0.2], [-0.1]])
     sched = LearningRateSchedule("constant", 1e-300)  # gamma must be positive
-    new = apply(update_averaged, [1.5, 0.7], options(m, sched), pos, dx)
+    new = apply(update_averaged, [1.5, 0.7], m, make_setup(m, sched), pos, dx)
     assert new.theta == pytest.approx([1.5, 0.7], abs=1e-290)
 
 
@@ -118,8 +121,8 @@ def test_update_three_particle_hand_step():
     m = make_model("linear", sigma=1.0)
     pos = np.array([[1.0], [0.0], [2.0], [np.nan]])
     dx = np.array([[-0.1], [np.nan], [np.nan], [np.nan]])
-    opts = options(m, const_sched(8e-3, 5e-3), triplets=((0, 1, 2),))
-    new = apply(update_three_particle, [1.5, 0.7], opts, pos, dx)
+    setup = make_setup(m, const_sched(8e-3, 5e-3), triplets=((0, 1, 2),))
+    new = apply(update_three_particle, [1.5, 0.7], m, setup, pos, dx)
     b = -1.5 * 1.0 - 0.7 * (1.0 - 2.0)  # = -0.8
     resid = b * 0.1 - (-0.1)  # = 0.02
     g = np.array([-1.0, -(1.0 - 0.0)])
@@ -132,9 +135,9 @@ def test_m_triplet_with_single_triple_reduces_exactly():
     rng = np.random.default_rng(4)
     pos = rng.standard_normal((10, 1))
     dx = rng.standard_normal((10, 1)) * 0.1
-    opts = options(m, const_sched(8e-3, 5e-3), triplets=build_cyclic_triplets([4]))
-    via_m = apply(update_m_averaged_triplets, [1.5, 0.7], opts, pos, dx)
-    direct = apply(update_three_particle, [1.5, 0.7], opts, pos, dx)
+    setup = make_setup(m, const_sched(8e-3, 5e-3), triplets=build_cyclic_triplets([4]))
+    via_m = apply(update_m_averaged_triplets, [1.5, 0.7], m, setup, pos, dx)
+    direct = apply(update_three_particle, [1.5, 0.7], m, setup, pos, dx)
     assert np.array_equal(via_m.theta, direct.theta)
 
 
@@ -144,10 +147,10 @@ def test_m_full_equals_mean_of_per_particle_updates():
     pos = rng.standard_normal((3, 1))
     dx = rng.standard_normal((3, 1)) * 0.1
     sched = const_sched(8e-3, 5e-3)
-    via_m = apply(update_m_averaged_full, [1.5, 0.7], options(m, sched, particles=(0, 1, 2)),
-                  pos, dx)
+    via_m = apply(update_m_averaged_full, [1.5, 0.7], m,
+                  make_setup(m, sched, particles=(0, 1, 2)), pos, dx)
     singles = [
-        apply(update_averaged, [1.5, 0.7], options(m, sched, particles=(i,)), pos, dx).theta
+        apply(update_averaged, [1.5, 0.7], m, make_setup(m, sched, particles=(i,)), pos, dx).theta
         for i in range(3)
     ]
     assert via_m.theta == pytest.approx(np.mean(singles, axis=0), abs=1e-14)
@@ -174,15 +177,15 @@ def test_m_full_invariant_under_pi_permutation(tmp_path):
 
 def test_update_diffusion_fixed_point_and_hand_step():
     m = make_model("vol32", eta=0.7)
-    opts = options(m, LearningRateSchedule("constant", 0.01))
+    setup = make_setup(m, LearningRateSchedule("constant", 0.01))
     pos = np.array([[1.0]])
     # exact fixed point: dQV = eta^2 |x|^3 dt
     dqv = np.array([[[0.7**2 * 0.1]]])
-    new = apply(update_diffusion, [0.7], opts, pos, None, dqv=dqv)
+    new = apply(update_diffusion, [0.7], m, setup, pos, None, dqv=dqv)
     assert new.theta == pytest.approx([0.7], abs=0)
     # hand step: update = delta * (2 eta |x|^3) * (dQV - eta^2 |x|^3 dt)
     dqv = np.array([[[0.08]]])
-    new = apply(update_diffusion, [0.7], opts, pos, None, dqv=dqv)
+    new = apply(update_diffusion, [0.7], m, setup, pos, None, dqv=dqv)
     assert new.theta == pytest.approx([0.7 + 0.01 * 1.4 * (0.08 - 0.049)], abs=1e-15)
     assert new.theta == pytest.approx([0.700434], abs=1e-12)
 
@@ -198,11 +201,11 @@ def test_diffusion_setup_requires_parametric_model():
 
 def test_free_mask_pins_known_parameters():
     m = make_model("double-well")
-    opts = options(m, const_sched(0.1, 0.1, 0.1), free_mask=np.array([1.0, 1.0, 0.0]))
+    setup = make_setup(m, const_sched(0.1, 0.1, 0.1), free_mask=np.array([1.0, 1.0, 0.0]))
     rng = np.random.default_rng(0)
     pos = rng.standard_normal((5, 1))
     dx = rng.standard_normal((5, 1)) * 0.3
-    new = apply(update_averaged, [0.5, 3.0, 2.0], opts, pos, dx)
+    new = apply(update_averaged, [0.5, 3.0, 2.0], m, setup, pos, dx)
     assert new.theta[2] == 2.0
     assert new.theta[0] != 0.5 and new.theta[1] != 3.0
 
@@ -215,14 +218,15 @@ def test_keep_mask_leaves_a_replicate_untouched():
     pos = rng.standard_normal((4, 5, 1))
     dx = rng.standard_normal((4, 5, 1)) * 0.3
     box = Box(np.array([0.0, 0.0]), np.array([1.6, 1.0]))
-    opts = options(m, const_sched(0.01, 0.01), bounds=box, rmsprop=RmsPropConfig(0.9, 1e-8))
+    setup = make_setup(m, const_sched(0.01, 0.01), bounds=box,
+                       rmsprop=RmsPropConfig(0.9, 1e-8))
     theta = [[5.0, 0.7], [1.5, 0.7], [1.5, 0.7], [5.0, 0.7]]
     start = EstimatorState(theta=np.array(theta))
     keep = np.array([False, True, False, True])
-    free = apply(update_averaged, theta, opts, pos, dx)
+    free = apply(update_averaged, theta, m, setup, pos, dx)
     assert free.frozen.tolist() == [True, False, False, True]
     assert not np.array_equal(free.theta[1], start.theta[1])
-    kept = apply(update_averaged, theta, opts, pos, dx, keep=keep)
+    kept = apply(update_averaged, theta, m, setup, pos, dx, keep=keep)
     for field in ("theta", "precond_acc", "frozen"):
         got, want = getattr(kept, field), getattr(free, field)
         assert np.array_equal(got[~keep], want[~keep])
@@ -246,7 +250,7 @@ def test_constant_schedule_vector_is_computed_once():
 def test_boundary_freeze_is_absorbing():
     m = make_model("linear")
     box = Box(np.array([0.0, 0.0]), np.array([np.inf, np.inf]))
-    opts = options(m, const_sched(5.0, 5.0), bounds=box)
+    setup = make_setup(m, const_sched(5.0, 5.0), bounds=box)
     # a large step pushes theta2 negative -> update rejected, frozen forever
     state = EstimatorState(theta=np.array([0.5, 1e-9]))
     rng = np.random.default_rng(1)
@@ -254,7 +258,7 @@ def test_boundary_freeze_is_absorbing():
     for step in range(1000):
         pos = rng.standard_normal((4, 1))
         dx = rng.standard_normal((4, 1))
-        update_averaged(state, opts, pos, dx, None, m.mean_field(pos), step * 0.1)
+        update_averaged(state, setup, m, DT, pos, dx, None, m.mean_field(pos), step * 0.1)
         if frozen_at is None and bool(state.frozen):
             frozen_at = state.theta.copy()
     assert frozen_at is not None
@@ -268,14 +272,14 @@ def test_non_finite_gradient_freezes_an_unbatched_state():
     pos = np.array([[1.0], [0.5]])
     bad_dx = np.array([[np.inf], [0.0]])
     good_dx = np.array([[0.2], [-0.1]])
-    opts = options(m, const_sched(0.01, 0.01))
-    state = apply(update_averaged, [1.5, 0.7], opts, pos, bad_dx)
+    setup = make_setup(m, const_sched(0.01, 0.01))
+    state = apply(update_averaged, [1.5, 0.7], m, setup, pos, bad_dx)
     assert state.frozen.shape == () and bool(state.frozen)
     assert state.theta.tolist() == [1.5, 0.7]
-    update_averaged(state, opts, pos, good_dx, None, m.mean_field(pos), 0.1)
+    update_averaged(state, setup, m, DT, pos, good_dx, None, m.mean_field(pos), 0.1)
     assert state.theta.tolist() == [1.5, 0.7] and bool(state.frozen)
-    alone = apply(update_averaged, [1.5, 0.7], opts, pos, good_dx)
-    batch = apply(update_averaged, [[1.5, 0.7], [1.5, 0.7]], opts, np.stack([pos, pos]),
+    alone = apply(update_averaged, [1.5, 0.7], m, setup, pos, good_dx)
+    batch = apply(update_averaged, [[1.5, 0.7], [1.5, 0.7]], m, setup, np.stack([pos, pos]),
                   np.stack([bad_dx, good_dx]))
     assert batch.frozen.tolist() == [True, False]
     assert batch.theta[0].tolist() == [1.5, 0.7]
@@ -287,33 +291,33 @@ def test_unbounded_never_freezes():
     m = make_model("linear")
     state = EstimatorState(theta=np.array([1.5, 0.7]))
     rng = np.random.default_rng(2)
-    opts = options(m, const_sched(0.01, 0.01))
+    setup = make_setup(m, const_sched(0.01, 0.01))
     for step in range(200):
         pos = rng.standard_normal((4, 1))
         dx = rng.standard_normal((4, 1)) * 0.3
-        update_averaged(state, opts, pos, dx, None, m.mean_field(pos), step * 0.1)
+        update_averaged(state, setup, m, DT, pos, dx, None, m.mean_field(pos), step * 0.1)
     assert not bool(state.frozen)
     assert np.all(np.isfinite(state.theta))
 
 
 def test_finite_steps_whose_sum_overflows_move_and_do_not_freeze():
-    opts = options(make_model("linear"), const_sched(1.0, 1.0))
+    setup = make_setup(make_model("linear"), const_sched(1.0, 1.0))
     state = EstimatorState(theta=np.zeros((2, 2)))
     D = np.array([[-1e308, -1e308], [0.5, -0.25]])  # the step is -D; its sum is inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        est._apply_raw_update(state, D, 0.0, opts)
+        est._apply_raw_update(state, D, 0.0, setup)
     assert state.frozen.tolist() == [False, False]
     assert state.theta.tolist() == [[1e308, 1e308], [-0.5, 0.25]]
 
 
 def test_a_nan_step_freezes_its_replicate_only():
-    opts = options(make_model("linear"), const_sched(0.5, 0.5))
+    setup = make_setup(make_model("linear"), const_sched(0.5, 0.5))
     state = EstimatorState(theta=np.array([[1.5, 0.75], [1.625, 0.875], [1.75, 0.5]]))
-    est._apply_raw_update(state, np.array([[1.0, 2.0], [np.nan, 2.0], [-1.0, 0.0]]), 0.0, opts)
+    est._apply_raw_update(state, np.array([[1.0, 2.0], [np.nan, 2.0], [-1.0, 0.0]]), 0.0, setup)
     assert state.frozen.tolist() == [False, True, False]
     assert state.theta.tolist() == [[1.0, -0.25], [1.625, 0.875], [2.25, 0.5]]
-    est._apply_raw_update(state, np.ones((3, 2)), 0.1, opts)
+    est._apply_raw_update(state, np.ones((3, 2)), 0.1, setup)
     assert state.theta.tolist() == [[0.5, -0.75], [1.625, 0.875], [1.75, 0.0]]
     assert state.frozen.tolist() == [False, True, False]
 
@@ -321,31 +325,33 @@ def test_a_nan_step_freezes_its_replicate_only():
 def test_rmsprop_held_replicates_keep_theta_and_accumulator():
     # replicate 0 is frozen, 1 is kept this step, 2 moves; a step with no
     # replicate held writes the same bytes into replicate 2
-    opts = options(make_model("linear"), const_sched(0.01, 0.02), rmsprop=RmsPropConfig(0.9, 1e-8))
+    setup = make_setup(make_model("linear"), const_sched(0.01, 0.02),
+                       rmsprop=RmsPropConfig(0.9, 1e-8))
     theta = np.array([[1.5, 0.7], [1.6, 0.8], [1.7, 0.9]])
     acc = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
     D = np.array([[1.0, -2.0], [3.0, 0.5], [-1.5, 2.5]])
     state = EstimatorState(theta=theta.copy(), precond_acc=acc.copy(),
                            frozen=np.array([True, False, False]))
-    est._apply_raw_update(state, D, 0.0, opts, keep=np.array([False, True, False]))
+    est._apply_raw_update(state, D, 0.0, setup, keep=np.array([False, True, False]))
     assert state.frozen.tolist() == [True, False, False]
     assert np.array_equal(state.theta[:2], theta[:2])
     assert np.array_equal(state.precond_acc[:2], acc[:2])
     free = EstimatorState(theta=theta.copy(), precond_acc=acc.copy())
-    est._apply_raw_update(free, D, 0.0, opts)
+    est._apply_raw_update(free, D, 0.0, setup)
     assert not free.frozen.any()
     assert state.theta[2].tobytes() == free.theta[2].tobytes() != theta[2].tobytes()
     assert state.precond_acc[2].tobytes() == free.precond_acc[2].tobytes() != acc[2].tobytes()
 
 
 def test_rmsprop_non_finite_step_freezes_quietly():
-    opts = options(make_model("linear"), const_sched(0.01, 0.02), rmsprop=RmsPropConfig(0.9, 1e-8))
+    setup = make_setup(make_model("linear"), const_sched(0.01, 0.02),
+                       rmsprop=RmsPropConfig(0.9, 1e-8))
     theta = np.array([[1.5, 0.7], [1.6, 0.8]])
     acc = np.array([[0.1, 0.2], [0.3, 0.4]])
     state = EstimatorState(theta=theta.copy(), precond_acc=acc.copy())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        est._apply_raw_update(state, np.array([[-np.inf, 1.0], [1.0, -2.0]]), 0.0, opts)
+        est._apply_raw_update(state, np.array([[-np.inf, 1.0], [1.0, -2.0]]), 0.0, setup)
     assert state.frozen.tolist() == [True, False]
     assert np.array_equal(state.theta[0], theta[0]) and np.array_equal(state.precond_acc[0], acc[0])
     assert not np.array_equal(state.theta[1], theta[1])
@@ -513,12 +519,12 @@ def test_single_parameter_estimation_converges():
     m = make_model("linear")
     truth = TruthSchedule.constant([1.0, 0.2])
     seeds = batch_seeds(20260811, 5)
-    free = np.array([False, True])
+    free = np.array([0.0, 1.0])
     thetas, _ = draw_initial_thetas(seeds, [1.0, 0.5], [1.0, 1.0])
     sched = const_sched(8e-3, 5e-3)
     setups = [
-        EstimatorSetup(kind="averaged", schedule=sched, theta_init=thetas, free_mask=free),
-        EstimatorSetup(kind="triplet", schedule=sched, theta_init=thetas, free_mask=free),
+        make_setup(m, sched, theta_init=thetas, free_mask=free),
+        make_setup(m, sched, kind="triplet", theta_init=thetas, free_mask=free),
     ]
     res = run_batch(m, truth, 50, 0.1, 10000, seeds, setups)
     for tr in res.tracks:
@@ -537,7 +543,7 @@ def test_joint_estimation_recovers_identifiable_sum():
     seeds = batch_seeds(20260811, 5)
     thetas, _ = draw_initial_thetas(seeds, [1.5, 0.5], [2.5, 1.0])
     sched = const_sched(8e-3, 5e-3)
-    setups = [EstimatorSetup(kind="averaged", schedule=sched, theta_init=thetas)]
+    setups = [make_setup(m, sched, theta_init=thetas)]
     res = run_batch(m, truth, 50, 0.1, 10000, seeds, setups)
     sums = res.tracks[0].tail_mean.sum(axis=1)
     assert np.all(np.abs(sums - 1.2) <= 0.15)
@@ -551,14 +557,13 @@ def test_batch_matches_single_trajectory_observer():
     m = make_model("linear")
     truth = TruthSchedule.constant([1.0, 0.2])
     sched = const_sched(8e-3, 5e-3)
-    setup = EstimatorSetup(kind="averaged", schedule=sched, theta_init=np.array([2.0, 0.75]))
-    opts = options(m, sched)
+    setup = make_setup(m, sched, theta_init=np.array([2.0, 0.75]))
 
     class Averaged:
         state = EstimatorState(theta=np.array([2.0, 0.75]))
 
         def on_step(self, step, t, positions, dx, stat, keep):
-            update_averaged(self.state, opts, positions[0], dx[0], None, None, t)
+            update_averaged(self.state, setup, m, 0.1, positions[0], dx[0], None, None, t)
 
     obs = Averaged()
     run_trajectory(m, truth, 6, 0.1, 300, seed=77, observers=[obs])
@@ -569,6 +574,7 @@ def test_batch_matches_single_trajectory_observer():
 def test_every_rule_call_goes_through_its_module_attribute(monkeypatch):
     # a tracer that wraps the update_* attributes of ipslearn.estimators must
     # see one call per estimator per step, with the state as first argument
+    # and the run's own setup object (not a per-run copy) as the second
     assert set(RULES.values()) == {
         "update_averaged", "update_three_particle", "update_m_averaged_full",
         "update_m_averaged_triplets", "update_diffusion",
@@ -576,7 +582,7 @@ def test_every_rule_call_goes_through_its_module_attribute(monkeypatch):
     calls = {name: [] for name in RULES.values()}
     for name in RULES.values():
         def counting(*args, _name=name, _rule=getattr(est, name)):
-            calls[_name].append(args[0].frozen.shape)
+            calls[_name].append((args[0].frozen.shape, args[1]))
             return _rule(*args)
 
         monkeypatch.setattr(est, name, counting)
@@ -584,15 +590,19 @@ def test_every_rule_call_goes_through_its_module_attribute(monkeypatch):
     sched = const_sched(0.01, 0.01, 0.05)
     thetas = np.array([2.7, 2.3, 1.0])
     setups = [
-        EstimatorSetup("averaged", schedule=sched, theta_init=thetas),
-        EstimatorSetup("triplet", schedule=sched, theta_init=thetas),
-        EstimatorSetup("averaged_m", particles=(0, 3), schedule=sched, theta_init=thetas),
-        EstimatorSetup("triplet_m", triplets=build_cyclic_triplets((1, 2)), schedule=sched,
-                       theta_init=thetas),
+        make_setup(m, sched, theta_init=thetas),
+        make_setup(m, sched, kind="triplet", theta_init=thetas),
+        make_setup(m, sched, kind="averaged_m", particles=(0, 3), theta_init=thetas),
+        make_setup(m, sched, kind="triplet_m", triplets=build_cyclic_triplets((1, 2)),
+                   theta_init=thetas),
         EstimatorSetup("diffusion", schedule=LearningRateSchedule("constant", 0.01),
                        theta_init=np.array([0.7])),
     ]
     n_steps, seeds = 25, batch_seeds(3, 2)
     res = run_batch(m, TruthSchedule.constant(thetas), 5, 0.01, n_steps, seeds, setups)
     assert not res.excluded.any()
-    assert calls == {name: [(2,)] * n_steps for name in RULES.values()}
+    for setup in setups:
+        seen = calls.pop(RULES[setup.kind])
+        assert len(seen) == n_steps
+        assert all(shape == (2,) and arg is setup for shape, arg in seen)
+    assert calls == {}

@@ -30,7 +30,7 @@ import pytest
 
 from ipslearn.batch import EstimatorSetup, batch_seeds, draw_initial_thetas, run_batch
 from ipslearn.estimators import LearningRateSchedule, RmsPropConfig, build_cyclic_triplets
-from ipslearn.models import Box, LinearModel, TruthSchedule, make_model
+from ipslearn.models import Box, LinearModel, TruthSchedule, make_model, weight_matrix
 
 DIGESTS = Path(__file__).with_name("data") / "hotpath_digests.json"
 N_STEPS = 200
@@ -69,13 +69,13 @@ def _case_linear_mask_power_rmsprop():
         init=([1.5, 0.5], [2.5, 1.0]), record_every=3,
         setups=[
             EstimatorSetup("averaged", schedule=power(0.05, 0.05),
-                           free_mask=np.array([False, True])),
+                           free_mask=np.array([0.0, 1.0])),
             EstimatorSetup("triplet", schedule=const(0.02, 0.02),
                            rmsprop=RmsPropConfig(0.9, 1e-8)),
             EstimatorSetup("averaged_m", particles=(0, 1, 2, 3),
                            schedule=power(0.02, 0.01, beta=1.0),
                            rmsprop=RmsPropConfig(0.99, 1e-6),
-                           free_mask=np.array([True, False])),
+                           free_mask=np.array([1.0, 0.0])),
         ],
         expect=lambda res: _pinned(res.tracks[0], 0),
     )
@@ -155,7 +155,7 @@ def _case_kuramoto_ramp():
 def _case_cucker_smale():
     model = make_model("cucker-smale")
     sched = const(0.01, 0.01, 0.005)
-    free = np.array([False, True, False])
+    free = np.array([0.0, 1.0, 0.0])
     return dict(
         model=model, truth=TruthSchedule.constant([0.2, 1.0, 0.5]), n=6, dt=0.1, seed=808,
         init=([0.2, 2.0, 0.5], [0.2, 3.0, 0.5]), record_every=10,
@@ -212,7 +212,13 @@ def run_case(name):
     seeds = batch_seeds(spec["seed"], REPLICATES)
     thetas, etas = draw_initial_thetas(seeds, *spec["init"])
     for s in spec["setups"]:
-        s.theta_init = etas * 2.0 if s.kind == "diffusion" else thetas
+        if s.kind == "diffusion":
+            s.theta_init = etas * 2.0
+        else:
+            # as `config` resolves it: the model's own weight unless overridden
+            s.theta_init = thetas
+            if s.weight is None:
+                s.weight = weight_matrix(spec["model"])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         res = run_batch(
@@ -309,7 +315,9 @@ def test_blowup_guard_edges():
     model = _DrivenLinear(targets, at)
     seeds = batch_seeds(9, len(targets))
     thetas, _ = draw_initial_thetas(seeds, [1.0, 0.1], [2.0, 0.3])
-    setup = EstimatorSetup("averaged", schedule=const(1e-12, 1e-12), theta_init=thetas)
+    # _DrivenLinear has no sigma: its identity weight is given here
+    setup = EstimatorSetup("averaged", schedule=const(1e-12, 1e-12), theta_init=thetas,
+                           weight=np.eye(1))
     res = run_batch(model, TruthSchedule.constant([1.0, 0.2]), 3, 0.1, 12, seeds, [setup],
                     record_every=1)
     np.testing.assert_array_equal(res.excluded, [False, True, True, False, True, True])

@@ -1,0 +1,59 @@
+"""Artifacts do not depend on the program's internal sizes.
+
+The noise buffer, the Cucker-Smale pair blocks and their worker count, the
+CSV writer's row blocks and the sha256 read chunks are sizes chosen for
+speed and memory only.  Each bundled config below is run through
+`estimate` twice, at the default sizes and with every one of them
+perturbed, and the two output directories must match file for file, byte
+for byte.  Any change that lets one of these sizes reach the arithmetic or
+the formatting fails here.
+"""
+
+import json
+from contextlib import redirect_stdout
+from io import StringIO
+
+import pytest
+
+from ipslearn import models, rng, runner
+from ipslearn.cli import main as cli_main
+from ipslearn.config import _bundled_text
+
+N_CS = 40  # Cucker-Smale particles: one row of pair terms is 40 cells
+
+CONFIGS = {
+    "linear_fig1": {},
+    "doublewell_fig7_rmsprop": {},
+    "fitzhugh_nagumo": {},
+    "kuramoto_changepoint": {},
+    "cucker_smale_theta3": {"n_particles": N_CS},
+    "vol32": {},
+}
+
+
+def _estimate(cfg_path, out):
+    with redirect_stdout(StringIO()):
+        assert cli_main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_outputs_do_not_depend_on_internal_sizes(tmp_path, monkeypatch, name):
+    cfg = json.loads(_bundled_text(name))
+    cfg.update(n_steps=120, replicates=2, record_every=1, dump_trajectory=True, **CONFIGS[name])
+    cfg_path = tmp_path / f"{name}.json"
+    cfg_path.write_text(json.dumps(cfg))
+    default = _estimate(cfg_path, tmp_path / "default")
+
+    monkeypatch.setattr(rng, "NOISE_BUFFER_BYTES", 1)  # the smallest block, 16 steps
+    # 3 workers, each with blocks of one row of the pair terms
+    monkeypatch.setattr(models, "PAIR_BLOCK_BYTES", 8 * 3 * N_CS)
+    monkeypatch.setattr(models, "_WORKERS", 3)
+    monkeypatch.setattr(runner, "CSV_BLOCK_ROWS", 7)
+    monkeypatch.setattr(runner, "SHA256_CHUNK_BYTES", 13)
+    perturbed = _estimate(cfg_path, tmp_path / "perturbed")
+
+    assert sorted(perturbed) == sorted(default)
+    assert len(default) > 5
+    for path, data in default.items():
+        assert perturbed[path] == data, f"{name}: {path} differs"
