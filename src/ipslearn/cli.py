@@ -28,7 +28,7 @@ from .runner import (
     write_csv,
     write_sidecar,
 )
-from .sde import MomentTracker, run_trajectory
+from .sde import MomentTracker, SimulationBlowup, run_trajectory
 from .estimators import validate_schedule
 
 
@@ -118,11 +118,16 @@ def _cmd_diagnose(args):
     out.mkdir(parents=True, exist_ok=True)
     meta = base_metadata(config)
     if args.mode == "moments":
+        # a blow-up still writes the series up to it, then fails the run
         tracker = MomentTracker(config.n_steps)
-        run_trajectory(
-            model, config.truth, config.n_particles, config.dt, config.n_steps,
-            config.base_seed, observers=[tracker],
-        )
+        blowup = None
+        try:
+            run_trajectory(
+                model, config.truth, config.n_particles, config.dt, config.n_steps,
+                config.base_seed, observers=[tracker],
+            )
+        except SimulationBlowup as e:
+            blowup = e
         n = tracker.n_filled
         step = np.tile(np.arange(n), len(tracker.orders))
         path = out / "moments.csv"
@@ -130,7 +135,12 @@ def _cmd_diagnose(args):
             step, step * config.dt, np.repeat(tracker.orders, n),
             np.concatenate([tracker.series[order][:n] for order in tracker.orders]),
         ])
-        write_sidecar(path, {**meta, "growth_detected": tracker.growth_detected()})
+        side = {**meta, "growth_detected": tracker.growth_detected()}
+        if blowup is not None:
+            side["blowup_step"] = blowup.step
+        write_sidecar(path, side)
+        if blowup is not None:
+            raise blowup
     elif args.mode == "coupling":
         # one (n_steps,) series per n_small, each a block of rows
         series = coupling_distance(

@@ -1,6 +1,6 @@
-"""Empirical verification tools: error sweeps over the particle count,
-synchronous-coupling distances, theoretical rate functions, truth-pinned
-update stationarity and rescaled-error moment summaries.
+"""The computations behind `sweep` and `diagnose`: error sweeps over the
+particle count, synchronous-coupling distances and rescaled-error moment
+summaries.
 
 The sweep and the CLT check run batches of the estimator setups they are
 given (`runner.initial_setups` builds them from a config) and reduce the
@@ -19,37 +19,6 @@ from .sde import PositionHistory, run_trajectory
 
 # fewest non-excluded replicates whose moments the CLT check reports
 CLT_MIN_REPLICATES = 200
-
-
-# ---------------------------------------------------------------------------
-# Rate functions
-
-
-def rho_rate(n: int, d: int) -> float:
-    """Empirical-measure Wasserstein rate: N^-1/4 below dimension 4,
-    N^-1/4 sqrt(log(1+N)) at 4, N^-1/d above."""
-    if d < 4:
-        return n ** (-0.25)
-    if d == 4:
-        return n ** (-0.25) * np.sqrt(np.log1p(n))
-    return n ** (-1.0 / d)
-
-
-def poc_rate(n: int, alpha: float) -> float:
-    """Coupling-inherited rate N^(-1/(2(1+alpha))) entering the gradient bounds."""
-    return n ** (-1.0 / (2.0 * (1.0 + alpha)))
-
-
-def rate_function_a(t: float, x: float, alpha: float, A: float, C: float = 1.0) -> float:
-    """Convergence-to-equilibrium rate function a_t(x).
-
-    alpha > 0: [x^-alpha + A (alpha/(2+alpha))^(1+alpha/2) t]^(-2/alpha)
-    alpha = 0: C^2 x^2 exp(-2 A t)
-    """
-    if alpha == 0:
-        return C**2 * x**2 * np.exp(-2.0 * A * t)
-    bracket = x ** (-alpha) + A * (alpha / (2.0 + alpha)) ** (1.0 + alpha / 2.0) * t
-    return bracket ** (-2.0 / alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -152,44 +121,6 @@ def coupling_distance(
     return np.array([
         np.mean(np.sum((matched_path(n) - big[:, :n]) ** 2, axis=2), axis=1) for n in n_small
     ])
-
-
-# ---------------------------------------------------------------------------
-# Truth-pinned update stationarity
-
-
-def truth_stationarity(model, truth, n_particles, dt, n_steps, seed, schedule, particle=0):
-    """Accumulate the averaged-estimator update at the pinned true parameter.
-
-    At the truth the descent term vanishes and the update is a martingale
-    increment sequence, so the time-averaged update should be statistically
-    zero.  Returns (mean, stderr, z) per parameter.
-    """
-    from .estimators import averaged_gradient
-    from .models import weight_matrix
-
-    W = weight_matrix(model)
-    sums = np.zeros(model.p)
-    sq_sums = np.zeros(model.p)
-    count = 0
-
-    class _Collector:
-        def on_step(self, step, t, positions, dx, stat, keep):
-            nonlocal count
-            pos = positions[0]
-            D = averaged_gradient(
-                model, truth.at(t), pos[particle], pos, dx[0, particle], dt, W
-            )
-            upd = -schedule.value(t) * D
-            sums[:] += upd
-            sq_sums[:] += upd**2
-            count += 1
-
-    run_trajectory(model, truth, n_particles, dt, n_steps, seed, observers=[_Collector()])
-    mean = sums / count
-    var = sq_sums / count - mean**2
-    se = np.sqrt(var / count)
-    return mean, se, mean / se
 
 
 # ---------------------------------------------------------------------------

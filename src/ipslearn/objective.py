@@ -1,4 +1,4 @@
-"""Contrast functions, their gradients, and time-averaged surface scans.
+"""Contrast functions and their time-averaged surface scans.
 
 The particle-level contrast
 
@@ -19,7 +19,6 @@ import itertools
 
 import numpy as np
 
-from .estimators import _weighted
 from .models import InteractionModel, TruthSchedule, weight_matrix
 from .sde import PositionHistory, run_trajectory
 
@@ -46,49 +45,6 @@ def contrast_ell(model, theta, x, y, z, positions, theta_true, W=None):
     ry = model.drift_pair(theta, x, y) - B0
     rz = model.drift_pair(theta, x, z) - B0
     return _w_inner(ry, W, rz)
-
-
-def grad_H(model, theta, x, positions, theta_true, W=None):
-    """G(theta, x, mu_N) W (B(theta, x, mu_N) - B(theta_true, x, mu_N))."""
-    W = weight_matrix(model) if W is None else W
-    r = model.drift_mean(theta, x, positions) - model.drift_mean(theta_true, x, positions)
-    return _weighted(model.grad_mean(theta, x, positions), W, r)
-
-
-def grad_h(model, theta, x, y, z, positions, theta_true, W=None):
-    """g(theta, x, y) W (b(theta, x, z) - B(theta_true, x, mu_N))."""
-    W = weight_matrix(model) if W is None else W
-    r = model.drift_pair(theta, x, z) - model.drift_mean(theta_true, x, positions)
-    return _weighted(model.grad_pair(theta, x, y), W, r)
-
-
-def grad_h_sym(model, theta, x, y, z, positions, theta_true, W=None):
-    """Symmetrised pairwise gradient, the exact d_theta of contrast_ell."""
-    return 0.5 * (
-        grad_h(model, theta, x, y, z, positions, theta_true, W)
-        + grad_h(model, theta, x, z, y, positions, theta_true, W)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Analytic oracle for the linear model
-
-
-def linear_model_analytic_objective(theta, theta_true, sigma):
-    """Mean-field limit of the time-averaged particle contrast, linear model.
-
-    Under the stationary zero-mean Gaussian law the drift difference is
-    -((theta1+theta2) - (theta01+theta02)) * x, so the contrast averages to
-    ds^2 * v0 / (2 sigma^2) with v0 = sigma^2 / (2 (theta01+theta02)).  Zero
-    exactly on the ridge theta1 + theta2 = theta01 + theta02.  The stationary
-    law needs theta01 + theta02 > 0.
-    """
-    theta = np.asarray(theta, dtype=float)
-    theta_true = np.asarray(theta_true, dtype=float)
-    s0 = theta_true[0] + theta_true[1]
-    ds = (theta[0] + theta[1]) - s0
-    v0 = sigma**2 / (2.0 * s0)
-    return ds**2 * v0 / (2.0 * sigma**2)
 
 
 # ---------------------------------------------------------------------------

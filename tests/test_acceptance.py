@@ -32,23 +32,13 @@ import pytest
 from conftest import build_zoo_model, fd_grad_contrast, fd_grad_pair, random_probe
 from ipslearn.batch import EstimatorSetup, batch_seeds
 from ipslearn.config import load_config
-from ipslearn.diagnostics import (
-    clt_rescaled_moments,
-    coupling_distance,
-    truth_stationarity,
-)
+from ipslearn.diagnostics import clt_rescaled_moments, coupling_distance
 from ipslearn.estimators import LearningRateSchedule
 from ipslearn.models import MODEL_ZOO, TruthSchedule, make_model
-from ipslearn.objective import (
-    contrast_L,
-    contrast_ell,
-    grad_H,
-    grad_h_sym,
-    linear_model_analytic_objective,
-    surface_scan,
-)
+from ipslearn.objective import contrast_L, contrast_ell, surface_scan
 from ipslearn.runner import initial_setups, run_experiment, run_sweep
 from ipslearn.sde import PositionHistory, run_trajectory
+from oracles import grad_H, grad_h_sym, linear_model_analytic_objective, truth_stationarity
 
 
 def report(num, name, ok, started, detail=""):

@@ -821,6 +821,24 @@ def test_cli_diagnose_moments(tmp_path):
     assert lines[0] == "step,time,order,value"
 
 
+def test_cli_diagnose_moments_keeps_the_series_up_to_a_blowup(tmp_path, capsys):
+    # eta 1.5 at dt 0.2: seed 2 blows up at step 53, so a 53-step run is clean
+    blown, clean = tmp_path / "blown", tmp_path / "clean"
+    config = _vol32_blowup_config(tmp_path, eta_true=1.5, dt=0.2, n_steps=500, base_seed=2)
+    assert cli_main(["diagnose", "--config", config, "--out", str(blown)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "runtime",
+                   "message": "|x| exceeded 1e+06 or became non-finite at step 53"}
+    config = _vol32_blowup_config(tmp_path, eta_true=1.5, dt=0.2, n_steps=53, base_seed=2)
+    assert cli_main(["diagnose", "--config", config, "--out", str(clean)]) == 0
+    csv_bytes = (blown / "moments.csv").read_bytes()
+    assert csv_bytes == (clean / "moments.csv").read_bytes()
+    assert len(csv_bytes.splitlines()) == 1 + 2 * 53  # header, orders 2 and 4
+    side = json.loads((blown / "moments.csv.meta.json").read_text())
+    assert side["blowup_step"] == 53
+    assert "blowup_step" not in json.loads((clean / "moments.csv.meta.json").read_text())
+
+
 def test_cli_diagnose_coupling(tmp_path):
     p = tmp_path / "c.json"
     p.write_text(json.dumps(tiny_config()))

@@ -7,18 +7,12 @@ import pytest
 from ipslearn.batch import EstimatorSetup, batch_seeds, run_batch
 from ipslearn.cli import main as cli_main
 from ipslearn.config import load_config, parse_config
-from ipslearn.diagnostics import (
-    coupling_distance,
-    l2_error_sweep,
-    poc_rate,
-    rate_function_a,
-    rho_rate,
-    standardized_moments,
-)
-from ipslearn.estimators import LearningRateSchedule
+from ipslearn.diagnostics import coupling_distance, l2_error_sweep, standardized_moments
+from ipslearn.estimators import LearningRateSchedule, averaged_gradient, triplet_gradient
 from ipslearn.models import TruthSchedule, Vol32Model, make_model, weight_matrix
 from ipslearn.runner import run_experiment, run_sweep
 from ipslearn.sde import run_trajectory
+from oracles import poc_rate, rate_function_a, rho_rate
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +131,55 @@ def test_coupling_distance_falls_at_the_propagation_of_chaos_rate():
     assert np.all(np.abs(slopes - rate) <= 3 * COUPLING_SLOPE_SD), shown
     assert abs(slopes.mean() - rate) <= 3 * COUPLING_SLOPE_SD / np.sqrt(len(seeds)), shown
     assert slopes.std(ddof=1) <= 2 * COUPLING_SLOPE_SD, shown
+
+
+# Log-log slopes of the squared gradient gap against N for seeds 0-5 of the
+# test below: averaged -1.051, -0.989, -1.103, -1.075, -0.983, -0.954 (mean
+# -1.026, sd 0.059); triplet -1.098, -0.910, -1.049, -1.145, -0.982, -0.892
+# (mean -1.013, sd 0.102).
+GRADIENT_GAP_SLOPE_SD = {"averaged": 0.059, "triplet": 0.102}
+
+
+def test_gradient_gap_falls_at_least_as_fast_as_the_paper_bound():
+    # On the coupled systems of the test above, particle 0's averaged
+    # gradient and the (0, 1, 2) triplet gradient at a fixed theta off the
+    # truth differ between N and n_big = 500 particles by at most
+    # rho(N) + N^(-1/(2(1+alpha))) (linear model: d = 1, alpha = 0).  The
+    # bound is an upper bound, so the squared gap must fall at least as fast
+    # as its square, within the committed spread of the slopes.
+    c = load_config("linear_fig1")
+    m, dt, n_steps = c.model, c.dt, 2000
+    W = weight_matrix(m)
+    theta = np.array([2.0, 0.75])  # the middle of the init box
+    ns = np.array([5, 10, 20, 40, 80])
+    bound = np.polyfit(np.log(ns), np.log([(rho_rate(n, 1) + poc_rate(n, 0.0)) ** 2
+                                           for n in ns]), 1)[0]
+    assert bound == pytest.approx(-0.661, abs=1e-3)
+
+    def gradients(n, seed):
+        out = np.empty((2, n_steps, m.p))  # averaged, triplet
+
+        class Gradients:
+            def on_step(self, step, t, positions, dx, stat, keep):
+                pos, dx0 = positions[0], dx[0, 0]
+                out[0, step] = averaged_gradient(m, theta, pos[0], pos, dx0, dt, W)
+                out[1, step] = triplet_gradient(m, theta, pos[0], pos[1], pos[2], dx0, dt, W)
+
+        run_trajectory(m, c.truth, n, dt, n_steps, seed, observers=[Gradients()])
+        return out
+
+    seeds = range(6)
+    slopes = []
+    for seed in seeds:
+        big = gradients(500, seed)
+        gaps = [np.sum((gradients(n, seed) - big) ** 2, axis=2)[:, 1000:].mean(axis=1)
+                for n in ns]
+        slopes.append(np.polyfit(np.log(ns), np.log(gaps), 1)[0])
+    for (kind, sd), s in zip(GRADIENT_GAP_SLOPE_SD.items(), np.array(slopes).T):
+        shown = f"{kind}: " + ", ".join(f"{v:.3f}" for v in s)
+        assert np.all(s <= bound + 3 * sd), shown
+        assert s.mean() <= bound + 3 * sd / np.sqrt(len(seeds)), shown
+        assert s.std(ddof=1) <= 2 * sd, shown
 
 
 def diagnose_error(tmp_path, capsys, *args):

@@ -23,6 +23,7 @@ from ipslearn.estimators import (
 )
 from ipslearn.models import Box, TruthSchedule, make_model, weight_matrix
 from ipslearn.runner import run_experiment
+from oracles import truth_stationarity
 
 
 def const_sched(*scale):
@@ -434,8 +435,6 @@ def test_schedule_nonincreasing_property():
 def test_truth_pinned_averaged_update_is_centred():
     # at the true parameter the update is a martingale increment sequence;
     # its time average should be within 3 standard errors of zero
-    from ipslearn.diagnostics import truth_stationarity
-
     m = make_model("linear")
     truth = TruthSchedule.constant([1.0, 0.2])
     mean, se, z = truth_stationarity(

@@ -3,15 +3,8 @@ import pytest
 
 from conftest import fd_grad_contrast
 from ipslearn.models import make_model
-from ipslearn.objective import (
-    contrast_L,
-    contrast_ell,
-    grad_H,
-    grad_h,
-    grad_h_sym,
-    linear_model_analytic_objective,
-    surface_scan,
-)
+from ipslearn.objective import contrast_L, contrast_ell, surface_scan
+from oracles import grad_H, grad_h_sym, linear_model_analytic_objective
 
 
 def test_contrast_vanishes_at_truth(zoo_model):
