@@ -19,10 +19,10 @@ from the pair drift:
   cosine and sine;
 - Cucker-Smale averages the pair drift over the ensemble, O(N) per particle;
   its `drift_ensemble` evaluates the (N, N) pair terms in chunks, so its
-  working set does not grow with R or N.  The chunks are shared out among
-  one worker thread per CPU of the process's affinity mask, and the workers
-  split one PAIR_BLOCK_BYTES (256 KiB) budget per scratch buffer rather than
-  each taking one.  No result depends on the worker count.
+  working set does not grow with R or N.  One worker thread per CPU of the
+  process's affinity mask claims the chunks on demand, and the workers split
+  one PAIR_BLOCK_BYTES (512 KiB) budget per scratch buffer rather than each
+  taking one.  No result depends on the worker count.
 
 All evaluators broadcast over leading batch axes: theta has shape (..., p),
 states have shape (..., d), and ensembles have shape (..., N, d).
@@ -35,6 +35,7 @@ ensemble computes it once and passes it as `stat`.
 from __future__ import annotations
 
 import contextvars
+import itertools
 import os
 import threading
 from dataclasses import dataclass
@@ -43,8 +44,10 @@ import numpy as np
 
 # Scratch budget of one chunk of the Cucker-Smale pair kernel: two such
 # buffers bound its per-step working set, whatever R and N.  The workers
-# split it; they do not each get one.
-PAIR_BLOCK_BYTES = 256 * 1024
+# split it; they do not each get one.  Two workers get blocks of 256 KiB
+# each (65 rows at N = 500): fewer, larger chunks leave them fewer Python
+# steps between the numpy calls, which is where they queue on the GIL.
+PAIR_BLOCK_BYTES = 512 * 1024
 
 # Threads that share out the chunks of the Cucker-Smale pair kernel: one per
 # CPU the process may run on.
@@ -468,7 +471,8 @@ class CuckerSmaleModel(InteractionModel):
 
     `drift_ensemble` costs O(N^2) per step per replicate, in row blocks of
     bounded memory.  Its chunks run on one thread per CPU of the process's
-    affinity mask; each thread has two scratch buffers, and all of them
+    affinity mask, each thread claiming the next chunk when it is done with
+    its last; each thread has two scratch buffers, and all of them
     together hold at most 2 * PAIR_BLOCK_BYTES, whatever the CPU count, for
     any N whose row of pair terms fits in PAIR_BLOCK_BYTES.  The result is
     the same, bit for bit, at any worker count.
@@ -514,16 +518,21 @@ class CuckerSmaleModel(InteractionModel):
 
         The (N, N) pair terms are evaluated in chunks: several whole
         replicates when one replicate's 8 N^2 bytes fit, otherwise a block of
-        rows i of one replicate.  The chunks are dealt out among the workers,
-        no more of them than whole rows fit in the budget, each with buffers
-        of at most PAIR_BLOCK_BYTES / workers, and each writes only its own
-        rows of the result.  A row always holds all N columns j, so each mean
-        over j sums the same contiguous row as the full (..., N, N)
-        evaluation, bit for bit, at any worker count.
+        rows i of one replicate.  Each worker claims the next chunk from one
+        shared counter when it is done with its last, with buffers of at most
+        PAIR_BLOCK_BYTES / workers, and no more workers run than whole rows
+        fit in the budget.  A chunk writes only its own rows of the result.
+        A row always holds all N columns j, so each row sum adds the same
+        contiguous row as the full (..., N, N) evaluation, and the one
+        division by N at the end is the one a mean over j makes: the bits
+        are those of the full evaluation at any worker count.
         """
         q, v = positions[..., 0], positions[..., 1]
         n = q.shape[-1]
         qs, vs = q.reshape(-1, n), v.reshape(-1, n)
+        # q_i - q_j == -q_j + q_i exactly (IEEE 754, signed zeros too), and
+        # the contiguous -q_j row as first operand is the faster loop
+        neg_q, neg_v = -qs, -vs
         workers = max(1, min(_WORKERS, PAIR_BLOCK_BYTES // 8 // n))
         cells = PAIR_BLOCK_BYTES // 8 // workers
         reps = min(len(qs), max(1, cells // (n * n)))
@@ -531,26 +540,30 @@ class CuckerSmaleModel(InteractionModel):
         row_blocks = -(-n // rows)
         chunks = -(-len(qs) // reps) * row_blocks
         workers = min(workers, chunks)
+        claim = itertools.count().__next__
         inter = np.empty(qs.shape)
+        # every worker's two buffers in one allocation: separate ones let
+        # malloc trim its heaps between calls and fault the pages in again
+        scratch = np.empty((workers, 2, reps, rows, n))
 
         def work(worker):
-            u_buf = np.empty((reps, rows, n))
-            w_buf = np.empty((reps, rows, n))
-            for c in range(worker, chunks, workers):
+            u_buf, w_buf = scratch[worker]
+            while (c := claim()) < chunks:
                 r, i = reps * (c // row_blocks), rows * (c % row_blocks)
                 qi, vi = qs[r : r + reps, i : i + rows], vs[r : r + reps, i : i + rows]
                 k, b = qi.shape
                 u, w = u_buf[:k, :b], w_buf[:k, :b]
                 # psi = _psi(theta3, (q_i - q_j)**2), computed in place
-                np.subtract(qi[..., None], qs[r : r + k, None, :], out=u)
+                np.add(neg_q[r : r + k, None, :], qi[..., None], out=u)
                 u **= 2
                 u += 1.0
                 np.power(u, -theta[2], out=u)
-                np.subtract(vi[..., None], vs[r : r + k, None, :], out=w)
+                np.add(neg_v[r : r + k, None, :], vi[..., None], out=w)
                 w *= u
-                w.mean(axis=-1, out=inter[r : r + k, i : i + b])
+                np.add.reduce(w, axis=-1, out=inter[r : r + k, i : i + b])
 
         _POOL.run(work, range(workers))
+        inter /= n
         b2 = -theta[0] * q - theta[1] * inter.reshape(q.shape)
         return np.stack([v, b2], axis=-1)
 

@@ -1,6 +1,8 @@
+import itertools
 import sys
 import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -78,6 +80,20 @@ def _full_pair_drift(model, theta, positions):
     return np.stack([v, b2], axis=-1)
 
 
+def _cs_positions(case, lead, n, seed):
+    pos = np.random.default_rng(seed).standard_normal(lead + (n, 2))
+    if case == "zeros":
+        # every coordinate a signed zero, so every pair term is one too: the
+        # output must still match the full evaluation's sign bits
+        pos = np.where(pos < 0, -0.0, 0.0)
+    elif case == "far":
+        # |q| near 1e6, where the differences round, and equal velocities
+        pos[..., 0] += 1e6
+        pos[..., ::2, 1] = pos[..., :1, 1]
+    pos[..., n // 2, :] = pos[..., 0, :]  # coincident particles
+    return pos
+
+
 @pytest.mark.parametrize("lead", [(), (1,), (3,)])
 @pytest.mark.parametrize("n", [1, 2, 50, 64, 65, 66, 131, 500, 1200])
 def test_cucker_smale_row_blocks_match_full_pairs_bitwise(lead, n, monkeypatch):
@@ -85,32 +101,53 @@ def test_cucker_smale_row_blocks_match_full_pairs_bitwise(lead, n, monkeypatch):
     # block (N = 500 and 1200), and more workers than chunks: the same bits as
     # the full evaluation at every worker count, whatever the CPU count
     m = make_model("cucker-smale")
-    pos = np.random.default_rng(n).standard_normal(lead + (n, 2))
-    pos[..., n // 2, :] = pos[..., 0, :]  # coincident particles
-    for t3 in (0.0, 0.5, 1.7):
-        th = np.array([0.4, 1.3, t3])
-        want = _full_pair_drift(m, th, pos)
-        for workers in WORKER_COUNTS:
-            monkeypatch.setattr(models, "_WORKERS", workers)
-            got = m.drift_ensemble(th, pos)
-            assert got.shape == want.shape == lead + (n, 2)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), workers
+    for case in ("gauss", "zeros", "far"):
+        pos = _cs_positions(case, lead, n, seed=n)
+        for t3 in (0.0, 0.5, 1.7):
+            th = np.array([0.4, 1.3, t3])
+            want = _full_pair_drift(m, th, pos)
+            for workers in WORKER_COUNTS:
+                monkeypatch.setattr(models, "_WORKERS", workers)
+                got = m.drift_ensemble(th, pos)
+                assert got.shape == want.shape == lead + (n, 2)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (case, workers)
 
 
 def test_cucker_smale_pool_keeps_the_bits_under_fast_thread_switching(monkeypatch):
-    # more workers than CPUs and a thread switch every microsecond: a lost or
-    # misplaced row of the result would change the bits
-    monkeypatch.setattr(models, "_WORKERS", 8)
-    m = make_model("cucker-smale")
-    pos = np.random.default_rng(2).standard_normal((2, 1200, 2))
+    # more workers than CPUs, a ragged last row block and a thread switch
+    # every microsecond: every chunk index is claimed exactly once, and a lost
+    # row of the result would change the bits
+    claims = []
+
+    class Claims:  # the kernel's chunk counter, recording each index it hands out
+        def __init__(self):
+            self._indices = itertools.count()
+
+        def __next__(self):
+            c = next(self._indices)
+            claims.append(c)
+            return c
+
+    monkeypatch.setattr(models, "itertools", SimpleNamespace(count=Claims))
+    m, n = make_model("cucker-smale"), 999
     th = np.array([0.4, 1.3, 0.5])
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = m.drift_ensemble(th, pos)
-    finally:
-        sys.setswitchinterval(interval)
-    assert got.tobytes() == _full_pair_drift(m, th, pos).tobytes()
+    for workers in (2, 3, 8):
+        rows = models.PAIR_BLOCK_BYTES // 8 // workers // n
+        assert n % rows, "the last row block should be ragged"
+        monkeypatch.setattr(models, "_WORKERS", workers)
+        # a fresh draw per worker count, so that a lost row cannot hold a
+        # stale copy of the right bits from an earlier call
+        pos = np.random.default_rng(workers).standard_normal((2, n, 2))
+        claims.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = m.drift_ensemble(th, pos)
+        finally:
+            sys.setswitchinterval(interval)
+        # each worker also draws one index past the last chunk, and stops
+        assert sorted(claims) == list(range(2 * -(-n // rows) + workers)), workers
+        assert got.tobytes() == _full_pair_drift(m, th, pos).tobytes(), workers
 
 
 def test_cucker_smale_ragged_replicate_chunk_matches_full_pairs_bitwise(monkeypatch):
@@ -144,8 +181,10 @@ def test_cucker_smale_drift_memory_is_bounded(r, n, monkeypatch):
 
 
 def test_cucker_smale_workers_stay_within_one_budget_when_rows_are_long(monkeypatch):
-    # at N = 8000 one row of pair terms is 64 KB: eight workers of one row
-    # each would hold twice the budget, so only the four whose rows fit run
+    # at N = 8000 one row of pair terms is 64 KB: under a 256 KiB budget eight
+    # workers of one row each would hold twice the budget, so only the four
+    # whose rows fit run
+    monkeypatch.setattr(models, "PAIR_BLOCK_BYTES", 256 * 1024)
     m = make_model("cucker-smale")
     pos = np.random.default_rng(0).standard_normal((1, 8000, 2))
     th = np.array([0.4, 1.3, 0.5])
@@ -162,11 +201,31 @@ def test_cucker_smale_workers_stay_within_one_budget_when_rows_are_long(monkeypa
     assert peaks[8] < peaks[1] + models.PAIR_BLOCK_BYTES
 
 
+def test_cucker_smale_bundled_size_runs_as_one_inline_share(monkeypatch):
+    # R = 10, N = 50 (the bundled Cucker-Smale configs) fits one chunk, so
+    # the call runs on the calling thread and starts no pool thread
+    monkeypatch.setattr(models, "_WORKERS", 2)
+    shares, run = [], models._POOL.run
+
+    def recording_run(work, worker_shares):
+        shares.append(len(worker_shares))
+        return run(work, worker_shares)
+
+    monkeypatch.setattr(models._POOL, "run", recording_run)
+    m = make_model("cucker-smale")
+    pos = np.random.default_rng(0).standard_normal((10, 50, 2))
+    th = np.array([0.4, 1.3, 0.5])
+    assert m.drift_ensemble(th, pos).tobytes() == _full_pair_drift(m, th, pos).tobytes()
+    assert shares == [1]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_cucker_smale_pool_share_raises_under_the_callers_errstate(workers, monkeypatch):
-    # a row mean overflows only in the first row of the second chunk, which a
-    # pool thread runs when there are 2 workers; it raises as the serial path
-    # does, does not hang the call, and the next call still returns the bits
+    # a row sum overflows only in the first row of the second chunk, which
+    # either thread may claim when there are 2 workers; it raises as the
+    # serial path does, does not hang the call, and the next call still
+    # returns the bits.  A share that raises on a pool thread raises there
+    # under the caller's errstate.
     monkeypatch.setattr(models, "_WORKERS", workers)
     m, n = make_model("cucker-smale"), 500
     th = np.array([0.4, 1.3, 0.0])
@@ -186,6 +245,8 @@ def test_cucker_smale_pool_share_raises_under_the_callers_errstate(workers, monk
     caller.join(timeout=60)
     assert not caller.is_alive()
     assert len(raised) == 1
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        models._POOL.run(lambda share: np.float64(1e308) * share, [1, 2])
     pos = np.random.default_rng(1).standard_normal((1, n, 2))
     assert m.drift_ensemble(th, pos).tobytes() == _full_pair_drift(m, th, pos).tobytes()
 
