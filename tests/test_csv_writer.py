@@ -4,9 +4,14 @@
 `runner.write_csv` over numpy columns must write the same bytes as
 `row_writer` over the rows those columns make, whatever the mix of dtypes,
 and whether the rows fill a whole number of the writer's row blocks or not.
+The same bytes must come out when a CSV's blocks are split among forked
+workers, at any worker count.
 """
 
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from io import StringIO
 
@@ -15,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ipslearn import runner
 from ipslearn.cli import main as cli_main
 from ipslearn.runner import CSV_BLOCK_ROWS, write_csv
 
@@ -142,3 +148,144 @@ def test_coupling_without_sizes_writes_the_header_only(tmp_path):
                          "--n-small", "--out", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "coupling.csv").read_bytes() == b"step,time,n_small,n_big,mean_sq_distance\n"
+
+
+# ---------------------------------------------------------------------------
+# Row blocks split among forked workers
+
+
+def split_columns(n):
+    """Columns of every dtype the program writes, with the floats that print
+    unusually and an estimator label outside ASCII."""
+    rng = np.random.default_rng(n)
+    floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    floats[: len(SPECIAL_FLOATS)] = SPECIAL_FLOATS[:n]
+    return [
+        rng.random(n) < 0.5,
+        np.arange(n, dtype=np.int64) - 2**62,
+        floats,
+        np.array(["θ-averaged", "triplet", "é"])[np.arange(n) % 3],
+    ]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the workers that write_csv forks, with one block of 7 rows
+    and no minimum number of blocks per worker."""
+    monkeypatch.setattr(runner, "CSV_BLOCK_ROWS", 7)
+    monkeypatch.setattr(runner, "CSV_MIN_BLOCKS_PER_WORKER", 1)
+    pids = []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# 38 rows: 6 blocks, the last not full; 13 rows: 2 blocks, fewer than 3
+# workers; 29 rows: 5 blocks, the last of one row
+@pytest.mark.parametrize("n", [38, 13, 29])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_split_blocks_write_the_bytes_of_the_row_writer(n, workers, forks, monkeypatch, tmp_path):
+    monkeypatch.setattr(runner.models, "_WORKERS", workers)
+    assert_same_bytes(tmp_path, split_columns(n))
+    assert len(forks) == min(workers, -(-n // 7)) - 1
+    assert_no_child_left()
+    assert sorted(os.listdir(tmp_path)) == ["columns.csv", "rows.csv"]
+
+
+def test_shares_are_contiguous_runs_of_whole_blocks(forks, monkeypatch):
+    monkeypatch.setattr(runner.models, "_WORKERS", 3)
+    assert runner._shares(0) == [(0, 0)]
+    assert runner._shares(13) == [(0, 7), (7, 13)]
+    assert runner._shares(29) == [(0, 7), (7, 21), (21, 29)]
+    monkeypatch.setattr(runner, "CSV_MIN_BLOCKS_PER_WORKER", 2)
+    assert runner._shares(21) == [(0, 21)]  # 3 blocks: too few for 2 workers of 2
+    assert runner._shares(22) == [(0, 14), (14, 22)]
+
+
+def test_writes_inline_where_fork_is_not_used(forks, monkeypatch, tmp_path):
+    monkeypatch.setattr(runner.models, "_WORKERS", 3)
+    monkeypatch.setattr(runner, "_FORK", False)
+    assert_same_bytes(tmp_path, split_columns(38))
+    assert forks == []
+
+
+def test_default_threshold_forks_only_a_large_csv(monkeypatch, tmp_path):
+    # at 2 CPUs a CSV forks from 2 * CSV_MIN_BLOCKS_PER_WORKER blocks on: the
+    # summary, the sweep and the small estimate CSVs stay inline
+    monkeypatch.setattr(runner.models, "_WORKERS", 2)
+    per_worker = runner.CSV_MIN_BLOCKS_PER_WORKER * CSV_BLOCK_ROWS
+    assert len(runner._shares(2 * per_worker - CSV_BLOCK_ROWS)) == 1
+    assert len(runner._shares(2 * per_worker)) == 2
+    assert len(runner._shares(10**6)) == 2
+
+
+def test_a_failing_worker_names_the_file_and_is_reaped(forks, monkeypatch, tmp_path):
+    monkeypatch.setattr(runner.models, "_WORKERS", 3)
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    monkeypatch.setattr(runner.tempfile, "tempdir", str(tmpdir))
+    parent, format_column = os.getpid(), runner._format_column
+
+    def fail_in_a_worker(col):
+        if os.getpid() != parent:
+            raise MemoryError("worker")
+        return format_column(col)
+
+    monkeypatch.setattr(runner, "_format_column", fail_in_a_worker)
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(RuntimeError, match="broken.csv"):
+        write_csv(out / "broken.csv", ["a", "b"], [np.arange(38), np.arange(38) / 3])
+    assert len(forks) == 2
+    assert_no_child_left()
+    assert os.listdir(out) == ["broken.csv"]
+    assert os.listdir(tmpdir) == []
+
+
+def test_an_error_in_the_parents_share_reaps_every_worker(forks, monkeypatch, tmp_path):
+    monkeypatch.setattr(runner.models, "_WORKERS", 3)
+    parent, format_column = os.getpid(), runner._format_column
+
+    def fail_in_the_parent(col):
+        if os.getpid() == parent:
+            raise KeyError("parent")
+        return format_column(col)
+
+    monkeypatch.setattr(runner, "_format_column", fail_in_the_parent)
+    with pytest.raises(KeyError, match="parent"):
+        write_csv(tmp_path / "a.csv", ["a"], [np.arange(38)])
+    assert len(forks) == 2
+    assert_no_child_left()
+    assert os.listdir(tmp_path) == ["a.csv"]
+
+
+def test_a_worker_runs_no_exit_hook_and_flushes_no_inherited_buffer(tmp_path):
+    # stdout is a pipe, so block-buffered: what is printed before the fork is
+    # still in the buffer each worker inherits
+    code = f"""
+import atexit, numpy as np
+from pathlib import Path
+from ipslearn import models, runner
+atexit.register(print, "exit hook")
+models._WORKERS, runner.CSV_BLOCK_ROWS, runner.CSV_MIN_BLOCKS_PER_WORKER = 3, 7, 1
+print("before")
+runner.write_csv(Path({str(tmp_path / "a.csv")!r}), ["v"], [np.arange(100) / 7])
+print("after")
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "before\nafter\nexit hook\n"
+    assert (tmp_path / "a.csv").read_text() == "v\n" + "".join(f"{i / 7!r}\n" for i in range(100))

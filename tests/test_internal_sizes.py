@@ -1,15 +1,17 @@
 """Artifacts do not depend on the program's internal sizes.
 
 The noise buffer, the Cucker-Smale pair blocks and their worker count, the
-CSV writer's row blocks and the sha256 read chunks are sizes chosen for
-speed and memory only.  Each bundled config below is run through
-`estimate` twice, at the default sizes and with every one of them
-perturbed, and the two output directories must match file for file, byte
-for byte.  Any change that lets one of these sizes reach the arithmetic or
-the formatting fails here.
+CSV writer's row blocks and its minimum number of blocks per forked worker,
+and the sha256 read chunks are sizes chosen for speed and memory only.
+Each bundled config below is run through `estimate` twice, at the default
+sizes and with every one of them perturbed (so that every CSV of more than
+one block is split among forked workers), and the two output directories
+must match file for file, byte for byte.  Any change that lets one of
+these sizes reach the arithmetic or the formatting fails here.
 """
 
 import json
+import os
 from contextlib import redirect_stdout
 from io import StringIO
 
@@ -50,8 +52,13 @@ def test_outputs_do_not_depend_on_internal_sizes(tmp_path, monkeypatch, name):
     monkeypatch.setattr(models, "PAIR_BLOCK_BYTES", 8 * 3 * N_CS)
     monkeypatch.setattr(models, "_WORKERS", 3)
     monkeypatch.setattr(runner, "CSV_BLOCK_ROWS", 7)
+    monkeypatch.setattr(runner, "CSV_MIN_BLOCKS_PER_WORKER", 1)
     monkeypatch.setattr(runner, "SHA256_CHUNK_BYTES", 13)
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
     perturbed = _estimate(cfg_path, tmp_path / "perturbed")
+    assert forks or not runner._FORK
 
     assert sorted(perturbed) == sorted(default)
     assert len(default) > 5
