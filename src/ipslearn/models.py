@@ -43,7 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # Scratch budget of one chunk of the Cucker-Smale pair kernel: two such
-# buffers bound its per-step working set, whatever R and N.  The workers
+# buffers bound its per-step working set, whatever R and N.  It also bounds
+# the pair terms of one chunk of an M-averaged Cucker-Smale gradient
+# (`estimators._averaged_mean`).  The workers
 # split it; they do not each get one.  Two workers get blocks of 256 KiB
 # each (65 rows at N = 500): fewer, larger chunks leave them fewer Python
 # steps between the numpy calls, which is where they queue on the GIL.
@@ -227,16 +229,18 @@ def _particle_mean(a):
 
 
 def _col(theta, k):
-    """Coefficient k of theta, keeping a trailing axis for state broadcast."""
-    return np.asarray(theta)[..., k, None]
+    """Coefficient k of the array theta, keeping a trailing axis for state
+    broadcast."""
+    return theta[..., k, None]
 
 
 def _rows(x, y, *rows):
     """Stack the (..., d) rows along a new axis -2 at the broadcast shape of
-    x and y (np.stack of the broadcast rows, without the intermediates)."""
-    shape = np.shape(x)
-    if np.shape(y) != shape:
-        shape = np.broadcast_shapes(shape, np.shape(y))
+    the arrays x and y (np.stack of the broadcast rows, without the
+    intermediates)."""
+    shape = x.shape
+    if y.shape != shape:
+        shape = np.broadcast_shapes(shape, y.shape)
     out = np.empty(shape[:-1] + (len(rows), shape[-1]))
     for k, row in enumerate(rows):
         out[..., k, :] = row
@@ -317,10 +321,10 @@ class MeanPositionModel(InteractionModel):
         return _particle_mean(positions)
 
     def drift_mean(self, theta, x, positions, stat=None):
-        return self.drift_pair(theta, x, self._stat(positions, stat))
+        return self.drift_pair(theta, x, self.mean_field(positions) if stat is None else stat)
 
     def grad_mean(self, theta, x, positions, stat=None):
-        return self.grad_pair(theta, x, self._stat(positions, stat))
+        return self.grad_pair(theta, x, self.mean_field(positions) if stat is None else stat)
 
     def drift_ensemble(self, theta, positions, stat=None):
         """Mean-field drift of every particle, shape (..., N, d).

@@ -36,8 +36,10 @@ from .sde import PositionHistory, SimulationBlowup, run_trajectory
 CSV_BLOCK_ROWS = 1024
 # A CSV is split over one forked worker per CPU (`models._WORKERS`) only when
 # each worker gets at least this many blocks: a fork and wait cost about
-# 1.7 ms, formatting one block of floats about 0.6 ms.
-CSV_MIN_BLOCKS_PER_WORKER = 8
+# 1.7 ms, formatting one block of floats about 0.6 ms, so a worker's six
+# blocks take about twice what its fork costs.  At 2 CPUs a 12 000-row
+# estimates CSV (12 blocks) splits; summary and sweep CSVs stay inline.
+CSV_MIN_BLOCKS_PER_WORKER = 6
 _FORK = sys.platform == "linux"  # elsewhere every CSV is written inline
 SHA256_CHUNK_BYTES = 1 << 20  # an artifact is hashed in chunks of this size
 

@@ -12,11 +12,14 @@ plain-loop versions of quantities the library computes in batch:
   finite-particle and convergence-to-equilibrium bounds
 - `truth_stationarity`: the averaged-estimator update accumulated at the
   pinned true parameter, statistically zero there
+- `averaged_mean_list`, `triplet_mean_list`: the M-averaged gradients as a
+  list with one evaluation per index, added in list order, against which
+  the stacked evaluation of the update rules is checked bit for bit
 """
 
 import numpy as np
 
-from ipslearn.estimators import _weighted, averaged_gradient
+from ipslearn.estimators import _weighted, averaged_gradient, triplet_gradient
 from ipslearn.models import weight_matrix
 from ipslearn.sde import run_trajectory
 
@@ -45,6 +48,34 @@ def grad_h_sym(model, theta, x, y, z, positions, theta_true, W=None):
         grad_h(model, theta, x, y, z, positions, theta_true, W)
         + grad_h(model, theta, x, z, y, positions, theta_true, W)
     )
+
+
+# ---------------------------------------------------------------------------
+# M-averaged gradients, one index at a time
+
+
+def _list_mean(terms):
+    return sum(terms[1:], terms[0]) / len(terms)
+
+
+def averaged_mean_list(model, theta, positions, dx, dt, W, particles, stat=None):
+    """Mean over i in Pi of the averaged gradient, one evaluation per i."""
+    return _list_mean([
+        averaged_gradient(model, theta, positions[..., i, :], positions, dx[..., i, :], dt, W, stat)
+        for i in particles
+    ])
+
+
+def triplet_mean_list(model, theta, positions, dx, dt, W, triplets):
+    """Mean over (i, j, k) in C(Pi) of the three-particle gradient, one
+    evaluation per triplet."""
+    return _list_mean([
+        triplet_gradient(
+            model, theta, positions[..., i, :], positions[..., j, :], positions[..., k, :],
+            dx[..., i, :], dt, W,
+        )
+        for i, j, k in triplets
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -223,7 +223,7 @@ def test_writes_inline_where_fork_is_not_used(forks, monkeypatch, tmp_path):
 
 def test_default_threshold_forks_only_a_large_csv(monkeypatch, tmp_path):
     # at 2 CPUs a CSV forks from 2 * CSV_MIN_BLOCKS_PER_WORKER blocks on: the
-    # summary, the sweep and the small estimate CSVs stay inline
+    # summary and sweep CSVs stay inline
     monkeypatch.setattr(runner.models, "_WORKERS", 2)
     per_worker = runner.CSV_MIN_BLOCKS_PER_WORKER * CSV_BLOCK_ROWS
     assert len(runner._shares(2 * per_worker - CSV_BLOCK_ROWS)) == 1

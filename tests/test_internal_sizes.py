@@ -3,7 +3,8 @@
 The noise buffer, the Cucker-Smale pair blocks and their worker count, the
 CSV writer's row blocks and its minimum number of blocks per forked worker,
 and the sha256 read chunks are sizes chosen for speed and memory only.
-Each bundled config below is run through `estimate` twice, at the default
+Each case below, a bundled config with a few fields replaced, is run
+through `estimate` twice, at the default
 sizes and with every one of them perturbed (so that every CSV of more than
 one block is split among forked workers), and the two output directories
 must match file for file, byte for byte.  Any change that lets one of
@@ -22,14 +23,26 @@ from ipslearn.cli import main as cli_main
 from ipslearn.config import _bundled_text
 
 N_CS = 40  # Cucker-Smale particles: one row of pair terms is 40 cells
+CS_RATE = {"kind": "constant", "gamma0": 1.0, "scale": [0.01, 0.01, 0.005]}
 
-CONFIGS = {
-    "linear_fig1": {},
-    "doublewell_fig7_rmsprop": {},
-    "fitzhugh_nagumo": {},
-    "kuramoto_changepoint": {},
-    "cucker_smale_theta3": {"n_particles": N_CS},
-    "vol32": {},
+# case -> (bundled config, fields replaced)
+CASES = {
+    "linear_fig1": ("linear_fig1", {}),
+    "doublewell_fig7_rmsprop": ("doublewell_fig7_rmsprop", {}),
+    "fitzhugh_nagumo": ("fitzhugh_nagumo", {}),
+    "kuramoto_changepoint": ("kuramoto_changepoint", {}),
+    "cucker_smale_theta3": ("cucker_smale_theta3", {"n_particles": N_CS}),
+    # the M-averaged forms over all particles: the averaged one evaluates
+    # Pi in chunks of PAIR_BLOCK_BYTES, one particle each when perturbed
+    "cucker_smale_theta3_m_all": ("cucker_smale_theta3", {
+        "n_particles": N_CS,
+        "sweep": {"n_particles": [N_CS]},
+        "estimators": [
+            {"kind": kind, "pi": list(range(N_CS)), "free_params": [2], "learning_rate": CS_RATE}
+            for kind in ("averaged_m", "triplet_m")
+        ],
+    }),
+    "vol32": ("vol32", {}),
 }
 
 
@@ -39,10 +52,11 @@ def _estimate(cfg_path, out):
     return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_do_not_depend_on_internal_sizes(tmp_path, monkeypatch, name):
-    cfg = json.loads(_bundled_text(name))
-    cfg.update(n_steps=120, replicates=2, record_every=1, dump_trajectory=True, **CONFIGS[name])
+    bundled, fields = CASES[name]
+    cfg = json.loads(_bundled_text(bundled))
+    cfg.update(n_steps=120, replicates=2, record_every=1, dump_trajectory=True, **fields)
     cfg_path = tmp_path / f"{name}.json"
     cfg_path.write_text(json.dumps(cfg))
     default = _estimate(cfg_path, tmp_path / "default")
