@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import models
-
 
 # ---------------------------------------------------------------------------
 # Learning-rate schedules
@@ -238,54 +236,28 @@ def triplet_gradient(model, theta, x_i, x_j, x_k, dx_i, dt, W):
 
 
 def _mean(terms):
-    """Mean of the stacked terms over the leading axis, added in index order.
-
-    An explicit loop, not np.add.reduce: a reduce over an axis that is the
-    innermost one in memory (R * p = 1) sums pairwise, not in order.
-    """
-    acc = terms[0]
-    for term in terms[1:]:
-        acc = acc + term
-    return acc / len(terms)
-
-
-def _stacked(a, idx):
-    """a[..., idx, :] with the index axis moved to the front: (M, ..., d)
-    (np.moveaxis, without its wrapper's per-call cost)."""
-    n = a.ndim - 2
-    return a.transpose(n, *range(n), n + 1)[list(idx)]
+    """Mean of a list of arrays, summed in list order."""
+    return sum(terms[1:], terms[0]) / len(terms)
 
 
 def _averaged_mean(state, setup, model, dt, positions, dx, stat):
-    """Mean of the averaged gradient over the particles Pi of `setup`.
-
-    The gradients of all of Pi are evaluated at once on the stacked states.
-    The generic mean-field forms (no ensemble statistic: Cucker-Smale) hold
-    (..., N, p, d) pair terms per particle, so there Pi is evaluated in
-    chunks whose pair terms fit in PAIR_BLOCK_BYTES (at least one particle
-    per chunk).  One particle's mean is its term itself.
-    """
+    """Mean of the averaged gradient over the particles of `setup`, one
+    evaluation per particle.  One particle's mean is its term itself."""
     theta, W, idx = state.theta, setup.weight, setup.particles
     if len(idx) == 1:
         i = idx[0]
         return averaged_gradient(
             model, theta, positions[..., i, :], positions, dx[..., i, :], dt, W, stat
         )
-    x, dx_pi = _stacked(positions, idx), _stacked(dx, idx)
-    chunk = len(idx)
-    if stat is None:
-        chunk = max(1, models.PAIR_BLOCK_BYTES // (8 * positions.size * model.p))
-    return _mean(np.concatenate([
-        averaged_gradient(model, theta, x[lo : lo + chunk], positions, dx_pi[lo : lo + chunk],
-                          dt, W, stat)
-        for lo in range(0, len(idx), chunk)
-    ]))
+    return _mean([
+        averaged_gradient(model, theta, positions[..., i, :], positions, dx[..., i, :], dt, W, stat)
+        for i in idx
+    ])
 
 
 def _triplet_mean(state, setup, model, dt, positions, dx):
-    """Mean of the three-particle gradient over the triplets C(Pi) of
-    `setup`, evaluated at once on the stacked I, J and K columns.  One
-    triplet's mean is its term itself."""
+    """Mean of the three-particle gradient over the triplets of `setup`, one
+    evaluation per triplet.  One triplet's mean is its term itself."""
     theta, W, triplets = state.theta, setup.weight, setup.triplets
     if len(triplets) == 1:
         ((i, j, k),) = triplets
@@ -293,11 +265,13 @@ def _triplet_mean(state, setup, model, dt, positions, dx):
             model, theta, positions[..., i, :], positions[..., j, :], positions[..., k, :],
             dx[..., i, :], dt, W,
         )
-    I, J, K = zip(*triplets)
-    return _mean(triplet_gradient(
-        model, theta, _stacked(positions, I), _stacked(positions, J), _stacked(positions, K),
-        _stacked(dx, I), dt, W,
-    ))
+    return _mean([
+        triplet_gradient(
+            model, theta, positions[..., i, :], positions[..., j, :], positions[..., k, :],
+            dx[..., i, :], dt, W,
+        )
+        for i, j, k in triplets
+    ])
 
 
 # ---------------------------------------------------------------------------

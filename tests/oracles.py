@@ -14,7 +14,7 @@ plain-loop versions of quantities the library computes in batch:
   pinned true parameter, statistically zero there
 - `averaged_mean_list`, `triplet_mean_list`: the M-averaged gradients as a
   list with one evaluation per index, added in list order, against which
-  the stacked evaluation of the update rules is checked bit for bit
+  the update rules are checked bit for bit
 """
 
 import numpy as np

@@ -32,8 +32,8 @@ CASES = {
     "fitzhugh_nagumo": ("fitzhugh_nagumo", {}),
     "kuramoto_changepoint": ("kuramoto_changepoint", {}),
     "cucker_smale_theta3": ("cucker_smale_theta3", {"n_particles": N_CS}),
-    # the M-averaged forms over all particles: the averaged one evaluates
-    # Pi in chunks of PAIR_BLOCK_BYTES, one particle each when perturbed
+    # the M-averaged forms over all particles: their estimates must not
+    # depend on the sizes either, however a form evaluates Pi
     "cucker_smale_theta3_m_all": ("cucker_smale_theta3", {
         "n_particles": N_CS,
         "sweep": {"n_particles": [N_CS]},

@@ -1,12 +1,14 @@
-"""The M-averaged rules evaluate their index set Pi stacked, in one call.
+"""The averaged and triplet rules against the list form, bit for bit.
 
 Each averaged and triplet rule must give, bit for bit, the gradient of the
 list form in `oracles` (one evaluation per index, added in list order,
-divided by M), and the step that gradient makes.  The cases cover every
-model, |Pi| in {1, 3, 10, 50} over all N = 50 particles, several random
-ensembles each, and a Kuramoto batch of one replicate, where R * p = 1 and
-a numpy reduce over the stacked axis would sum pairwise instead of in order.
-Cucker-Smale at R = 10 evaluates |Pi| = 50 in chunks of PAIR_BLOCK_BYTES.
+divided by M), and the step that gradient makes.  At |Pi| = 1 the rules
+skip the list and the division by one, and the update adds into theta in
+place; any other evaluation of the mean over Pi (a stacked one, say) must
+pass the same check.  The cases cover every model, |Pi| in {1, 3, 10, 50}
+over all N = 50 particles, several random ensembles each, and a Kuramoto
+batch of one replicate, where R * p = 1 and a numpy reduce over a stacked
+index axis would sum pairwise instead of in order.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 from ipslearn import estimators as est
 from ipslearn.batch import EstimatorSetup
 from ipslearn.estimators import EstimatorState, LearningRateSchedule, build_cyclic_triplets
-from ipslearn.models import MODEL_ZOO, PAIR_BLOCK_BYTES, weight_matrix
+from ipslearn.models import MODEL_ZOO, weight_matrix
 
 from conftest import build_zoo_model
 from oracles import averaged_mean_list, triplet_mean_list
@@ -68,32 +70,13 @@ def _check(monkeypatch, model, replicates, size, seed):
 
 @pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize("model_id", sorted(MODEL_ZOO))
-def test_stacked_rules_equal_the_list_form(monkeypatch, model_id, size):
+def test_rules_equal_the_list_form(monkeypatch, model_id, size):
     _check(monkeypatch, build_zoo_model(model_id), R, size, seed=1000 * size + len(model_id))
 
 
 @pytest.mark.parametrize("size", SIZES)
-def test_stacked_rules_equal_the_list_form_for_one_replicate_of_one_parameter(monkeypatch, size):
+def test_rules_equal_the_list_form_for_one_replicate_of_one_parameter(monkeypatch, size):
     model = build_zoo_model("kuramoto")
     assert model.p == 1
     _check(monkeypatch, model, 1, size, seed=7 + size)
 
-
-def test_cucker_smale_evaluates_a_large_pi_in_chunks_within_the_pair_budget(monkeypatch):
-    model = build_zoo_model("cucker-smale")
-    rng = np.random.default_rng(5)
-    theta, positions, dx = _draw(model, rng, R)
-    setup = EstimatorSetup("averaged_m", particles=tuple(range(N)), weight=weight_matrix(model),
-                           schedule=LearningRateSchedule("constant", 0.3))
-    chunks = []
-    evaluate = est.averaged_gradient
-
-    def counted(model, theta, x_i, *args):
-        chunks.append(len(x_i))
-        return evaluate(model, theta, x_i, *args)
-
-    monkeypatch.setattr(est, "averaged_gradient", counted)
-    est.update_m_averaged_full(EstimatorState(theta=theta), setup, model, DT, positions, dx,
-                               None, None, 0.0)
-    assert sum(chunks) == N and len(chunks) > 1
-    assert max(chunks) * 8 * positions.size * model.p <= PAIR_BLOCK_BYTES

@@ -219,6 +219,28 @@ def test_cucker_smale_bundled_size_runs_as_one_inline_share(monkeypatch):
     assert shares == [1]
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_cucker_smale_scratch_buffers_start_on_cache_lines(workers, monkeypatch):
+    # the bits do not depend on where a buffer starts, but a buffer off a
+    # 64-byte line makes each AVX-512 load straddle two lines; every
+    # buffer must start on one whatever malloc returns and whatever its size
+    monkeypatch.setattr(models, "_WORKERS", workers)
+    starts, run = [], models._POOL.run
+
+    def recording_run(work, worker_shares):
+        cells = dict(zip(work.__code__.co_freevars, work.__closure__))
+        starts.extend(buf.ctypes.data % 64 for buf in cells["scratch"].cell_contents)
+        return run(work, worker_shares)
+
+    monkeypatch.setattr(models._POOL, "run", recording_run)
+    m, th = make_model("cucker-smale"), np.array([0.4, 1.3, 0.5])
+    rng = np.random.default_rng(3)
+    for reps, n in [(10, 50), (4, 500), (3, 999), (1, 7)]:
+        pos = rng.standard_normal((reps, n, 2))
+        assert m.drift_ensemble(th, pos).tobytes() == _full_pair_drift(m, th, pos).tobytes()
+    assert len(starts) >= 8 and set(starts) == {0}
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_cucker_smale_pool_share_raises_under_the_callers_errstate(workers, monkeypatch):
     # a row sum overflows only in the first row of the second chunk, which
