@@ -22,7 +22,7 @@ from . import estimators as est
 from .estimators import EstimatorState, LearningRateSchedule, RmsPropConfig
 from .models import Box, InteractionModel, TruthSchedule
 from .rng import PARAM_INIT_STREAM, RngStream, replicate_seed
-from .sde import realized_qv, simulate
+from .sde import simulate
 
 # estimator kind -> name of its update rule in `estimators`
 RULES = {
@@ -113,7 +113,6 @@ class _Estimators:
         # looked up by name when the run starts, so a wrapper put on the
         # module attribute sees every call
         self.rules = [getattr(est, RULES[s.kind]) for s in setups]
-        self.needs_qv = any(s.kind == "diffusion" for s in setups)
         self.record_every = record_every
         self.tail_start = n_steps - max(1, int(round(tail_fraction * n_steps)))
         self.tail_sums = [np.zeros_like(s.theta) for s in self.states]
@@ -124,9 +123,8 @@ class _Estimators:
 
     def on_step(self, step, t, positions, dx, stat, keep):
         model, dt = self.model, self.dt
-        dqv = realized_qv(dx) if self.needs_qv else None
         for rule, setup, state in zip(self.rules, self.setups, self.states):
-            rule(state, setup, model, dt, positions, dx, dqv, stat, t, keep)
+            rule(state, setup, model, dt, positions, dx, stat, t, keep)
 
         if step >= self.tail_start:
             for total, state in zip(self.tail_sums, self.states):

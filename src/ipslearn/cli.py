@@ -102,6 +102,8 @@ def _cmd_diagnose(args):
     if args.mode == "coupling":
         if args.n_big < 1:
             raise ConfigError("--n-big", f"must be >= 1, got {args.n_big}")
+        if not args.n_small:
+            raise ConfigError("--n-small", "needs at least one system size")
         if any(not 1 <= n <= args.n_big for n in args.n_small):
             raise ConfigError("--n-small", f"sizes must lie in [1, --n-big={args.n_big}], "
                               f"got {args.n_small}")

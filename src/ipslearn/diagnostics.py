@@ -35,6 +35,25 @@ def final_truth(model: InteractionModel, truth: TruthSchedule, kind: str, n_step
     return truth.at((n_steps - 1) * dt)
 
 
+def squared_errors(model: InteractionModel, truth: TruthSchedule, track, n_steps: int,
+                   dt: float, ok, where: str = "") -> np.ndarray:
+    """(tail_mean - final_truth)^2 of a batch track, (R, p).
+
+    An estimator has diverged when this is non-finite on a replicate the
+    blow-up guard did not exclude (`ok`): that raises RuntimeError naming
+    the estimator and the first such replicate, plus `where`.
+    """
+    target = final_truth(model, truth, track.kind, n_steps, dt)
+    with np.errstate(over="ignore"):  # an overflow is the divergence reported below
+        err = (track.tail_mean - target) ** 2
+    bad = ok & ~np.isfinite(err).all(axis=1)
+    if bad.any():
+        raise RuntimeError(f"estimator {track.label!r} diverged{where}: replicate "
+                           f"{int(np.argmax(bad))} has a non-finite squared error "
+                           "against the truth")
+    return err
+
+
 def l2_error_sweep(
     model: InteractionModel,
     truth: TruthSchedule,
@@ -54,7 +73,7 @@ def l2_error_sweep(
     estimator label, the parameter index, the mean squared error, its
     standard error and the count of excluded replicates.  Replicates that
     blow up are counted and excluded from the statistics, never silently
-    dropped.
+    dropped; an estimator that diverges on any other fails the sweep.
     """
     seeds = batch_seeds(base_seed, replicates)
     blocks = []
@@ -66,8 +85,7 @@ def l2_error_sweep(
         if not np.any(ok):
             raise RuntimeError(f"all replicates blew up at N={n}")
         for track in result.tracks:
-            target = final_truth(model, truth, track.kind, n_steps, dt)
-            err = (track.tail_mean[ok] - target) ** 2  # (R_ok, p)
+            err = squared_errors(model, truth, track, n_steps, dt, ok, f" at N={n}")[ok]
             p = err.shape[1]
             blocks.append([
                 np.full(p, n), np.full(p, track.label), np.arange(p), err.mean(axis=0),
@@ -89,7 +107,6 @@ def coupling_distance(
     dt: float,
     n_steps: int,
     seed: int,
-    initial_positions=None,
 ):
     """Mean squared distance between matched particles of two system sizes.
 
@@ -97,24 +114,17 @@ def coupling_distance(
     the same stream (seed, i): the matched particles share their initial
     conditions and noise (synchronous coupling), and the larger system
     stands in for the mean-field limit.  The `n_big` system is simulated
-    once and compared with a system of each size in `n_small`.
-    `initial_positions` (n_big, d) replaces the stream draws; a smaller
-    system takes its first rows.  Returns a (len(n_small), n_steps) array,
-    one time series of the post-step distance per size.
+    once and compared with a system of each size in the non-empty
+    `n_small`.  Returns a (len(n_small), n_steps) array, one time series of
+    the post-step distance per size.
     """
-    if not n_small:
-        return np.empty((0, n_steps))
-    init = None if initial_positions is None else np.asarray(initial_positions, dtype=float)
     n_keep = max(n_small)
 
     def matched_path(n):
         # step-start positions from step 1 on, plus the final ones: the
         # post-step state of every step
         hist = PositionHistory(n_steps, min(n, n_keep), model.d, start=1)
-        final = run_trajectory(
-            model, truth, n, dt, n_steps, seed, observers=[hist],
-            initial_positions=None if init is None else init[:n],
-        )
+        final = run_trajectory(model, truth, n, dt, n_steps, seed, observers=[hist])
         return np.concatenate([hist.positions, final[None, :n_keep]])
 
     big = matched_path(n_big)

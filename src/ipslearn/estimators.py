@@ -279,35 +279,34 @@ def _triplet_mean(state, setup, model, dt, positions, dx):
 #
 # One per estimator kind, all with the signature
 #
-#     rule(state, setup, model, dt, positions, dx, dqv, stat, t, keep=None)
+#     rule(state, setup, model, dt, positions, dx, stat, t, keep)
 #
 # `setup` is the estimator's `batch.EstimatorSetup` as `config` resolved it,
 # read as it is: its indices, weight matrix (None only for diffusion),
 # schedule, float free mask, box and RMSProp settings.  Each rule forms its
 # kind's gradient estimate D from the ensemble at the step start
-# (`positions`, (..., N, d)), the increments realised over the step (`dx`;
-# `dqv` = realized_qv(dx), read only by the diffusion rule) and the ensemble
-# statistic `stat` = model.mean_field(positions), then hands D to
-# `_apply_raw_update`, which advances `state` in place with the schedule
-# evaluated at the step-start time t.  `keep` marks replicates to leave
-# untouched.  A rule with a single particle or triplet is its M-averaged
+# (`positions`, (..., N, d)), the increments realised over the step (`dx`)
+# and the ensemble statistic `stat` = model.mean_field(positions), then
+# hands D to `_apply_raw_update`, which advances `state` in place with the
+# schedule evaluated at the step-start time t.  `keep` marks replicates to
+# leave untouched (None while there are none).  A rule with a single particle or triplet is its M-averaged
 # form over that one index: the mean of one term is the term itself.
 
 
-def update_averaged(state, setup, model, dt, positions, dx, dqv, stat, t, keep=None):
+def update_averaged(state, setup, model, dt, positions, dx, stat, t, keep):
     """Full-observation update from one particle's residual against the
     empirical-measure drift."""
     D = _averaged_mean(state, setup, model, dt, positions, dx, stat)
     _apply_raw_update(state, D, t, setup, keep)
 
 
-def update_three_particle(state, setup, model, dt, positions, dx, dqv, stat, t, keep=None):
+def update_three_particle(state, setup, model, dt, positions, dx, stat, t, keep):
     """Three-particle update; reads only the states of its triplet (i, j, k)
     and the increment of i, never the full ensemble."""
     _apply_raw_update(state, _triplet_mean(state, setup, model, dt, positions, dx), t, setup, keep)
 
 
-def update_m_averaged_full(state, setup, model, dt, positions, dx, dqv, stat, t, keep=None):
+def update_m_averaged_full(state, setup, model, dt, positions, dx, stat, t, keep):
     """Single update from the mean averaged gradient over the primary indices
     Pi.  `config` holds Pi sorted, so the summation order (hence the float
     result) does not depend on the order Pi was supplied in."""
@@ -315,22 +314,22 @@ def update_m_averaged_full(state, setup, model, dt, positions, dx, dqv, stat, t,
     _apply_raw_update(state, D, t, setup, keep)
 
 
-def update_m_averaged_triplets(state, setup, model, dt, positions, dx, dqv, stat, t, keep=None):
+def update_m_averaged_triplets(state, setup, model, dt, positions, dx, stat, t, keep):
     """Single update from the mean three-particle gradient over C(Pi)."""
     _apply_raw_update(state, _triplet_mean(state, setup, model, dt, positions, dx), t, setup, keep)
 
 
-def update_diffusion(state, setup, model, dt, positions, dx, dqv, stat, t, keep=None):
+def update_diffusion(state, setup, model, dt, positions, dx, stat, t, keep):
     """Diffusion-parameter update matching realized quadratic variation.
 
-    For scalar noise: eta <- eta - delta * d_eta(sigma^2) * (sigma^2 dt - dQV),
-    whose fixed point is the realized quadratic variation matching the
-    model's instantaneous variance.  Needs a model with `eta_names`.
+    For scalar noise: eta <- eta - delta * d_eta(sigma^2) * (sigma^2 dt - dX_i^2),
+    whose fixed point is the realized quadratic variation dX_i^2 of the
+    particle matching the model's instantaneous variance.  Needs a model
+    with `eta_names`.
     """
     (i,) = setup.particles
-    x_i = positions[..., i, :]
-    dqv_i = dqv[..., i, :, 0]  # scalar-noise models: dQV is (..., N, 1, 1)
+    x_i, dx_i = positions[..., i, :], dx[..., i, :]
     diffusion = model.diffusion
     sig_sq = diffusion.sigma_sq(state.theta, x_i)
-    D = diffusion.d_eta_sigma_sq(state.theta, x_i) * (sig_sq * dt - dqv_i)
+    D = diffusion.d_eta_sigma_sq(state.theta, x_i) * (sig_sq * dt - dx_i * dx_i)
     _apply_raw_update(state, D, t, setup, keep)

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, models
 from .batch import batch_seeds, draw_initial_thetas, run_batch
 from .config import ConfigError, ExperimentConfig
-from .diagnostics import final_truth, l2_error_sweep
+from .diagnostics import l2_error_sweep, squared_errors
 from .objective import surface_scan
 from .rng import GENERATOR_NAME, replicate_seed
 from .sde import PositionHistory, SimulationBlowup, run_trajectory
@@ -234,8 +234,10 @@ def run_experiment(config: ExperimentConfig, out_dir, trajectory_only: bool = Fa
         )
         if np.all(result.excluded):
             raise RuntimeError("every replicate blew up; nothing to report")
+        errors = [squared_errors(config.model, config.truth, track, config.n_steps, config.dt,
+                                 ~result.excluded) for track in result.tracks]
         artifacts += _write_estimates(config, result, out, meta)
-        artifacts += _write_summary(config, result, out, meta)
+        artifacts += _write_summary(config, result, errors, out, meta)
 
     if trajectory_only or config.dump_trajectory:
         artifacts += _write_trajectories(config, seeds, out, meta)
@@ -268,17 +270,16 @@ def _write_estimates(config, result, out, meta):
     return paths
 
 
-def _write_summary(config, result, out, meta):
+def _write_summary(config, result, errors, out, meta):
     ok = ~result.excluded
     blocks = []
-    for track in result.tracks:
-        truth = final_truth(config.model, config.truth, track.kind, config.n_steps, config.dt)
+    for track, err in zip(result.tracks, errors):
         R, p = track.tail_mean.shape
         pooled = track.tail_mean[ok].mean(axis=0)  # over non-excluded replicates
         blocks.append([
             np.repeat(np.arange(R), p), np.full(R * p, track.label),
             np.tile(param_names(config.model, track.kind), R),
-            track.final, track.tail_mean, (track.tail_mean - truth) ** 2,
+            track.final, track.tail_mean, err,
             (track.tail_mean - pooled) ** 2,
             np.repeat(result.excluded, p), np.repeat(result.blowup_step, p),
         ])

@@ -40,11 +40,6 @@ class SimulationBlowup(RuntimeError):
         super().__init__(message or f"simulation blew up at step {step}")
 
 
-def realized_qv(dx: np.ndarray) -> np.ndarray:
-    """Per-particle outer product dX dX^T, the discrete proxy for d<x>_t."""
-    return dx[..., :, None] * dx[..., None, :]
-
-
 def step_positions(model, theta_true, positions, dw, dt, stat=None):
     """One Euler-Maruyama step; returns (new_positions, dx).
 
@@ -65,24 +60,19 @@ def simulate(
     n_steps: int,
     seeds,
     observers=(),
-    initial_positions: np.ndarray | None = None,
 ):
     """Run one replicate per seed; returns (positions, excluded, blowup_step).
 
-    Initial positions are each stream's first draws unless
-    `initial_positions` (R, N, d) is given.  A replicate with a non-finite
-    entry or one above BLOWUP_THRESHOLD in magnitude after a step is
-    excluded at that step: its blowup_step is the step index (-1 for clean
-    replicates), and from that step on it is marked in `keep`, with zero
-    dX, and keeps its last guarded state.  The loop stops, before calling
+    Initial positions are each stream's first draws.  A replicate with a
+    non-finite entry or one above BLOWUP_THRESHOLD in magnitude after a
+    step is excluded at that step: its blowup_step is the step index (-1
+    for clean replicates), and from that step on it is marked in `keep`,
+    with zero dX, and keeps its last guarded state.  The loop stops, before calling
     the observers, once every replicate is excluded.
     """
     R, N, d = len(seeds), n_particles, model.d
     noise = BlockedNoise([st for s in seeds for st in particle_streams(s, N)], d, dt)
-    if initial_positions is None:
-        positions = noise.initial_positions().reshape(R, N, d)
-    else:
-        positions = np.array(initial_positions, dtype=float)
+    positions = noise.initial_positions().reshape(R, N, d)
 
     active = np.ones(R, dtype=bool)
     keep = None  # ~active once a replicate is excluded: it no longer moves
@@ -129,17 +119,14 @@ def run_trajectory(
     n_steps: int,
     seed: int,
     observers=(),
-    initial_positions: np.ndarray | None = None,
 ) -> np.ndarray:
     """One replicate of `simulate`; returns the final (N, d) positions.
 
     Observers see (1, N, d) arrays.  If the blow-up guard trips, observers
     have received every step before it and SimulationBlowup carries the step.
     """
-    if initial_positions is not None:
-        initial_positions = np.asarray(initial_positions, dtype=float)[None]
     positions, excluded, blowup_step = simulate(
-        model, truth, n_particles, dt, n_steps, (seed,), observers, initial_positions
+        model, truth, n_particles, dt, n_steps, (seed,), observers
     )
     if excluded[0]:
         step = int(blowup_step[0])
@@ -174,11 +161,11 @@ class PositionHistory:
 
 
 class MomentTracker:
-    """Tracks ensemble-mean |x|^(2k) per step for the orders k in `orders`.
+    """Tracks ensemble-mean |x|^k per step for the orders k in `orders`.
 
-    Exposes the per-step series and a coarse growth flag (second-half mean
-    more than twice the first-half mean), which catches drifting moments
-    before the hard blowup guard trips.
+    Exposes the per-step series and a coarse growth flag on the second
+    moment (second-half mean more than twice the first-half mean), which
+    catches drifting moments before the hard blowup guard trips.
     """
 
     orders = (2, 4)
@@ -193,8 +180,8 @@ class MomentTracker:
             self.series[k][step] = np.mean(sq ** (k / 2))
         self.n_filled = step + 1
 
-    def growth_detected(self, order=2):
-        s = self.series[order][: self.n_filled]
+    def growth_detected(self):
+        s = self.series[2][: self.n_filled]
         half = len(s) // 2
         if half == 0:
             return False

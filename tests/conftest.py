@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ipslearn.models import MODEL_ZOO, make_model
+from ipslearn.rng import BlockedNoise
 
 
 def fd_grad_pair(model, theta, x, y, h=1e-6):
@@ -45,3 +46,15 @@ def build_zoo_model(model_id):
 @pytest.fixture(params=sorted(MODEL_ZOO))
 def zoo_model(request):
     return build_zoo_model(request.param)
+
+
+@pytest.fixture
+def start_at(monkeypatch):
+    """`start_at(value)` starts every particle of the simulations that follow
+    at `value`, in place of its stream's first draws, which are left unread."""
+
+    def start(value):
+        monkeypatch.setattr(BlockedNoise, "initial_positions",
+                            lambda self: np.full((len(self.streams), self.d), float(value)))
+
+    return start

@@ -519,6 +519,7 @@ COMMAND_MISMATCHES = {
               _set("surface", {"axes": [[1.0], [0.2]], "scan_kind": "L_ijkN",
                                "horizon_steps": 20})),
         "surface.scan_kind"),
+    "n-small-empty": (["diagnose", "--mode", "coupling", "--n-small"], None, "--n-small"),
     "n-small-zero": (["diagnose", "--mode", "coupling", "--n-small", "0"], None, "--n-small"),
     "n-small-negative": (["diagnose", "--mode", "coupling", "--n-small", "-3"], None,
                          "--n-small"),

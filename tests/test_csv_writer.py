@@ -12,8 +12,6 @@ import math
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
-from io import StringIO
 
 import numpy as np
 import pytest
@@ -21,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipslearn import runner
-from ipslearn.cli import main as cli_main
 from ipslearn.runner import CSV_BLOCK_ROWS, write_csv
 
 
@@ -140,14 +137,6 @@ def test_columns_must_match_the_header_and_each_other(tmp_path):
         write_csv(tmp_path / "a.csv", ["x", "y"], [np.zeros(3), np.zeros(2)])
     with pytest.raises(ValueError):
         write_csv(tmp_path / "a.csv", ["x", "y"], [np.zeros(3)])
-
-
-def test_coupling_without_sizes_writes_the_header_only(tmp_path):
-    with redirect_stdout(StringIO()):
-        code = cli_main(["diagnose", "--config", "linear_fig1", "--mode", "coupling",
-                         "--n-small", "--out", str(tmp_path)])
-    assert code == 0
-    assert (tmp_path / "coupling.csv").read_bytes() == b"step,time,n_small,n_big,mean_sq_distance\n"
 
 
 # ---------------------------------------------------------------------------

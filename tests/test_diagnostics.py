@@ -65,15 +65,13 @@ def test_coupling_identical_sizes_is_zero():
     assert np.all(series == 0.0)
 
 
-def test_coupling_zero_noise_pure_interaction_stays_zero():
+def test_coupling_zero_noise_pure_interaction_stays_zero(start_at):
     # all particles start at the same point; a pure-interaction drift keeps
     # both deterministic systems glued together
     m = make_model("linear", sigma=0.0)
     truth = TruthSchedule.constant([0.0, 0.7])
-    init = np.full((30, 1), 0.9)
-    (series,) = coupling_distance(
-        m, truth, [5], 30, 0.1, 200, seed=5, initial_positions=init
-    )
+    start_at(0.9)
+    (series,) = coupling_distance(m, truth, [5], 30, 0.1, 200, seed=5)
     assert np.all(series == 0.0)
 
 
@@ -348,6 +346,31 @@ def test_summary_csv_reports_exclusions(tmp_path):
         centre = tail[ok].mean(axis=0)
         assert not np.array_equal(centre, tail.mean(axis=0))  # exclusion matters
         assert np.array_equal(column("sq_error_pooled", float), (tail - centre) ** 2)
+
+
+# at a constant rate of 1000 the averaged estimate ends at theta1 = 1.7e301,
+# 3.0e246 and -5.3e307 (frozen) on the three replicates, none of which blows
+# up; every squared error overflows to inf
+DIVERGING = {
+    **load_config("linear_fig1").raw,
+    "n_particles": 5, "dt": 0.1, "n_steps": 200, "replicates": 3, "base_seed": 303,
+    "estimators": [{"kind": "averaged", "learning_rate": {"kind": "constant", "gamma0": 1000.0}}],
+    "sweep": {"n_particles": [5]},
+}
+
+
+@pytest.mark.parametrize("command, where", [("estimate", ""), ("sweep", " at N=5")])
+def test_a_diverging_estimator_exits_1_naming_it_and_the_replicate(tmp_path, capsys,
+                                                                   command, where):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(DIVERGING))
+    out = tmp_path / "o"
+    with np.errstate(over="ignore"):
+        assert cli_main([command, "--config", str(path), "--out", str(out)]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload == {"error": "runtime", "message": f"estimator 'averaged' diverged{where}: "
+                       "replicate 0 has a non-finite squared error against the truth"}
+    assert list(out.iterdir()) == []  # no artifact written
 
 
 # ---------------------------------------------------------------------------

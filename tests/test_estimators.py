@@ -38,10 +38,10 @@ def make_setup(model, schedule, kind="averaged", **kw):
     return EstimatorSetup(kind, schedule=schedule, weight=weight_matrix(model), **kw)
 
 
-def apply(rule, theta, model, setup, pos, dx, t=0.0, dqv=None, keep=None):
-    """A fresh state at `theta` after one call of `rule` at dt = DT."""
+def apply(rule, theta, model, setup, pos, dx, t=0.0, keep=None, dt=DT):
+    """A fresh state at `theta` after one call of `rule` at step `dt`."""
     s = EstimatorState(theta=np.array(theta, dtype=float))
-    rule(s, setup, model, DT, pos, dx, dqv, model.mean_field(pos), t, keep)
+    rule(s, setup, model, dt, pos, dx, model.mean_field(pos), t, keep)
     return s
 
 
@@ -177,18 +177,17 @@ def test_m_full_invariant_under_pi_permutation(tmp_path):
 
 
 def test_update_diffusion_fixed_point_and_hand_step():
-    m = make_model("vol32", eta=0.7)
-    setup = make_setup(m, LearningRateSchedule("constant", 0.01))
+    # every value below is exact in binary, so both results are exact
+    m = make_model("vol32", eta=0.5)
+    setup = make_setup(m, LearningRateSchedule("constant", 0.5))
     pos = np.array([[1.0]])
-    # exact fixed point: dQV = eta^2 |x|^3 dt
-    dqv = np.array([[[0.7**2 * 0.1]]])
-    new = apply(update_diffusion, [0.7], m, setup, pos, None, dqv=dqv)
-    assert new.theta == pytest.approx([0.7], abs=0)
-    # hand step: update = delta * (2 eta |x|^3) * (dQV - eta^2 |x|^3 dt)
-    dqv = np.array([[[0.08]]])
-    new = apply(update_diffusion, [0.7], m, setup, pos, None, dqv=dqv)
-    assert new.theta == pytest.approx([0.7 + 0.01 * 1.4 * (0.08 - 0.049)], abs=1e-15)
-    assert new.theta == pytest.approx([0.700434], abs=1e-12)
+    # fixed point: the particle's dX^2 = 0.0625 = eta^2 |x|^3 dt
+    new = apply(update_diffusion, [0.5], m, setup, pos, np.array([[0.25]]), dt=0.25)
+    assert new.theta == pytest.approx([0.5], abs=0)
+    # hand step: update = delta * (2 eta |x|^3) * (dX^2 - eta^2 |x|^3 dt)
+    new = apply(update_diffusion, [0.5], m, setup, pos, np.array([[0.5]]), dt=0.25)
+    assert new.theta == pytest.approx([0.5 + 0.5 * 1.0 * (0.25 - 0.0625)], abs=0)
+    assert new.theta == pytest.approx([0.59375], abs=0)
 
 
 def test_diffusion_setup_requires_parametric_model():
@@ -259,7 +258,7 @@ def test_boundary_freeze_is_absorbing():
     for step in range(1000):
         pos = rng.standard_normal((4, 1))
         dx = rng.standard_normal((4, 1))
-        update_averaged(state, setup, m, DT, pos, dx, None, m.mean_field(pos), step * 0.1)
+        update_averaged(state, setup, m, DT, pos, dx, m.mean_field(pos), step * 0.1, None)
         if frozen_at is None and bool(state.frozen):
             frozen_at = state.theta.copy()
     assert frozen_at is not None
@@ -277,7 +276,7 @@ def test_non_finite_gradient_freezes_an_unbatched_state():
     state = apply(update_averaged, [1.5, 0.7], m, setup, pos, bad_dx)
     assert state.frozen.shape == () and bool(state.frozen)
     assert state.theta.tolist() == [1.5, 0.7]
-    update_averaged(state, setup, m, DT, pos, good_dx, None, m.mean_field(pos), 0.1)
+    update_averaged(state, setup, m, DT, pos, good_dx, m.mean_field(pos), 0.1, None)
     assert state.theta.tolist() == [1.5, 0.7] and bool(state.frozen)
     alone = apply(update_averaged, [1.5, 0.7], m, setup, pos, good_dx)
     batch = apply(update_averaged, [[1.5, 0.7], [1.5, 0.7]], m, setup, np.stack([pos, pos]),
@@ -296,7 +295,7 @@ def test_unbounded_never_freezes():
     for step in range(200):
         pos = rng.standard_normal((4, 1))
         dx = rng.standard_normal((4, 1)) * 0.3
-        update_averaged(state, setup, m, DT, pos, dx, None, m.mean_field(pos), step * 0.1)
+        update_averaged(state, setup, m, DT, pos, dx, m.mean_field(pos), step * 0.1, None)
     assert not bool(state.frozen)
     assert np.all(np.isfinite(state.theta))
 
@@ -562,7 +561,7 @@ def test_batch_matches_single_trajectory_observer():
         state = EstimatorState(theta=np.array([2.0, 0.75]))
 
         def on_step(self, step, t, positions, dx, stat, keep):
-            update_averaged(self.state, setup, m, 0.1, positions[0], dx[0], None, None, t)
+            update_averaged(self.state, setup, m, 0.1, positions[0], dx[0], None, t, None)
 
     obs = Averaged()
     run_trajectory(m, truth, 6, 0.1, 300, seed=77, observers=[obs])

@@ -58,12 +58,12 @@ def _check(monkeypatch, model, replicates, size, seed):
                 state = EstimatorState(theta=theta.copy())
                 with monkeypatch.context() as m:
                     m.setattr(est, "_apply_raw_update", lambda st, grad, *args: seen.append(grad))
-                    rule(state, setup, model, DT, positions, dx, None, stat, 0.0)
+                    rule(state, setup, model, DT, positions, dx, stat, 0.0, None)
                 (D_rule,) = seen
                 assert D_rule.shape == D.shape and D_rule.tobytes() == D.tobytes(), (
                     f"{rule.__name__}, |Pi| = {size}: the gradient differs from the list form"
                 )
-                rule(state, setup, model, DT, positions, dx, None, stat, 0.0)
+                rule(state, setup, model, DT, positions, dx, stat, 0.0, None)
                 step = theta + -schedule.value(0.0) * D
                 assert state.theta.tobytes() == step.tobytes(), rule.__name__
 

@@ -5,6 +5,11 @@ Every function, class and method defined in `src/ipslearn/*.py` and
 as a name, an attribute, an imported name or a string constant (the batch
 looks its update rules up by name with `getattr`).  Code that only tests
 call belongs under `tests/` (reference computations in `tests/oracles.py`).
+
+Likewise every defaulted parameter of a program function or method
+(constructors aside) must be passed by some call in those files, matched by
+the function's name; a call with `*args` or `**kwargs` counts as passing
+every parameter.  A default that only tests override is test-only API.
 """
 
 import ast
@@ -55,3 +60,82 @@ def test_an_unreferenced_definition_is_flagged():
     )
     defined, referenced = _definitions_and_references([tree])
     assert defined - referenced == {"orphan"}
+
+
+CONSTRUCTORS = {"__init__", "__new__", "__post_init__"}
+
+
+def _defaulted_parameters(trees):
+    """(function name, parameter, positional index or None) for every
+    defaulted parameter of a program function or method.  The index counts
+    from the first argument a call passes, so a method's `self` is left out;
+    keyword-only parameters have None."""
+    out = []
+    for tree in trees:
+        methods = {
+            id(f) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for f in node.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in f.decorator_list)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name in CONSTRUCTORS:
+                continue
+            a = node.args
+            positional = [*a.posonlyargs, *a.args][1 if id(node) in methods else 0:]
+            for k in range(len(positional) - len(a.defaults), len(positional)):
+                out.append((node.name, positional[k].arg, k))
+            out += [(node.name, arg.arg, None)
+                    for arg, default in zip(a.kwonlyargs, a.kw_defaults) if default is not None]
+    return out
+
+
+def _calls(trees):
+    """Function or attribute name -> [(positional count, keyword names, starred)]."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            starred = (any(isinstance(x, ast.Starred) for x in node.args)
+                       or any(kw.arg is None for kw in node.keywords))
+            calls.setdefault(name, []).append(
+                (len(node.args), {kw.arg for kw in node.keywords}, starred)
+            )
+    return calls
+
+
+def _never_passed(trees):
+    calls = _calls(trees)
+    return sorted(
+        f"{name}({param})" for name, param, k in _defaulted_parameters(trees)
+        if not any(starred or param in keywords or (k is not None and n_pos > k)
+                   for n_pos, keywords, starred in calls.get(name, ()))
+    )
+
+
+def test_every_defaulted_parameter_is_passed_by_the_program():
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in PROGRAM_FILES]
+    unpassed = _never_passed(trees)
+    assert not unpassed, f"defaulted parameters no program call passes: {unpassed}"
+
+
+def test_a_never_passed_default_is_flagged():
+    tree = ast.parse(
+        "def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+        "def g(x=0): pass\n"
+        "def h(y=0): pass\n"
+        "class K:\n"
+        "    def __init__(self, z=0): pass\n"
+        "    def m(self, u=0, v=0): pass\n"
+        "f(0, 1, e=5)\n"
+        "g(*args)\n"
+        "K().m(1)\n"
+    )
+    assert _never_passed([tree]) == ["f(c)", "f(d)", "h(y)", "m(v)"]
