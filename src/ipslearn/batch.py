@@ -61,7 +61,6 @@ class EstimatorTrack:
     label: str
     kind: str
     record_steps: np.ndarray  # (n_rec,)
-    record_times: np.ndarray
     theta_path: np.ndarray  # (n_rec, R, p)
     frozen_path: np.ndarray  # (n_rec, R)
     tail_mean: np.ndarray  # (R, p)
@@ -147,7 +146,6 @@ class _Estimators:
                     label=setup.label,
                     kind=setup.kind,
                     record_steps=steps,
-                    record_times=steps * self.dt,
                     theta_path=np.asarray(self.rec_theta[k]) if self.rec_theta[k]
                     else np.empty((0, n_replicates, theta.shape[-1])),
                     frozen_path=np.asarray(self.rec_frozen[k]) if self.rec_frozen[k]
@@ -177,9 +175,12 @@ def run_batch(
     estimators = _Estimators(
         list(estimator_setups), model, dt, R, n_steps, record_every, tail_fraction
     )
-    positions, excluded, blowup_step = simulate(
-        model, truth, n_particles, dt, n_steps, seeds, (estimators,)
-    )
+    # an overflowing estimator is frozen and reported by `squared_errors`;
+    # numpy's warning would only put a stray line ahead of the CLI's error
+    with np.errstate(over="ignore"):
+        positions, excluded, blowup_step = simulate(
+            model, truth, n_particles, dt, n_steps, seeds, (estimators,)
+        )
     return BatchResult(
         tracks=estimators.tracks(R),
         excluded=excluded,

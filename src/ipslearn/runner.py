@@ -1,12 +1,14 @@
-"""Experiment execution and artifact writing.
+"""Experiment execution and artifact writing for every subcommand that
+writes files (`run_experiment`, `run_sweep`, `run_surface`, `run_diagnose`).
 
 A parsed config already holds each estimator's `EstimatorSetup`;
 `initial_setups` adds the per-replicate initial estimates drawn from the
 seeds, and the batch's (R, p) arrays are written out as CSV columns.
 Every CSV gets a JSON metadata sidecar sufficient to re-run it exactly
-(config hash, seed ladder, generator name, code version); a manifest lists
-each artifact with its content hash.  Outputs contain no timestamps or
-absolute paths, so rerunning a config reproduces byte-identical files.
+(config hash, seed ladder, generator name, code version); a successful run
+ends with a manifest listing each artifact with its content hash.  Outputs
+contain no timestamps or absolute paths, so rerunning a config reproduces
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -25,10 +27,12 @@ import numpy as np
 from . import __version__, models
 from .batch import batch_seeds, draw_initial_thetas, run_batch
 from .config import ConfigError, ExperimentConfig
-from .diagnostics import l2_error_sweep, squared_errors
+from .diagnostics import (CLT_MIN_REPLICATES, clt_rescaled_moments, coupling_distance,
+                          l2_error_sweep, squared_errors)
+from .estimators import validate_schedule
 from .objective import surface_scan
 from .rng import GENERATOR_NAME, replicate_seed
-from .sde import PositionHistory, SimulationBlowup, run_trajectory
+from .sde import MomentTracker, PositionHistory, SimulationBlowup, run_trajectory
 
 
 # rows formatted per write; larger blocks raise peak memory, not speed.  The
@@ -152,12 +156,15 @@ def _append(out_fd, in_fd):
         done += os.sendfile(out_fd, in_fd, done, size - done)
 
 
-def write_sidecar(csv_path: Path, meta: dict):
-    side = csv_path.with_name(csv_path.name + ".meta.json")
+def _write_table(path: Path, header, columns, meta: dict):
+    """Write one CSV (`write_csv`) and its `<name>.meta.json` sidecar holding
+    `meta`; returns both paths, for the manifest."""
+    write_csv(path, header, columns)
+    side = path.with_name(path.name + ".meta.json")
     with open(side, "w") as fh:
         json.dump(meta, fh, sort_keys=True, indent=1)
         fh.write("\n")
-    return side
+    return [path, side]
 
 
 def _sha256(path: Path) -> str:
@@ -250,7 +257,7 @@ def _write_estimates(config, result, out, meta):
     names = [param_names(config.model, track.kind) for track in tracks]
     # rows run over estimators, then recorded steps, then parameters
     step = np.concatenate([np.repeat(tr.record_steps, len(nm)) for tr, nm in zip(tracks, names)])
-    time = np.concatenate([np.repeat(tr.record_times, len(nm)) for tr, nm in zip(tracks, names)])
+    time = step * config.dt
     label = np.concatenate([np.full(len(tr.record_steps) * len(nm), tr.label)
                             for tr, nm in zip(tracks, names)])
     param = np.concatenate([np.tile(nm, len(tr.record_steps)) for tr, nm in zip(tracks, names)])
@@ -260,13 +267,13 @@ def _write_estimates(config, result, out, meta):
         frozen = np.concatenate(
             [np.repeat(tr.frozen_path[:, r], len(nm)) for tr, nm in zip(tracks, names)]
         )
-        path = out / f"estimates_r{r:03d}.csv"
-        write_csv(path, ["step", "time", "estimator_id", "param", "value", "frozen"],
-                  [step, time, label, param, value, frozen])
-        side = write_sidecar(path, {**meta, "replicate": r,
-                                    "seed": replicate_seed(config.base_seed, r),
-                                    "record_every": config.record_every})
-        paths += [path, side]
+        paths += _write_table(
+            out / f"estimates_r{r:03d}.csv",
+            ["step", "time", "estimator_id", "param", "value", "frozen"],
+            [step, time, label, param, value, frozen],
+            {**meta, "replicate": r, "seed": replicate_seed(config.base_seed, r),
+             "record_every": config.record_every},
+        )
     return paths
 
 
@@ -285,16 +292,13 @@ def _write_summary(config, result, errors, out, meta):
         ])
     # rows run over estimators, then replicates, then parameters
     columns = [np.concatenate([b[k].reshape(-1) for b in blocks]) for k in range(9)]
-    path = out / "summary.csv"
-    write_csv(
-        path,
+    return _write_table(
+        out / "summary.csv",
         ["replicate", "estimator_id", "param", "final", "tail_mean",
          "sq_error_truth", "sq_error_pooled", "excluded", "blowup_step"],
         columns,
+        {**meta, "tail_fraction": config.tail_fraction, "replicates": config.replicates},
     )
-    side = write_sidecar(path, {**meta, "tail_fraction": config.tail_fraction,
-                                "replicates": config.replicates})
-    return [path, side]
 
 
 def _write_trajectories(config, seeds, out, meta):
@@ -307,21 +311,21 @@ def _write_trajectories(config, seeds, out, meta):
     paths = []
     blown = 0
     for r, seed in enumerate(seeds):
-        path = out / f"trajectory_r{r:03d}.csv"
-        side = {**meta, "replicate": r, "seed": seed, "record_every": config.record_every}
-        blowup_step = _write_trajectory(config, seed, path)
-        if blowup_step is not None:
-            side["blowup_step"] = blowup_step
-            blown += 1
-        paths += [path, write_sidecar(path, side)]
+        written, blew_up = _write_trajectory(
+            config, seed, out / f"trajectory_r{r:03d}.csv",
+            {**meta, "replicate": r, "seed": seed, "record_every": config.record_every},
+        )
+        paths += written
+        blown += blew_up
     if blown == len(seeds):
         raise RuntimeError("every replicate blew up; nothing to report")
     return paths
 
 
-def _write_trajectory(config, seed, path):
-    """Write one replicate's recording to `path` (freed on return); returns
-    the step at which the replicate blew up, or None."""
+def _write_trajectory(config, seed, path, meta):
+    """Write one replicate's recording to `path` (freed on return) and its
+    sidecar, `meta` plus any `blowup_step`; returns the two paths and
+    whether the replicate blew up."""
     hist = PositionHistory(config.n_steps, config.n_particles, config.model.d,
                            record_every=config.record_every)
     blowup_step = None
@@ -336,9 +340,12 @@ def _write_trajectory(config, seed, path):
     step = np.repeat(hist.steps[:n_rec], n * d)
     particle = np.tile(np.repeat(np.arange(n), d), n_rec)
     coord = np.tile(np.arange(d), n_rec * n)
-    write_csv(path, ["step", "time", "particle", "coord", "value"],
-              [step, step * config.dt, particle, coord, hist.positions[:n_rec].reshape(-1)])
-    return blowup_step
+    if blowup_step is not None:
+        meta = {**meta, "blowup_step": blowup_step}
+    written = _write_table(path, ["step", "time", "particle", "coord", "value"],
+                           [step, step * config.dt, particle, coord,
+                            hist.positions[:n_rec].reshape(-1)], meta)
+    return written, blowup_step is not None
 
 
 def run_sweep(config: ExperimentConfig, out_dir) -> dict:
@@ -361,13 +368,13 @@ def run_sweep(config: ExperimentConfig, out_dir) -> dict:
         config.base_seed,
         tail_fraction=config.tail_fraction,
     )
-    path = out / "sweep.csv"
-    write_csv(path, ["N", "estimator", "param", "mse", "stderr", "excluded_count"], columns)
-    meta = base_metadata(config)
-    side = write_sidecar(path, {**meta, "n_steps": config.n_steps,
-                                "replicates": config.replicates,
-                                "sweep_n_particles": config.sweep_n_particles})
-    return _finish_manifest(config, out, [path, side])
+    artifacts = _write_table(
+        out / "sweep.csv", ["N", "estimator", "param", "mse", "stderr", "excluded_count"],
+        columns,
+        {**base_metadata(config), "n_steps": config.n_steps, "replicates": config.replicates,
+         "sweep_n_particles": config.sweep_n_particles},
+    )
+    return _finish_manifest(config, out, artifacts)
 
 
 def run_surface(config: ExperimentConfig, out_dir) -> dict:
@@ -392,14 +399,81 @@ def run_surface(config: ExperimentConfig, out_dir) -> dict:
     # one row per grid point, the last axis varying fastest
     grid = np.meshgrid(*surface["axes"], indexing="ij")
     header = [f"theta_{k+1}" for k in range(len(grid))] + ["value"]
-    path = out / "surface.csv"
-    write_csv(path, header, [g.reshape(-1) for g in grid] + [values.reshape(-1)])
+    artifacts = _write_table(
+        out / "surface.csv", header, [g.reshape(-1) for g in grid] + [values.reshape(-1)],
+        {**base_metadata(config), "scan_kind": surface["scan_kind"],
+         "horizon_steps": surface["horizon_steps"], "burn_in_steps": surface["burn_in_steps"],
+         "n_particles": config.n_particles},
+    )
+    return _finish_manifest(config, out, artifacts)
+
+
+def run_diagnose(config: ExperimentConfig, out_dir, mode: str, n_small, n_big: int) -> dict:
+    """One `diagnose` mode: the moment series of one trajectory (`moments`),
+    the coupling distance of each `n_small` system to the `n_big` one
+    (`coupling`) or the rescaled-error moments of the first estimator
+    (`clt`).  `n_small` and `n_big` are read by `coupling` only."""
+    if mode == "clt":
+        if config.replicates < CLT_MIN_REPLICATES:
+            raise ConfigError("replicates", f"the CLT check needs at least "
+                              f"{CLT_MIN_REPLICATES}, got {config.replicates}")
+        if not validate_schedule(config.estimators[0].schedule).rate_conditions_ok:
+            raise ConfigError("estimators[0].learning_rate",
+                              "the CLT check needs a power-law schedule with beta in (1/2, 1)")
+    model = config.model
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     meta = base_metadata(config)
-    side = write_sidecar(path, {**meta, "scan_kind": surface["scan_kind"],
-                                "horizon_steps": surface["horizon_steps"],
-                                "burn_in_steps": surface["burn_in_steps"],
-                                "n_particles": config.n_particles})
-    return _finish_manifest(config, out, [path, side])
+    if mode == "moments":
+        # a blow-up still writes the series up to it, then fails the run
+        tracker = MomentTracker(config.n_steps)
+        blowup = None
+        try:
+            run_trajectory(
+                model, config.truth, config.n_particles, config.dt, config.n_steps,
+                config.base_seed, observers=[tracker],
+            )
+        except SimulationBlowup as e:
+            blowup = e
+        n = tracker.n_filled
+        step = np.tile(np.arange(n), len(tracker.orders))
+        side = {**meta, "growth_detected": tracker.growth_detected()}
+        if blowup is not None:
+            side["blowup_step"] = blowup.step
+        artifacts = _write_table(out / "moments.csv", ["step", "time", "order", "value"], [
+            step, step * config.dt, np.repeat(tracker.orders, n),
+            np.concatenate([tracker.series[order][:n] for order in tracker.orders]),
+        ], side)
+        if blowup is not None:
+            raise blowup
+    elif mode == "coupling":
+        # one (n_steps,) series per n_small, each a block of rows
+        series = coupling_distance(
+            model, config.truth, n_small, n_big, config.dt, config.n_steps, config.base_seed,
+        ).reshape(-1)
+        step = np.tile(np.arange(config.n_steps), len(n_small))
+        artifacts = _write_table(
+            out / "coupling.csv", ["step", "time", "n_small", "n_big", "mean_sq_distance"],
+            [step, step * config.dt, np.repeat(n_small, config.n_steps),
+             np.full(len(step), n_big), series],
+            meta,
+        )
+    else:  # clt: the first estimator only
+        setup = initial_setups(config, batch_seeds(config.base_seed, config.replicates))[0]
+        summary = clt_rescaled_moments(
+            model, config.truth, config.n_particles, config.dt, config.n_steps,
+            config.replicates, setup, config.base_seed,
+        )
+        free = setup.free_mask
+        names = np.array([n for k, n in enumerate(param_names(model, setup.kind))
+                          if free is None or free[k]])
+        artifacts = _write_table(
+            out / "clt.csv", ["param", "variance", "skewness", "excess_kurtosis", "replicates"],
+            [names, summary.variance, summary.skewness, summary.excess_kurtosis,
+             np.full(len(names), summary.replicates)],
+            meta,
+        )
+    return _finish_manifest(config, out, artifacts)
 
 
 def _finish_manifest(config, out, artifacts):

@@ -8,7 +8,9 @@ the outputs, and run through every subcommand that applies to it:
 the config has that section, and `diagnose --mode clt` for `linear_clt`.
 The sha256 of every file each run writes must match
 `data/bundled_digests.json`, so any change to the simulated paths, the
-estimates or the artifact formats shows here, file by file.
+estimates or the artifact formats shows here, file by file.  Each run's
+`manifest.json` must list every other file in its directory with that
+file's sha256.
 
 One more case, `fitzhugh_nagumo_dense`, records and dumps every step
 (`record_every: 1`, `dump_trajectory: true`) at 150 steps and 2
@@ -92,6 +94,11 @@ def digests_of(case, root: Path) -> dict:
             p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(run_dir.iterdir())
         }
+        assert "manifest.json" in out[run], f"{case} {run} wrote no manifest"
+        listed = json.loads((run_dir / "manifest.json").read_text())["artifacts"]
+        assert {a["name"]: a["sha256"] for a in listed} == {
+            name: digest for name, digest in out[run].items() if name != "manifest.json"
+        }, f"{case} {run}: the manifest does not list every file with its sha256"
     return out
 
 

@@ -813,11 +813,13 @@ def test_cli_fails_when_every_replicate_blows_up(tmp_path, capsys, command):
     assert not (out / "manifest.json").exists()
 
 
-def test_cli_diagnose_moments(tmp_path):
+def test_cli_diagnose_moments(tmp_path, capsys):
     p = tmp_path / "c.json"
     p.write_text(json.dumps(tiny_config()))
     out = tmp_path / "diag"
     assert cli_main(["diagnose", "--config", str(p), "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"manifest": str(out / "manifest.json"),
+                                                   "artifacts": 2}
     lines = (out / "moments.csv").read_text().splitlines()
     assert lines[0] == "step,time,order,value"
 
@@ -830,6 +832,7 @@ def test_cli_diagnose_moments_keeps_the_series_up_to_a_blowup(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "runtime",
                    "message": "|x| exceeded 1e+06 or became non-finite at step 53"}
+    assert not (blown / "manifest.json").exists()
     config = _vol32_blowup_config(tmp_path, eta_true=1.5, dt=0.2, n_steps=53, base_seed=2)
     assert cli_main(["diagnose", "--config", config, "--out", str(clean)]) == 0
     csv_bytes = (blown / "moments.csv").read_bytes()

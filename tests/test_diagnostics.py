@@ -1,5 +1,7 @@
 import csv
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -365,12 +367,26 @@ def test_a_diverging_estimator_exits_1_naming_it_and_the_replicate(tmp_path, cap
     path = tmp_path / "c.json"
     path.write_text(json.dumps(DIVERGING))
     out = tmp_path / "o"
-    with np.errstate(over="ignore"):
-        assert cli_main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert cli_main([command, "--config", str(path), "--out", str(out)]) == 1
     payload = json.loads(capsys.readouterr().err)
     assert payload == {"error": "runtime", "message": f"estimator 'averaged' diverged{where}: "
                        "replicate 0 has a non-finite squared error against the truth"}
     assert list(out.iterdir()) == []  # no artifact written
+
+
+@pytest.mark.parametrize("command", ["estimate", "sweep"])
+def test_a_diverging_run_writes_only_its_json_error_to_stderr(tmp_path, command):
+    # in a fresh process, where numpy's overflow warning would reach stderr
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(DIVERGING))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ipslearn.cli", command,
+         "--config", str(path), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert json.loads(proc.stderr)["error"] == "runtime"
 
 
 # ---------------------------------------------------------------------------

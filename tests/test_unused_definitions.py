@@ -139,3 +139,17 @@ def test_a_never_passed_default_is_flagged():
         "K().m(1)\n"
     )
     assert _never_passed([tree]) == ["f(c)", "f(d)", "h(y)", "m(v)"]
+
+
+def test_only_the_runner_writes_artifacts():
+    # one module decides how an output directory is laid out: the CLI parses
+    # and dispatches to the runner's `run_*` functions, which write every file
+    writers = {"write_csv", "_write_table"}
+    for path in PROGRAM_FILES:
+        called = writers & set(_calls([ast.parse(path.read_text(), filename=str(path))]))
+        assert path.name == "runner.py" or not called, f"{path.name} calls {sorted(called)}"
+    cli = ast.parse((ROOT / "src" / "ipslearn" / "cli.py").read_text())
+    imported = [alias.name for node in ast.walk(cli)
+                if isinstance(node, ast.ImportFrom) and node.module == "runner"
+                for alias in node.names]
+    assert imported and all(name.startswith("run_") for name in imported), imported
