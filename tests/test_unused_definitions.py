@@ -10,6 +10,9 @@ Likewise every defaulted parameter of a program function or method
 (constructors aside) must be passed by some call in those files, matched by
 the function's name; a call with `*args` or `**kwargs` counts as passing
 every parameter.  A default that only tests override is test-only API.
+
+Only `runner` writes artifacts: no other program file calls the CSV or
+table writer, and the CLI imports nothing from `runner` but `run_*`.
 """
 
 import ast
