@@ -37,8 +37,10 @@ ESTIMATOR_KINDS = tuple(RULES)
 
 @dataclass
 class EstimatorSetup:
-    """One online estimator as `config` resolves it.  Its update rule reads
-    it as it is on every step: nothing is filled in or converted per run."""
+    """One online estimator as `config` resolves it, complete: its update
+    rule reads it as it is on every step, and the writers and scorers read
+    its label, parameter names and truth.  Nothing is filled in or converted
+    per run."""
 
     kind: str
     label: str = ""
@@ -49,7 +51,9 @@ class EstimatorSetup:
     bounds: Box | None = None
     rmsprop: RmsPropConfig | None = None
     weight: np.ndarray | None = None  # (d, d) residual weighting; None for diffusion
-    theta_init: np.ndarray = None  # (R, p) or (p,)
+    theta_init: np.ndarray = None  # (R, p), or (p,) shared by every replicate
+    param_names: tuple = ()  # the names of the p parameters it estimates
+    truth: TruthSchedule | None = None  # what its tail mean is scored against
 
     def __post_init__(self):
         if not self.label:
@@ -58,8 +62,7 @@ class EstimatorSetup:
 
 @dataclass
 class EstimatorTrack:
-    label: str
-    kind: str
+    setup: EstimatorSetup
     record_steps: np.ndarray  # (n_rec,)
     theta_path: np.ndarray  # (n_rec, R, p)
     frozen_path: np.ndarray  # (n_rec, R)
@@ -143,8 +146,7 @@ class _Estimators:
             theta, frozen = state.theta, state.frozen
             out.append(
                 EstimatorTrack(
-                    label=setup.label,
-                    kind=setup.kind,
+                    setup=setup,
                     record_steps=steps,
                     theta_path=np.asarray(self.rec_theta[k]) if self.rec_theta[k]
                     else np.empty((0, n_replicates, theta.shape[-1])),

@@ -6,16 +6,23 @@ schedule, discretisation, initial laws, estimators, replicate count, and
 the base seed.  The model is built here, once; the top-level `eta_true` is
 the `eta` argument of a model with diffusion parameters (`eta_names`).
 
-Each estimator is parsed straight into the `batch.EstimatorSetup` its
-update rule reads on every step: schedule, bounds box, float 0/1 free
-mask, RMSProp settings, weight matrix (the model's, or the `weighting`
-override; None for diffusion) and indices are resolved here, once.
-`particles` is `(particle,)` or the sorted Pi, `triplets` is `(triplet,)`
-or C(Pi).  A drift estimator without bounds gets no box (`bounds` None: no
-bound check); a diffusion estimator without bounds gets the model's eta
-box.  A field its kind does not read is rejected.  Only the per-replicate
-initial estimate is left unset; `runner.initial_setups` draws it for each
-run.
+Each estimator is parsed straight into a complete `batch.EstimatorSetup`:
+schedule, bounds box, float 0/1 free mask, RMSProp settings, weight matrix
+(the model's, or the `weighting` override; None for diffusion), indices,
+parameter names, scoring truth and per-replicate initial estimates are
+resolved here, once, and no later module fills anything in or branches on
+the kind.  `particles` is `(particle,)` or the sorted Pi, `triplets` is
+`(triplet,)` or C(Pi).  A drift estimator without bounds gets no box
+(`bounds` None: no bound check); a diffusion estimator without bounds gets
+the model's eta box.  A drift estimator is scored against the config's
+truth, the diffusion estimator against the model's eta.  A field its kind
+does not read is rejected, and so is an eta init box when no diffusion
+estimator runs.
+
+The initial estimates are drawn from each replicate's seed
+(`batch.draw_initial_thetas`): every drift estimator of a replicate starts
+from the same sample of the theta box, with any pinned coordinate at the
+truth at time zero, and the diffusion estimator from the eta box.
 
 A rule between two fields (lower <= upper, burn-in < horizon) names both.
 """
@@ -30,7 +37,7 @@ from importlib import resources
 
 import numpy as np
 
-from .batch import ESTIMATOR_KINDS, EstimatorSetup
+from .batch import ESTIMATOR_KINDS, EstimatorSetup, batch_seeds, draw_initial_thetas
 from .estimators import LearningRateSchedule, RmsPropConfig, build_cyclic_triplets
 from .models import MODEL_ZOO, Box, InteractionModel, TruthSchedule, make_model, weight_matrix
 
@@ -108,10 +115,6 @@ class ExperimentConfig:
     n_particles: int
     dt: float
     n_steps: int
-    theta_init_low: list
-    theta_init_high: list
-    eta_init_low: float | None
-    eta_init_high: float | None
     estimators: list
     replicates: int
     base_seed: int
@@ -219,14 +222,18 @@ def parse_config(data: dict) -> ExperimentConfig:
     if not est_list:
         raise ConfigError("estimators", "need at least one estimator")
     estimators = [
-        _parse_estimator(e, i, model, n_min) for i, e in enumerate(est_list)
+        _parse_estimator(e, i, model, truth, n_min) for i, e in enumerate(est_list)
     ]
     labels = [e.label for e in estimators]
     if len(set(labels)) != len(labels):
         raise ConfigError("estimators", f"duplicate estimator labels: {labels}")
-    if any(e.kind == "diffusion" for e in estimators) and (eta_low is None or eta_high is None):
+    runs_diffusion = any(e.kind == "diffusion" for e in estimators)
+    if runs_diffusion and (eta_low is None or eta_high is None):
         raise ConfigError("init.eta_low, init.eta_high",
                           "diffusion estimator needs an eta init box")
+    if not runs_diffusion and (eta_low is not None or eta_high is not None):
+        raise ConfigError("init.eta_low" if eta_low is not None else "init.eta_high",
+                          "only a diffusion estimator reads the eta init box; none runs")
 
     replicates = _require(data, "replicates", "", int)
     if replicates < 1:
@@ -268,6 +275,18 @@ def parse_config(data: dict) -> ExperimentConfig:
             raise ConfigError("surface.axes", "every axis needs at least one value")
         surface = {"axes": axes, "scan_kind": kind, "horizon_steps": hz, "burn_in_steps": bi}
 
+    # the per-replicate initial estimates, once every field is valid
+    theta_inits, eta_uniforms = draw_initial_thetas(batch_seeds(base_seed, replicates),
+                                                    theta_low, theta_high)
+    for setup in estimators:
+        if setup.kind == "diffusion":
+            setup.theta_init = eta_low + eta_uniforms * (eta_high - eta_low)
+        else:
+            setup.theta_init = theta_inits.copy()
+            if setup.free_mask is not None:  # a pinned coordinate starts at the truth
+                fixed = setup.free_mask == 0
+                setup.theta_init[:, fixed] = truth.at(0.0)[fixed]
+
     return ExperimentConfig(
         name=name,
         model=model,
@@ -275,10 +294,6 @@ def parse_config(data: dict) -> ExperimentConfig:
         n_particles=n_particles,
         dt=dt,
         n_steps=n_steps,
-        theta_init_low=theta_low,
-        theta_init_high=theta_high,
-        eta_init_low=eta_low,
-        eta_init_high=eta_high,
         estimators=estimators,
         replicates=replicates,
         base_seed=base_seed,
@@ -313,7 +328,7 @@ def _parse_truth(d, p) -> TruthSchedule:
     return TruthSchedule("ramp", vector("start"), vector("end"), horizon=horizon)
 
 
-def _parse_estimator(d, index, model, n_particles) -> EstimatorSetup:
+def _parse_estimator(d, index, model, truth, n_particles) -> EstimatorSetup:
     """One estimator, without its initial estimate; its indices are checked
     against the smallest N of the run."""
     ctx = f"estimators[{index}]"
@@ -379,7 +394,8 @@ def _parse_estimator(d, index, model, n_particles) -> EstimatorSetup:
     if lr_kind == "power-law" and (beta is None or not 0 < beta <= 1):
         raise ConfigError(f"{ctx}.learning_rate.beta", "power-law needs beta in (0, 1]")
     scale = lr.get("scale")
-    n_par = 1 if kind == "diffusion" else model.p
+    param_names = model.eta_names if kind == "diffusion" else model.param_names
+    n_par = len(param_names)
     if scale is not None:
         scale = _floats_of_length(scale, f"{ctx}.learning_rate.scale", n_par)
         if any(s <= 0 for s in scale):
@@ -449,6 +465,8 @@ def _parse_estimator(d, index, model, n_particles) -> EstimatorSetup:
         bounds=bounds,
         rmsprop=RmsPropConfig(rms_rho, rms_eps) if rmsprop else None,
         weight=None if kind == "diffusion" else weight_matrix(model, mode=weighting),
+        param_names=param_names,
+        truth=TruthSchedule.constant([model.diffusion.eta]) if kind == "diffusion" else truth,
     )
 
 

@@ -3,8 +3,9 @@ particle count, synchronous-coupling distances and rescaled-error moment
 summaries.
 
 The sweep and the CLT check run batches of the estimator setups they are
-given (`runner.initial_setups` builds them from a config) and reduce the
-batch's (R, p) arrays directly; the sweep returns the `sweep.csv` columns.
+given (a config's `estimators`, complete as `config` resolves them) and
+reduce the batch's (R, p) arrays directly; the sweep returns the
+`sweep.csv` columns.  An estimator is scored against its setup's `truth`.
 """
 
 from __future__ import annotations
@@ -25,30 +26,20 @@ CLT_MIN_REPLICATES = 200
 # L2-error sweep over the particle count
 
 
-def final_truth(model: InteractionModel, truth: TruthSchedule, kind: str, n_steps: int,
-                dt: float) -> np.ndarray:
-    """What the tail mean of an estimator of `kind` is scored against at the
-    end of an `n_steps` run: the model's true eta for the diffusion
-    estimator, the drift truth at the last step for any other."""
-    if kind == "diffusion":
-        return np.array([model.diffusion.eta])
-    return truth.at((n_steps - 1) * dt)
-
-
-def squared_errors(model: InteractionModel, truth: TruthSchedule, track, n_steps: int,
-                   dt: float, ok, where: str = "") -> np.ndarray:
-    """(tail_mean - final_truth)^2 of a batch track, (R, p).
+def squared_errors(track, n_steps: int, dt: float, ok, where: str = "") -> np.ndarray:
+    """(tail_mean - truth at the last step)^2 of a batch track, (R, p), with
+    the truth its setup is scored against.
 
     An estimator has diverged when this is non-finite on a replicate the
     blow-up guard did not exclude (`ok`): that raises RuntimeError naming
     the estimator and the first such replicate, plus `where`.
     """
-    target = final_truth(model, truth, track.kind, n_steps, dt)
+    target = track.setup.truth.at((n_steps - 1) * dt)
     with np.errstate(over="ignore"):  # an overflow is the divergence reported below
         err = (track.tail_mean - target) ** 2
     bad = ok & ~np.isfinite(err).all(axis=1)
     if bad.any():
-        raise RuntimeError(f"estimator {track.label!r} diverged{where}: replicate "
+        raise RuntimeError(f"estimator {track.setup.label!r} diverged{where}: replicate "
                            f"{int(np.argmax(bad))} has a non-finite squared error "
                            "against the truth")
     return err
@@ -66,7 +57,7 @@ def l2_error_sweep(
     tail_fraction: float = 0.1,
 ) -> list:
     """Per-parameter squared error of the tail-window estimate vs its
-    `final_truth`, the value `summary.csv` scores against.
+    setup's truth at the last step, the value `summary.csv` scores against.
 
     Runs the estimator `setups` at every particle count in `n_list` and
     returns six columns, one row per (N, estimator, parameter): N, the
@@ -85,10 +76,10 @@ def l2_error_sweep(
         if not np.any(ok):
             raise RuntimeError(f"all replicates blew up at N={n}")
         for track in result.tracks:
-            err = squared_errors(model, truth, track, n_steps, dt, ok, f" at N={n}")[ok]
+            err = squared_errors(track, n_steps, dt, ok, f" at N={n}")[ok]
             p = err.shape[1]
             blocks.append([
-                np.full(p, n), np.full(p, track.label), np.arange(p), err.mean(axis=0),
+                np.full(p, n), np.full(p, track.setup.label), np.arange(p), err.mean(axis=0),
                 err.std(axis=0, ddof=1) / np.sqrt(err.shape[0]),
                 np.full(p, int(result.excluded.sum())),
             ])

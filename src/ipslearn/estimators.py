@@ -236,41 +236,33 @@ def triplet_gradient(model, theta, x_i, x_j, x_k, dx_i, dt, W):
 
 
 def _mean(terms):
-    """Mean of a list of arrays, summed in list order."""
+    """Mean of a list of arrays, summed in list order.  One term is its own
+    mean (x / 1 is x bit for bit), so it is returned as it is."""
+    if len(terms) == 1:
+        return terms[0]
     return sum(terms[1:], terms[0]) / len(terms)
 
 
 def _averaged_mean(state, setup, model, dt, positions, dx, stat):
     """Mean of the averaged gradient over the particles of `setup`, one
-    evaluation per particle.  One particle's mean is its term itself."""
-    theta, W, idx = state.theta, setup.weight, setup.particles
-    if len(idx) == 1:
-        i = idx[0]
-        return averaged_gradient(
-            model, theta, positions[..., i, :], positions, dx[..., i, :], dt, W, stat
-        )
+    evaluation per particle."""
+    theta, W = state.theta, setup.weight
     return _mean([
         averaged_gradient(model, theta, positions[..., i, :], positions, dx[..., i, :], dt, W, stat)
-        for i in idx
+        for i in setup.particles
     ])
 
 
 def _triplet_mean(state, setup, model, dt, positions, dx):
     """Mean of the three-particle gradient over the triplets of `setup`, one
-    evaluation per triplet.  One triplet's mean is its term itself."""
-    theta, W, triplets = state.theta, setup.weight, setup.triplets
-    if len(triplets) == 1:
-        ((i, j, k),) = triplets
-        return triplet_gradient(
-            model, theta, positions[..., i, :], positions[..., j, :], positions[..., k, :],
-            dx[..., i, :], dt, W,
-        )
+    evaluation per triplet."""
+    theta, W = state.theta, setup.weight
     return _mean([
         triplet_gradient(
             model, theta, positions[..., i, :], positions[..., j, :], positions[..., k, :],
             dx[..., i, :], dt, W,
         )
-        for i, j, k in triplets
+        for i, j, k in setup.triplets
     ])
 
 

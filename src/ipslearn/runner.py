@@ -1,9 +1,10 @@
 """Experiment execution and artifact writing for every subcommand that
 writes files (`run_experiment`, `run_sweep`, `run_surface`, `run_diagnose`).
 
-A parsed config already holds each estimator's `EstimatorSetup`;
-`initial_setups` adds the per-replicate initial estimates drawn from the
-seeds, and the batch's (R, p) arrays are written out as CSV columns.
+A parsed config holds each estimator's complete `EstimatorSetup`, initial
+estimates, parameter names and scoring truth included; the runner passes
+the setups to the batch as they are and writes the batch's (R, p) arrays
+out as CSV columns.
 Every CSV gets a JSON metadata sidecar sufficient to re-run it exactly
 (config hash, seed ladder, generator name, code version); a successful run
 ends with a manifest listing each artifact with its content hash.  Outputs
@@ -14,7 +15,6 @@ byte-identical files.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import hashlib
 import json
 import os
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, models
-from .batch import batch_seeds, draw_initial_thetas, run_batch
+from .batch import batch_seeds, run_batch
 from .config import ConfigError, ExperimentConfig
 from .diagnostics import (CLT_MIN_REPLICATES, clt_rescaled_moments, coupling_distance,
                           l2_error_sweep, squared_errors)
@@ -189,36 +189,6 @@ def base_metadata(config: ExperimentConfig) -> dict:
     }
 
 
-def initial_setups(config: ExperimentConfig, seeds):
-    """The config's estimator setups, each with an initial estimate per seed.
-
-    All drift estimators of a replicate start from the same uniform-box
-    sample; coordinates outside an estimator's free set start at (and stay
-    at) the truth value at time zero.  The config's setups are not changed.
-    """
-    theta_inits, eta_uniforms = draw_initial_thetas(
-        seeds, config.theta_init_low, config.theta_init_high
-    )
-    theta_start = config.truth.at(0.0)
-    setups = []
-    for setup in config.estimators:
-        if setup.kind == "diffusion":
-            lo, hi = config.eta_init_low, config.eta_init_high
-            init = lo + eta_uniforms * (hi - lo)
-        else:
-            init = theta_inits.copy()
-            if setup.free_mask is not None:
-                fixed = setup.free_mask == 0
-                init[:, fixed] = theta_start[fixed]
-        setups.append(dataclasses.replace(setup, theta_init=init))
-    return setups
-
-
-def param_names(model, kind):
-    """Names of the parameters an estimator of `kind` estimates."""
-    return model.eta_names if kind == "diffusion" else model.param_names
-
-
 def run_experiment(config: ExperimentConfig, out_dir, trajectory_only: bool = False) -> dict:
     """Execute a config end to end and return the output manifest."""
     out = Path(out_dir)
@@ -235,14 +205,14 @@ def run_experiment(config: ExperimentConfig, out_dir, trajectory_only: bool = Fa
             config.dt,
             config.n_steps,
             seeds,
-            initial_setups(config, seeds),
+            config.estimators,
             record_every=config.record_every,
             tail_fraction=config.tail_fraction,
         )
         if np.all(result.excluded):
             raise RuntimeError("every replicate blew up; nothing to report")
-        errors = [squared_errors(config.model, config.truth, track, config.n_steps, config.dt,
-                                 ~result.excluded) for track in result.tracks]
+        errors = [squared_errors(track, config.n_steps, config.dt, ~result.excluded)
+                  for track in result.tracks]
         artifacts += _write_estimates(config, result, out, meta)
         artifacts += _write_summary(config, result, errors, out, meta)
 
@@ -254,11 +224,11 @@ def run_experiment(config: ExperimentConfig, out_dir, trajectory_only: bool = Fa
 
 def _write_estimates(config, result, out, meta):
     tracks = result.tracks
-    names = [param_names(config.model, track.kind) for track in tracks]
+    names = [track.setup.param_names for track in tracks]
     # rows run over estimators, then recorded steps, then parameters
     step = np.concatenate([np.repeat(tr.record_steps, len(nm)) for tr, nm in zip(tracks, names)])
     time = step * config.dt
-    label = np.concatenate([np.full(len(tr.record_steps) * len(nm), tr.label)
+    label = np.concatenate([np.full(len(tr.record_steps) * len(nm), tr.setup.label)
                             for tr, nm in zip(tracks, names)])
     param = np.concatenate([np.tile(nm, len(tr.record_steps)) for tr, nm in zip(tracks, names)])
     paths = []
@@ -284,8 +254,8 @@ def _write_summary(config, result, errors, out, meta):
         R, p = track.tail_mean.shape
         pooled = track.tail_mean[ok].mean(axis=0)  # over non-excluded replicates
         blocks.append([
-            np.repeat(np.arange(R), p), np.full(R * p, track.label),
-            np.tile(param_names(config.model, track.kind), R),
+            np.repeat(np.arange(R), p), np.full(R * p, track.setup.label),
+            np.tile(track.setup.param_names, R),
             track.final, track.tail_mean, err,
             (track.tail_mean - pooled) ** 2,
             np.repeat(result.excluded, p), np.repeat(result.blowup_step, p),
@@ -356,7 +326,6 @@ def run_sweep(config: ExperimentConfig, out_dir) -> dict:
         raise ConfigError("replicates", "a sweep needs at least 2 replicates for a standard error")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    seeds = batch_seeds(config.base_seed, config.replicates)
     columns = l2_error_sweep(
         config.model,
         config.truth,
@@ -364,7 +333,7 @@ def run_sweep(config: ExperimentConfig, out_dir) -> dict:
         config.dt,
         config.n_steps,
         config.replicates,
-        initial_setups(config, seeds),
+        config.estimators,
         config.base_seed,
         tail_fraction=config.tail_fraction,
     )
@@ -459,13 +428,13 @@ def run_diagnose(config: ExperimentConfig, out_dir, mode: str, n_small, n_big: i
             meta,
         )
     else:  # clt: the first estimator only
-        setup = initial_setups(config, batch_seeds(config.base_seed, config.replicates))[0]
+        setup = config.estimators[0]
         summary = clt_rescaled_moments(
             model, config.truth, config.n_particles, config.dt, config.n_steps,
             config.replicates, setup, config.base_seed,
         )
         free = setup.free_mask
-        names = np.array([n for k, n in enumerate(param_names(model, setup.kind))
+        names = np.array([n for k, n in enumerate(setup.param_names)
                           if free is None or free[k]])
         artifacts = _write_table(
             out / "clt.csv", ["param", "variance", "skewness", "excess_kurtosis", "replicates"],

@@ -1,4 +1,8 @@
-"""Shared helpers: finite-difference oracles and random probe generators."""
+"""Shared helpers: finite-difference oracles, random probe generators and
+the environment of a child Python."""
+
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +40,17 @@ def random_probe(model, rng):
     x = rng.standard_normal(model.d)
     y = rng.standard_normal(model.d)
     return theta, x, y
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env():
+    """The environment for a child Python that imports `ipslearn` from this
+    checkout: `src` ahead of any PYTHONPATH the tests were started with
+    (pytest puts `src` on its own path only)."""
+    inherited = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), inherited]))}
 
 
 def build_zoo_model(model_id):

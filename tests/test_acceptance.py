@@ -30,13 +30,12 @@ import numpy as np
 import pytest
 
 from conftest import build_zoo_model, fd_grad_contrast, fd_grad_pair, random_probe
-from ipslearn.batch import EstimatorSetup, batch_seeds
 from ipslearn.config import load_config
 from ipslearn.diagnostics import clt_rescaled_moments, coupling_distance
 from ipslearn.estimators import LearningRateSchedule
 from ipslearn.models import MODEL_ZOO, TruthSchedule, make_model
 from ipslearn.objective import contrast_L, contrast_ell, surface_scan
-from ipslearn.runner import initial_setups, run_experiment, run_sweep
+from ipslearn.runner import run_experiment, run_sweep
 from ipslearn.sde import PositionHistory, run_trajectory
 from oracles import grad_H, grad_h_sym, linear_model_analytic_objective, truth_stationarity
 
@@ -365,7 +364,7 @@ def test_c12_empirical_clt():
     t0 = time.time()
     config = load_config("linear_clt")
     model = config.model
-    setup = initial_setups(config, batch_seeds(config.base_seed, config.replicates))[0]
+    setup = config.estimators[0]
     summary = clt_rescaled_moments(
         model, config.truth, config.n_particles, config.dt, config.n_steps,
         config.replicates, setup, config.base_seed,

@@ -21,7 +21,6 @@ import ipslearn.estimators as est
 from ipslearn.batch import batch_seeds, run_batch
 from ipslearn.config import load_config
 from ipslearn.rng import BlockedNoise, RngStream
-from ipslearn.runner import initial_setups
 from ipslearn.sde import step_positions
 from test_acceptance import c03_verdict
 
@@ -71,9 +70,9 @@ def linear_fig1_tails():
     seeds = batch_seeds(config.base_seed, config.replicates)
     res = run_batch(
         model, config.truth, config.n_particles, config.dt, config.n_steps, seeds,
-        initial_setups(config, seeds), tail_fraction=config.tail_fraction,
+        config.estimators, tail_fraction=config.tail_fraction,
     )
-    return {tr.label: tr.tail_mean for tr in res.tracks}, config.truth.at(0.0)
+    return {tr.setup.label: tr.tail_mean for tr in res.tracks}, config.truth.at(0.0)
 
 
 def test_replay_follows_the_batch_paths():

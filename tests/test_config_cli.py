@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import child_env
 from ipslearn.cli import main as cli_main
 from ipslearn.config import ConfigError, bundled_config_names, load_config, parse_config
 from ipslearn.estimators import RmsPropConfig
@@ -54,7 +55,10 @@ def test_bundled_fig1_constants():
     assert c.model.model_id == "linear"
     assert c.truth.at(0.0) == pytest.approx([1.0, 0.2])
     assert c.n_particles == 50 and c.n_steps == 10000 and c.dt == 0.1
-    assert c.theta_init_low == [1.5, 0.5] and c.theta_init_high == [2.5, 1.0]
+    for e in c.estimators:  # drawn per replicate from the init box
+        assert e.theta_init.shape == (10, 2)
+        assert np.all((1.5 <= e.theta_init[:, 0]) & (e.theta_init[:, 0] <= 2.5))
+        assert np.all((0.5 <= e.theta_init[:, 1]) & (e.theta_init[:, 1] <= 1.0))
     scales = [e.schedule.scale.tolist() for e in c.estimators]
     assert scales == [[0.008, 0.005], [0.008, 0.005]]
     assert c.replicates == 10
@@ -399,6 +403,14 @@ BAD_INPUTS = {
     "eta_true-negative": (_both(_vol32, _set("eta_true", -1.0)), "eta_true"),
     "eta-box-reversed": (_both(_vol32, _set("init", "eta_low", 2.0),
                                _set("init", "eta_high", 1.5)), "init.eta_low, init.eta_high"),
+    # only a diffusion estimator starts from the eta box: linear_fig1's
+    # estimators with one, and vol32's without its diffusion estimator
+    "eta-box-without-diffusion": (_both(_set("init", "eta_low", 1.5),
+                                        _set("init", "eta_high", 2.0)), "init.eta_low"),
+    "eta_high-without-diffusion": (_set("init", "eta_high", 2.0), "init.eta_high"),
+    "eta-box-vol32-without-diffusion": (
+        _both(_vol32, _set("estimators", [{"kind": "averaged", "learning_rate": {
+            "kind": "constant", "gamma0": 0.01}}])), "init.eta_low"),
     "dump_trajectory-string": (_set("dump_trajectory", "false"), "dump_trajectory"),
     "rmsprop-string": (_set("estimators", 0, "rmsprop", "no"), "estimators[0].rmsprop"),
     "label-int": (_set("estimators", 0, "label", 7), "estimators[0].label"),
@@ -729,7 +741,7 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, ipslearn.cli; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
@@ -757,7 +769,7 @@ if pid == 0:
 print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120)
+                          env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "False", "1", "2", "0"]
 
@@ -859,7 +871,7 @@ def test_cli_entrypoint_via_subprocess(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "ipslearn.cli", "estimate",
          "--config", str(p), "--out", str(tmp_path / "o")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
@@ -870,7 +882,7 @@ def test_reproduce_script_exits_2_on_an_unknown_config(tmp_path):
     path = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_experiments.py"
     proc = subprocess.run(
         [sys.executable, str(path), "--only", "no_such_config", "--out", str(tmp_path / "o")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 2, proc.stderr
     # the CLI's error line
@@ -962,8 +974,7 @@ def test_a_parsed_config_can_be_run_again(tmp_path):
     for name in ("manifest.json", "summary.csv", "estimates_r001.csv", "sweep/sweep.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     for was, now in zip(before, config.estimators):
-        assert now.theta_init is None
-        for key in ("free_mask", "weight"):
+        for key in ("theta_init", "free_mask", "weight"):
             assert np.array_equal(getattr(was, key), getattr(now, key))
         assert (was.bounds is None) == (now.bounds is None)  # the triplet has no box
         if was.bounds is not None:

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import child_env
 from ipslearn import runner
 from ipslearn.runner import CSV_BLOCK_ROWS, write_csv
 
@@ -274,7 +275,7 @@ runner.write_csv(Path({str(tmp_path / "a.csv")!r}), ["v"], [np.arange(100) / 7])
 print("after")
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120)
+                          env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "before\nafter\nexit hook\n"
     assert (tmp_path / "a.csv").read_text() == "v\n" + "".join(f"{i / 7!r}\n" for i in range(100))

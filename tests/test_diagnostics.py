@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import child_env
 from ipslearn.batch import EstimatorSetup, batch_seeds, run_batch
 from ipslearn.cli import main as cli_main
 from ipslearn.config import load_config, parse_config
@@ -203,12 +204,13 @@ def test_coupling_requires_ordered_sizes(tmp_path, capsys):
 # Error sweep
 
 
-def _linear_setups(thetas):
+def _linear_setups(thetas, truth):
     sched = LearningRateSchedule("constant", 1.0, scale=np.array([8e-3, 5e-3]))
-    weight = weight_matrix(make_model("linear"))
+    m = make_model("linear")
     return [
-        EstimatorSetup(kind="averaged", schedule=sched, theta_init=thetas, weight=weight),
-        EstimatorSetup(kind="triplet", schedule=sched, theta_init=thetas, weight=weight),
+        EstimatorSetup(kind=kind, schedule=sched, theta_init=thetas, weight=weight_matrix(m),
+                       param_names=m.param_names, truth=truth)
+        for kind in ("averaged", "triplet")
     ]
 
 
@@ -217,7 +219,7 @@ def test_sweep_deterministic_given_ladder():
     truth = TruthSchedule.constant([1.0, 0.2])
     thetas = np.array([2.0, 0.75])
     first, second = [
-        l2_error_sweep(m, truth, [3, 5], 0.1, 300, 3, _linear_setups(thetas), 42)
+        l2_error_sweep(m, truth, [3, 5], 0.1, 300, 3, _linear_setups(thetas, truth), 42)
         for _ in range(2)
     ]
     # 2 sizes x 2 estimators x 2 parameters
@@ -233,7 +235,7 @@ def test_sweep_surfaces_exclusions():
     truth = TruthSchedule.constant([-4.0, 0.0])
     thetas = np.array([1.0, 0.2])
     with pytest.raises(RuntimeError):
-        l2_error_sweep(m, truth, [3], 0.1, 500, 3, _linear_setups(thetas), 7)
+        l2_error_sweep(m, truth, [3], 0.1, 500, 3, _linear_setups(thetas, truth), 7)
 
 
 # the switch at t = 1000 lies after the last step of a 2000-step run of dt
@@ -382,7 +384,7 @@ def test_a_diverging_run_writes_only_its_json_error_to_stderr(tmp_path, command)
     proc = subprocess.run(
         [sys.executable, "-m", "ipslearn.cli", command,
          "--config", str(path), "--out", str(tmp_path / "o")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 1
     assert len(proc.stderr.splitlines()) == 1, proc.stderr

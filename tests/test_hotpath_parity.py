@@ -243,7 +243,7 @@ def digests_of(res) -> dict:
     }
     for tr in res.tracks:
         for field in ("theta_path", "frozen_path", "tail_mean", "final", "frozen_final"):
-            out[f"{tr.label}.{field}"] = digest(getattr(tr, field))
+            out[f"{tr.setup.label}.{field}"] = digest(getattr(tr, field))
     return out
 
 

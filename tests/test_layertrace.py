@@ -6,10 +6,11 @@ zero only because the tracer no longer sees the code.
 """
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
+
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -20,13 +21,10 @@ def test_layertrace_finds_every_layer(tmp_path):
     config = tmp_path / "c.json"
     config.write_text(json.dumps(cfg))
     trace = tmp_path / "trace.json"
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                       os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "layertrace.py"), str(trace), "--",
          "estimate", "--config", str(config), "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(trace.read_text())["not_found"] == []

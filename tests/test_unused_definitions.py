@@ -13,10 +13,16 @@ every parameter.  A default that only tests override is test-only API.
 
 Only `runner` writes artifacts: no other program file calls the CSV or
 table writer, and the CLI imports nothing from `runner` but `run_*`.
+
+Only `config` and `batch` name an estimator kind: `config` resolves
+everything that depends on the kind into the estimator's setup, and the
+batch maps the kind to its update rule.
 """
 
 import ast
 from pathlib import Path
+
+from ipslearn.batch import ESTIMATOR_KINDS
 
 ROOT = Path(__file__).resolve().parents[1]
 PROGRAM_FILES = sorted([*(ROOT / "src" / "ipslearn").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
@@ -156,3 +162,14 @@ def test_only_the_runner_writes_artifacts():
                 if isinstance(node, ast.ImportFrom) and node.module == "runner"
                 for alias in node.names]
     assert imported and all(name.startswith("run_") for name in imported), imported
+
+
+def test_only_config_and_batch_name_estimator_kinds():
+    # every other module reads what the estimator's setup holds, never its kind
+    named = {}
+    for path in PROGRAM_FILES:
+        kinds = sorted({node.value for node in ast.walk(ast.parse(path.read_text()))
+                        if isinstance(node, ast.Constant) and node.value in ESTIMATOR_KINDS})
+        if kinds and path.name not in ("config.py", "batch.py"):
+            named[path.name] = kinds
+    assert not named, f"estimator kinds named outside config and batch: {named}"
