@@ -403,8 +403,8 @@ BAD_INPUTS = {
     "eta_true-negative": (_both(_vol32, _set("eta_true", -1.0)), "eta_true"),
     "eta-box-reversed": (_both(_vol32, _set("init", "eta_low", 2.0),
                                _set("init", "eta_high", 1.5)), "init.eta_low, init.eta_high"),
-    # only a diffusion estimator starts from the eta box: linear_fig1's
-    # estimators with one, and vol32's without its diffusion estimator
+    # only a diffusion estimator starts from the eta box, so a box beside
+    # linear_fig1's estimators, or beside vol32's minus its diffusion one, is an error
     "eta-box-without-diffusion": (_both(_set("init", "eta_low", 1.5),
                                         _set("init", "eta_high", 2.0)), "init.eta_low"),
     "eta_high-without-diffusion": (_set("init", "eta_high", 2.0), "init.eta_high"),
