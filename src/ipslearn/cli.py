@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, load_config, parse_config
+from .config import ConfigError, load_config
 from .estimators import validate_schedule
 from .models import MODEL_ZOO
 from .runner import run_diagnose, run_experiment, run_surface, run_sweep
@@ -59,15 +59,11 @@ def build_parser():
 
 def _load(args):
     """Load the config; --seed and --replicates overrides are validated like the file."""
-    config = load_config(args.config)
-    overrides = {
+    return load_config(args.config, **{
         key: value
         for key, value in (("base_seed", args.seed), ("replicates", args.replicates))
         if value is not None
-    }
-    if overrides:
-        config = parse_config({**config.raw, **overrides})
-    return config
+    })
 
 
 def _cmd_validate(config):

@@ -11,13 +11,16 @@ schedule, bounds box, float 0/1 free mask, RMSProp settings, weight matrix
 (the model's, or the `weighting` override; None for diffusion), indices,
 parameter names, scoring truth and per-replicate initial estimates are
 resolved here, once, and no later module fills anything in or branches on
-the kind.  `particles` is `(particle,)` or the sorted Pi, `triplets` is
-`(triplet,)` or C(Pi).  A drift estimator without bounds gets no box
-(`bounds` None: no bound check); a diffusion estimator without bounds gets
-the model's eta box.  A drift estimator is scored against the config's
-truth, the diffusion estimator against the model's eta.  A field its kind
-does not read is rejected, and so is an eta init box when no diffusion
-estimator runs.
+the kind.  One table, `_KIND_KEYS`, names the fields each kind reads beyond
+the common ones; any other field is rejected, and so is an eta init box
+when no diffusion estimator runs.  Only the index field the kind reads is
+parsed, and one rule checks every index set (distinct, at least one, in
+range): `particles` is `(particle,)` or the sorted Pi, `triplets` is
+`(triplet,)` or C(Pi), and a setup gets only the one its kind reads.  A
+drift estimator without bounds gets no box (`bounds` None: no bound
+check); a diffusion estimator without bounds gets the model's eta box.  A
+drift estimator is scored against the config's truth, the diffusion
+estimator against the model's eta.
 
 The initial estimates are drawn from each replicate's seed
 (`batch.draw_initial_thetas`): every drift estimator of a replicate starts
@@ -68,10 +71,10 @@ def _require(d, key, ctx, types=None):
     return d[key] if types is None else _typed(d[key], _path(ctx, key), types)
 
 
-def _check_keys(d, allowed, ctx):
+def _check_keys(d, allowed, ctx, why="unknown field"):
     unknown = set(d) - set(allowed)
     if unknown:
-        raise ConfigError(_path(ctx, sorted(unknown)[0]), "unknown field")
+        raise ConfigError(_path(ctx, sorted(unknown)[0]), why)
 
 
 def _int(v, ctx):
@@ -107,6 +110,16 @@ def _ints(v, ctx):
     return tuple(_int(i, ctx) for i in v)
 
 
+def _index_set(v, ctx, n, size):
+    """`v` as a tuple of at least one distinct index in [0, n); `size` names n."""
+    v = _ints(v, ctx)
+    if not v or len(set(v)) != len(v):
+        raise ConfigError(ctx, "need at least one index, all distinct")
+    if any(not 0 <= i < n for i in v):
+        raise ConfigError(ctx, f"indices out of range for {size}={n}")
+    return v
+
+
 @dataclass
 class ExperimentConfig:
     name: str
@@ -136,10 +149,17 @@ _TOP_KEYS = {
     "tail_fraction", "dump_trajectory", "sweep", "surface",
 }
 
+# the estimator fields every kind reads, and each kind's own (the README's table)
 _EST_KEYS = {
-    "kind", "label", "particle", "triplet", "pi", "learning_rate",
-    "free_params", "rmsprop", "rms_rho", "rms_eps", "bounds_lower", "bounds_upper",
-    "weighting",
+    "kind", "label", "learning_rate", "rmsprop", "rms_rho", "rms_eps",
+    "bounds_lower", "bounds_upper",
+}
+_KIND_KEYS = {
+    "averaged": {"particle", "free_params", "weighting"},
+    "triplet": {"triplet", "free_params", "weighting"},
+    "averaged_m": {"pi", "free_params", "weighting"},
+    "triplet_m": {"pi", "free_params", "weighting"},
+    "diffusion": {"particle"},
 }
 
 
@@ -334,51 +354,34 @@ def _parse_estimator(d, index, model, truth, n_particles) -> EstimatorSetup:
     ctx = f"estimators[{index}]"
     if not isinstance(d, dict):
         raise ConfigError(ctx, "must be an object")
-    _check_keys(d, _EST_KEYS, ctx)
     kind = _require(d, "kind", ctx, str)
     if kind not in ESTIMATOR_KINDS:
         raise ConfigError(f"{ctx}.kind", f"unknown kind {kind!r}")
     if kind == "diffusion" and not model.eta_names:
         raise ConfigError(f"{ctx}.kind", f"{model.model_id} has no diffusion parameters")
+    _check_keys(d, _EST_KEYS | _KIND_KEYS[kind], ctx, f"not a field of kind {kind}")
     label = _typed(d.get("label", kind), f"{ctx}.label", str)
     if any(c in label for c in ',"\r\n'):
         # labels are written unquoted into CSV rows
         raise ConfigError(f"{ctx}.label", f"no comma, quote or line break allowed: {label!r}")
 
-    for key, kinds in (("particle", ("averaged", "diffusion")), ("triplet", ("triplet",))):
-        if key in d and kind not in kinds:
-            raise ConfigError(f"{ctx}.{key}",
-                              f"only valid for kind {' or '.join(kinds)}, not {kind}")
-    particle = _int(d.get("particle", 0), f"{ctx}.particle")
-    if not 0 <= particle < n_particles:
-        raise ConfigError(f"{ctx}.particle", f"index {particle} out of range for N={n_particles}")
-
-    triplet = _ints(d.get("triplet", [0, 1, 2]), f"{ctx}.triplet")
-    if kind == "triplet":
-        if len(triplet) != 3 or len(set(triplet)) != 3:
-            raise ConfigError(f"{ctx}.triplet", "need three distinct indices")
-        if any(not 0 <= i < n_particles for i in triplet):
-            raise ConfigError(f"{ctx}.triplet", f"indices out of range for N={n_particles}")
-
-    pi = d.get("pi")
+    # only the index field the kind reads
     if kind in ("averaged_m", "triplet_m"):
-        if pi is None:
-            raise ConfigError(f"{ctx}.pi", f"{kind} requires the index set pi")
-        pi = _ints(pi, f"{ctx}.pi")
-        if not pi:
-            raise ConfigError(f"{ctx}.pi", "need at least one index")
-        if len(set(pi)) != len(pi):
-            raise ConfigError(f"{ctx}.pi", "indices must be distinct")
-        if any(not 0 <= i < n_particles for i in pi):
-            raise ConfigError(f"{ctx}.pi", f"indices out of range for N={n_particles}")
+        pi = _index_set(_require(d, "pi", ctx), f"{ctx}.pi", n_particles, "N")
         if kind == "triplet_m" and len(pi) < 3 and n_particles < 3:
             # fewer than 3 indices are completed to a triplet from the others
             raise ConfigError(f"{ctx}.pi", f"triplets need at least 3 particles, N={n_particles}")
-    elif pi is not None:
-        raise ConfigError(f"{ctx}.pi", f"pi is only valid for the M-averaged kinds")
-    # Pi is held sorted, so the order it was given in cannot change the sum
-    particles = tuple(sorted(pi)) if kind == "averaged_m" else (particle,)
-    triplets = build_cyclic_triplets(pi) if kind == "triplet_m" else (triplet,)
+        # Pi is held sorted, so the order it was given in cannot change the sum
+        indices = ({"particles": tuple(sorted(pi))} if kind == "averaged_m"
+                   else {"triplets": build_cyclic_triplets(pi)})
+    elif kind == "triplet":
+        triplet = _index_set(d.get("triplet", [0, 1, 2]), f"{ctx}.triplet", n_particles, "N")
+        if len(triplet) != 3:
+            raise ConfigError(f"{ctx}.triplet", "need three distinct indices")
+        indices = {"triplets": (triplet,)}
+    else:
+        indices = {"particles": _index_set([d.get("particle", 0)], f"{ctx}.particle",
+                                           n_particles, "N")}
 
     lr = _require(d, "learning_rate", ctx, dict)
     _check_keys(lr, {"kind", "gamma0", "beta", "scale"}, f"{ctx}.learning_rate")
@@ -401,13 +404,10 @@ def _parse_estimator(d, index, model, truth, n_particles) -> EstimatorSetup:
         if any(s <= 0 for s in scale):
             raise ConfigError(f"{ctx}.learning_rate.scale", "entries must be positive")
 
-    free = d.get("free_params")
-    if free is not None:
-        if kind == "diffusion":
-            raise ConfigError(f"{ctx}.free_params", "not applicable to the diffusion update")
-        free = _ints(free, f"{ctx}.free_params")
-        if not free or any(not 0 <= i < model.p for i in free) or len(set(free)) != len(free):
-            raise ConfigError(f"{ctx}.free_params", f"need distinct indices in [0, {model.p})")
+    free_mask = None
+    if d.get("free_params") is not None:
+        free_mask = np.zeros(model.p)
+        free_mask[list(_index_set(d["free_params"], f"{ctx}.free_params", model.p, "p"))] = 1.0
 
     lower = d.get("bounds_lower")
     upper = d.get("bounds_upper")
@@ -435,8 +435,6 @@ def _parse_estimator(d, index, model, truth, n_particles) -> EstimatorSetup:
     if weighting is not None:
         if weighting not in ("identity", "inverse-diffusion"):
             raise ConfigError(f"{ctx}.weighting", f"unknown mode {weighting!r}")
-        if kind == "diffusion":
-            raise ConfigError(f"{ctx}.weighting", "not applicable to the diffusion update")
         if weighting == "inverse-diffusion" and model.weighting == "identity":
             raise ConfigError(
                 f"{ctx}.weighting",
@@ -444,10 +442,6 @@ def _parse_estimator(d, index, model, truth, n_particles) -> EstimatorSetup:
                 "cannot be inverse-diffusion weighted",
             )
 
-    free_mask = None
-    if free is not None:
-        free_mask = np.zeros(model.p)
-        free_mask[list(free)] = 1.0
     if lower is not None:
         bounds = Box(lower, upper)
     else:
@@ -455,8 +449,7 @@ def _parse_estimator(d, index, model, truth, n_particles) -> EstimatorSetup:
     return EstimatorSetup(
         kind=kind,
         label=label,
-        particles=particles,
-        triplets=triplets,
+        **indices,
         schedule=LearningRateSchedule(
             kind=lr_kind, gamma0=gamma0, beta=beta,
             scale=None if scale is None else np.asarray(scale, dtype=float),
@@ -470,8 +463,9 @@ def _parse_estimator(d, index, model, truth, n_particles) -> EstimatorSetup:
     )
 
 
-def load_config(path) -> ExperimentConfig:
-    """Load and validate a config from a filesystem path or a bundled name."""
+def load_config(path, **overrides) -> ExperimentConfig:
+    """Load and validate a config from a filesystem path or a bundled name;
+    `overrides` replace top-level fields of the file before it is parsed."""
     text = None
     try:
         with open(path) as fh:
@@ -484,6 +478,8 @@ def load_config(path) -> ExperimentConfig:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError("<file>", f"invalid JSON at line {e.lineno}: {e.msg}")
+    if isinstance(data, dict):
+        data.update(overrides)
     return parse_config(data)
 
 

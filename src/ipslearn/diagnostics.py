@@ -158,8 +158,9 @@ def clt_rescaled_moments(
     replicates: int,
     setup: EstimatorSetup,
     base_seed: int,
-) -> MomentSummary:
-    """Moments of gamma_T^(-1/2) (theta_T - pooled mean) across replicates.
+) -> tuple:
+    """Moments of gamma_T^(-1/2) (theta_T - pooled mean) across replicates,
+    and the names of the parameters they are reported for: the free ones.
 
     Meaningful for a power-law schedule in the rate regime (a constant
     schedule has no vanishing-step limit to rescale against) and at least
@@ -177,4 +178,4 @@ def clt_rescaled_moments(
     free = setup.free_mask if setup.free_mask is not None else np.ones(final.shape[1], bool)
     free = np.asarray(free, dtype=bool)
     rescaled = (final - final.mean(axis=0)) / np.sqrt(gamma_T)
-    return standardized_moments(rescaled[:, free])
+    return np.asarray(setup.param_names)[free], standardized_moments(rescaled[:, free])

@@ -20,7 +20,9 @@ PARAM_INIT_STREAM = 2**63
 
 GENERATOR_NAME = "numpy-philox4x64"
 
-# Byte budget of a BlockedNoise buffer; it bounds the block length.
+# Steps per BlockedNoise refill, and the byte budget of its buffer, which
+# bounds that block length.
+NOISE_BLOCK_STEPS = 512
 NOISE_BUFFER_BYTES = 4 * 1024 * 1024
 
 _U64 = np.uint64
@@ -66,15 +68,17 @@ class BlockedNoise:
     Drawing a block of steps per stream amortises generator-call overhead;
     the per-stream value sequence is identical to drawing one step at a time,
     whatever the block length.  The buffer is laid out (block, S, d), so a
-    step is one contiguous slice, and holds at most NOISE_BUFFER_BYTES
-    (4 MiB): the block shrinks to fit, but never below 16 steps.
+    step is one contiguous slice.  A block is NOISE_BLOCK_STEPS (512) steps,
+    and the buffer holds at most NOISE_BUFFER_BYTES (4 MiB): the block
+    shrinks to fit, but never below 16 steps.
     """
 
-    def __init__(self, streams: list[RngStream], d: int, dt: float, block: int = 512):
+    def __init__(self, streams: list[RngStream], d: int, dt: float):
         self.streams = streams
         self.d = d
         self.sqrt_dt = math.sqrt(dt)
-        self.block = min(block, max(16, NOISE_BUFFER_BYTES // (8 * len(streams) * d)))
+        self.block = min(NOISE_BLOCK_STEPS,
+                         max(16, NOISE_BUFFER_BYTES // (8 * len(streams) * d)))
         self._buf = np.empty((self.block, len(streams), d))
         self._pos = self.block  # force a refill on first use
 

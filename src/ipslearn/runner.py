@@ -429,13 +429,10 @@ def run_diagnose(config: ExperimentConfig, out_dir, mode: str, n_small, n_big: i
         )
     else:  # clt: the first estimator only
         setup = config.estimators[0]
-        summary = clt_rescaled_moments(
+        names, summary = clt_rescaled_moments(
             model, config.truth, config.n_particles, config.dt, config.n_steps,
             config.replicates, setup, config.base_seed,
         )
-        free = setup.free_mask
-        names = np.array([n for k, n in enumerate(setup.param_names)
-                          if free is None or free[k]])
         artifacts = _write_table(
             out / "clt.csv", ["param", "variance", "skewness", "excess_kurtosis", "replicates"],
             [names, summary.variance, summary.skewness, summary.excess_kurtosis,

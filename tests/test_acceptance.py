@@ -365,7 +365,7 @@ def test_c12_empirical_clt():
     config = load_config("linear_clt")
     model = config.model
     setup = config.estimators[0]
-    summary = clt_rescaled_moments(
+    _, summary = clt_rescaled_moments(
         model, config.truth, config.n_particles, config.dt, config.n_steps,
         config.replicates, setup, config.base_seed,
     )

@@ -16,8 +16,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import child_env
+from ipslearn import config as config_module
+from ipslearn.batch import ESTIMATOR_KINDS
 from ipslearn.cli import main as cli_main
-from ipslearn.config import ConfigError, bundled_config_names, load_config, parse_config
+from ipslearn.config import (_KIND_KEYS, ConfigError, bundled_config_names, load_config,
+                             parse_config)
 from ipslearn.estimators import RmsPropConfig
 from ipslearn.models import make_model, weight_matrix
 from ipslearn.runner import run_experiment, run_surface, run_sweep
@@ -287,25 +290,36 @@ def test_cli_rms_rho_out_of_range_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+# a value of the right type for each field that only some kinds read
+KIND_FIELD_VALUES = {"particle": 0, "triplet": [0, 1, 2], "pi": [0, 1, 2],
+                     "free_params": [0], "weighting": "identity"}
+
+
+def test_the_kind_field_table_covers_every_estimator_kind():
+    assert tuple(_KIND_KEYS) == ESTIMATOR_KINDS
+    assert set().union(*_KIND_KEYS.values()) == set(KIND_FIELD_VALUES)
+
+
 @pytest.mark.parametrize("kind, fields", [
-    ("triplet", {"particle": 0}),
-    ("averaged_m", {"pi": [0, 1], "particle": 1}),
-    ("triplet_m", {"pi": [0, 1, 2], "particle": 0}),
-    ("averaged", {"triplet": [0, 1, 2]}),
-    ("averaged_m", {"pi": [0, 1], "triplet": [0, 1, 2]}),
-    ("triplet_m", {"pi": [0, 1, 2], "triplet": [0, 1, 2]}),
+    # an M-averaged kind also gets the pi it requires
+    *((kind, {**({"pi": [0, 1]} if "pi" in own else {}), key: KIND_FIELD_VALUES[key]})
+      for kind, own in _KIND_KEYS.items() for key in sorted(set(KIND_FIELD_VALUES) - own)),
     ("averaged", {"rms_rho": 0.9}),
     ("triplet", {"rmsprop": False, "rms_eps": 1e-6}),
 ], ids=lambda v: v if isinstance(v, str) else "-".join(v))
 def test_estimator_field_of_another_kind_exits_2(tmp_path, capsys, kind, fields):
     # a field the kind never reads is rejected, not silently ignored
     cfg = tiny_config()
+    if kind == "diffusion":
+        _vol32(cfg)
     est = {"kind": kind, "learning_rate": {"kind": "constant", "gamma0": 0.01}, **fields}
     cfg["estimators"] = [est]
-    key = next(k for k in fields if k not in ("pi", "rmsprop"))
+    key = list(fields)[-1]  # the one the kind does not read
     with pytest.raises(ConfigError) as e:
         parse_config(cfg)
     assert e.value.field == f"estimators[0].{key}"
+    if key in KIND_FIELD_VALUES:
+        assert f"kind {kind}" in str(e.value)
     p = tmp_path / "c.json"
     p.write_text(json.dumps(cfg))
     assert cli_main(["estimate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
@@ -644,7 +658,8 @@ EDGE_CASES = [
 @example(case=("doublewell_fig5", ("truth", "values", 0), "truth.values", -1.0))
 @example(case=("linear_fig1", ("init", "theta_high", 0), "init.theta_high", -1.0))
 def test_wrong_value_in_a_config_exits_0_or_names_the_field(case):
-    """A valid config runs; an invalid one exits 2 naming the field (a rule
+    """A valid config runs, and its summary holds finite estimates on every
+    replicate not excluded; an invalid one exits 2 naming the field (a rule
     between two fields, such as lower <= upper, names both).  The one
     exit 1 allowed is the runtime failure of a valid config whose every
     replicate blows up (a double-well truth of -1 does within 5 steps)."""
@@ -659,6 +674,11 @@ def test_wrong_value_in_a_config_exits_0_or_names_the_field(case):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli_main(["estimate", "--config", str(path), "--out", str(Path(tmp) / "o")])
+        if code == 0:
+            rows = np.atleast_1d(np.genfromtxt(Path(tmp) / "o" / "summary.csv", delimiter=",",
+                                               names=True, dtype=None, encoding="utf-8"))
+            kept = rows[rows["excluded"] == 0]
+            assert np.isfinite(kept["final"]).all() and np.isfinite(kept["tail_mean"]).all(), case
     message = json.loads(err.getvalue())["message"] if code else ""
     named = message.split(": ", 1)[0].split(", ") if code == 2 else []
     assert (code == 0 or any(n.startswith(field) for n in named)
@@ -734,6 +754,28 @@ def test_cli_override_hash_matches_an_edited_config(tmp_path):
     assert cli_main(["estimate", "--config", str(edited), "--out", str(tmp_path / "b")]) == 0
     assert (tmp_path / "a" / "manifest.json").read_bytes() == \
         (tmp_path / "b" / "manifest.json").read_bytes()
+
+
+def test_cli_overrides_parse_the_config_once(tmp_path, monkeypatch):
+    # the overrides go into the one load: the file is read and parsed once,
+    # so the initial estimates are drawn once
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(config_module, "draw_initial_thetas",
+                        counted("draw", config_module.draw_initial_thetas))
+    monkeypatch.setattr("ipslearn.cli.load_config", counted("load", load_config))
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(tiny_config()))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(["validate", "--config", str(p), "--seed", "99",
+                         "--replicates", "1"]) == 0
+    assert calls == ["load", "draw"]
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

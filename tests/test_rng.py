@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ipslearn.rng import (
+    NOISE_BLOCK_STEPS,
     NOISE_BUFFER_BYTES,
     BlockedNoise,
     RngStream,
@@ -39,11 +40,12 @@ def test_increment_variance_matches_dt():
     assert abs(draws.mean()) < 0.001
 
 
-def test_blocked_noise_matches_direct_draws():
+def test_blocked_noise_matches_direct_draws(monkeypatch):
     # block size must not change the per-stream value sequence
+    monkeypatch.setattr("ipslearn.rng.NOISE_BLOCK_STEPS", 16)
     dt = 0.1
     direct = [increments(RngStream(5, i), 70, 2, dt) for i in range(3)]
-    noise = BlockedNoise(particle_streams(5, 3), d=2, dt=dt, block=16)
+    noise = BlockedNoise(particle_streams(5, 3), d=2, dt=dt)
     for step in range(70):
         dw = noise.next_step()
         for i in range(3):
@@ -55,12 +57,13 @@ def _steps(noise, n):
 
 
 @pytest.mark.parametrize("block", [1, 512])
-def test_stream_values_do_not_depend_on_block(block):
+def test_stream_values_do_not_depend_on_block(block, monkeypatch):
     # every stream's increments, bit for bit, over several refills; block 16
     # is the case above
+    monkeypatch.setattr("ipslearn.rng.NOISE_BLOCK_STEPS", block)
     dt, n = 0.03, 1100
     direct = np.stack([increments(RngStream(4, i), n, 2, dt) for i in range(3)], axis=1)
-    noise = BlockedNoise(particle_streams(4, 3), d=2, dt=dt, block=block)
+    noise = BlockedNoise(particle_streams(4, 3), d=2, dt=dt)
     assert noise.block == block
     assert _steps(noise, n).view(np.uint64).tolist() == direct.view(np.uint64).tolist()
 
@@ -82,18 +85,19 @@ def test_noise_buffer_stays_within_its_byte_budget(streams, d):
     # the block never drops below 16, so the cap holds whenever 16 steps fit
     assert 16 * 8 * streams * d <= NOISE_BUFFER_BYTES
     noise = BlockedNoise([RngStream(1, i) for i in range(streams)], d=d, dt=0.1)
-    assert 16 <= noise.block <= 512
+    assert 16 <= noise.block <= NOISE_BLOCK_STEPS
     assert noise._buf.nbytes <= NOISE_BUFFER_BYTES
 
 
-def test_next_step_returns_an_array_the_caller_owns():
+def test_next_step_returns_an_array_the_caller_owns(monkeypatch):
     # 40 steps span two refills of a 16-step block; no refill or write by the
     # caller may reach a step already handed out
-    noise = BlockedNoise(particle_streams(2, 4), d=2, dt=0.1, block=16)
+    monkeypatch.setattr("ipslearn.rng.NOISE_BLOCK_STEPS", 16)
+    noise = BlockedNoise(particle_streams(2, 4), d=2, dt=0.1)
     steps = [noise.next_step() for _ in range(40)]
     assert all(s.flags.owndata and not np.shares_memory(s, noise._buf) for s in steps)
     steps[0][:] = np.nan
-    again = BlockedNoise(particle_streams(2, 4), d=2, dt=0.1, block=16)
+    again = BlockedNoise(particle_streams(2, 4), d=2, dt=0.1)
     want = [again.next_step() for _ in range(40)]
     assert [s.tobytes() for s in steps[1:]] == [w.tobytes() for w in want[1:]]
 
