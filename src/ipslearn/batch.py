@@ -44,8 +44,8 @@ class EstimatorSetup:
 
     kind: str
     label: str = ""
-    particles: tuple = (0,)  # (particle,), or the sorted Pi of the M-averaged form
-    triplets: tuple = ((0, 1, 2),)  # (triplet,), or C(Pi) of the M-averaged form
+    particles: tuple = ()  # (particle,), or the sorted Pi of the M-averaged form
+    triplets: tuple = ()  # (triplet,), or C(Pi) of the M-averaged form
     schedule: LearningRateSchedule = None
     free_mask: np.ndarray | None = None  # float 0/1, multiplied into the step; 0 = pinned
     bounds: Box | None = None

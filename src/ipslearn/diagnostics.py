@@ -5,7 +5,8 @@ summaries.
 The sweep and the CLT check run batches of the estimator setups they are
 given (a config's `estimators`, complete as `config` resolves them) and
 reduce the batch's (R, p) arrays directly; the sweep returns the
-`sweep.csv` columns.  An estimator is scored against its setup's `truth`.
+`sweep.csv` columns, its sizes run in forked worker processes when it is
+large enough.  An estimator is scored against its setup's `truth`.
 """
 
 from __future__ import annotations
@@ -14,12 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .batch import EstimatorSetup, batch_seeds, run_batch
 from .models import InteractionModel, TruthSchedule
 from .sde import PositionHistory, run_trajectory
 
 # fewest non-excluded replicates whose moments the CLT check reports
 CLT_MIN_REPLICATES = 200
+# A sweep's sizes run in forked workers only when its batch steps (n_steps
+# per size, summed over the sizes) exceed this.  A fork, pickling one size's
+# rows and the wait cost about 2 ms; a batch step takes at least about 45 us
+# (linear, N = 3, R = 2, two estimators).  At 2 CPUs the worker's half of
+# 200 steps takes about twice what its fork costs.  The one-step set-up run
+# and a 3-step sweep of five sizes stay inline.
+SWEEP_MIN_FORK_STEPS = 200
 
 
 # ---------------------------------------------------------------------------
@@ -65,16 +74,23 @@ def l2_error_sweep(
     standard error and the count of excluded replicates.  Replicates that
     blow up are counted and excluded from the statistics, never silently
     dropped; an estimator that diverges on any other fails the sweep.
+
+    Each N (its batch and its rows) is one unit of work.  Above
+    SWEEP_MIN_FORK_STEPS batch steps the units are shared among this
+    process and forked workers (`workers.map_claimed`), the largest N
+    claimed first; the rows are joined in `n_list` order, and a failure is
+    that of the first failing N in `n_list`, as inline.
     """
     seeds = batch_seeds(base_seed, replicates)
-    blocks = []
-    for n in n_list:
+
+    def rows(n):
         result = run_batch(
             model, truth, n, dt, n_steps, seeds, setups, tail_fraction=tail_fraction
         )
         ok = ~result.excluded
         if not np.any(ok):
             raise RuntimeError(f"all replicates blew up at N={n}")
+        blocks = []
         for track in result.tracks:
             err = squared_errors(track, n_steps, dt, ok, f" at N={n}")[ok]
             p = err.shape[1]
@@ -83,6 +99,13 @@ def l2_error_sweep(
                 err.std(axis=0, ddof=1) / np.sqrt(err.shape[0]),
                 np.full(p, int(result.excluded.sum())),
             ])
+        return blocks
+
+    units = workers.map_claimed(
+        rows, n_list, sorted(range(len(n_list)), key=lambda i: -n_list[i]),
+        lambda n: f"N={n}", fork=n_steps * len(n_list) > SWEEP_MIN_FORK_STEPS,
+    )
+    blocks = [block for unit in units for block in unit]
     return [np.concatenate([b[k] for b in blocks]) for k in range(6)]
 
 

@@ -9,7 +9,9 @@ Every CSV gets a JSON metadata sidecar sufficient to re-run it exactly
 (config hash, seed ladder, generator name, code version); a successful run
 ends with a manifest listing each artifact with its content hash.  Outputs
 contain no timestamps or absolute paths, so rerunning a config reproduces
-byte-identical files.
+byte-identical files.  A large CSV's rows and a sweep's sizes are shared
+among forked worker processes (`workers`); no byte depends on the split,
+and no artifact records the number of processes.
 """
 
 from __future__ import annotations
@@ -18,13 +20,12 @@ import contextlib
 import hashlib
 import json
 import os
-import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, models
+from . import __version__, models, workers
 from .batch import batch_seeds, run_batch
 from .config import ConfigError, ExperimentConfig
 from .diagnostics import (CLT_MIN_REPLICATES, clt_rescaled_moments, coupling_distance,
@@ -33,6 +34,7 @@ from .estimators import validate_schedule
 from .objective import surface_scan
 from .rng import GENERATOR_NAME, replicate_seed
 from .sde import MomentTracker, PositionHistory, SimulationBlowup, run_trajectory
+from .workers import FORK as _FORK  # elsewhere every CSV is written inline
 
 
 # rows formatted per write; larger blocks raise peak memory, not speed.  The
@@ -44,7 +46,6 @@ CSV_BLOCK_ROWS = 1024
 # blocks take about twice what its fork costs.  At 2 CPUs a 12 000-row
 # estimates CSV (12 blocks) splits; summary and sweep CSVs stay inline.
 CSV_MIN_BLOCKS_PER_WORKER = 6
-_FORK = sys.platform == "linux"  # elsewhere every CSV is written inline
 SHA256_CHUNK_BYTES = 1 << 20  # an artifact is hashed in chunks of this size
 
 
@@ -95,57 +96,35 @@ def _shares(n_rows):
     blocks per CPU, or a single share when a worker would get fewer than
     CSV_MIN_BLOCKS_PER_WORKER blocks."""
     n_blocks = -(-n_rows // CSV_BLOCK_ROWS)
-    workers = max(1, min(models._WORKERS, n_blocks // CSV_MIN_BLOCKS_PER_WORKER)) if _FORK else 1
-    cuts = [min(n_rows, CSV_BLOCK_ROWS * (n_blocks * k // workers)) for k in range(workers + 1)]
+    procs = max(1, min(models._WORKERS, n_blocks // CSV_MIN_BLOCKS_PER_WORKER)) if _FORK else 1
+    cuts = [min(n_rows, CSV_BLOCK_ROWS * (n_blocks * k // procs)) for k in range(procs + 1)]
     return list(zip(cuts, cuts[1:]))
 
 
 def _write_shares(path, fh, columns, shares):
     """Write the first share to `fh` here and each other share in a forked
-    child, then append the children's texts to `fh` in share order.
+    child (`workers.run_forked`), then append the children's texts to `fh`
+    in share order.
 
     A child writes to an unnamed temporary file (in TMPDIR) made before the
     fork, in the encoding of `fh`.  It runs numpy and file writes only, so
     the Cucker-Smale pool's idle threads, which it lacks, hold nothing it
-    needs.  Every child is reaped before this returns or raises.
+    needs.
     """
-    with contextlib.ExitStack() as tmps:
-        children = []
-        try:
-            for lo, hi in shares[1:]:
-                tmp = tmps.enter_context(
-                    tempfile.TemporaryFile("w", encoding=fh.encoding, newline="\n"))
-                pid = os.fork()
-                if pid == 0:
-                    _format_share_and_exit(tmp, columns, lo, hi)
-                children.append((pid, tmp, lo, hi))
-            _write_rows(fh, columns, *shares[0])
-        finally:
-            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, *_ in children]
+    with contextlib.ExitStack() as stack:
+        tmps = [
+            stack.enter_context(tempfile.TemporaryFile("w", encoding=fh.encoding, newline="\n"))
+            for _ in shares[1:]
+        ]
+        codes = workers.run_forked(
+            tmps, lambda k, tmp: _write_rows(tmp, columns, *shares[k + 1]),
+            lambda: _write_rows(fh, columns, *shares[0]))
         fh.flush()
-        for (_, tmp, lo, hi), code in zip(children, codes):
+        for (lo, hi), tmp, code in zip(shares[1:], tmps, codes):
             if code != 0:
                 raise RuntimeError(f"{path.name}: the worker formatting rows {lo} to {hi} "
                                    f"exited with code {code}")
             _append(fh.fileno(), tmp.fileno())
-
-
-def _format_share_and_exit(tmp, columns, lo, hi):
-    """The whole life of a forked child: write rows lo..hi-1 to `tmp`, then
-    leave by os._exit, so that no atexit hook runs and none of the buffers
-    inherited from the parent (its stdout, the CSV) is flushed a second time.
-    """
-    code = 1
-    try:
-        _write_rows(tmp, columns, lo, hi)
-        tmp.flush()
-        code = 0
-    except BaseException:  # the parent reports it from the exit code
-        import traceback  # only a failing child needs it
-
-        os.write(2, traceback.format_exc().encode(errors="replace"))
-    finally:
-        os._exit(code)
 
 
 def _append(out_fd, in_fd):

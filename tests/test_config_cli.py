@@ -340,8 +340,9 @@ def test_estimator_fields_of_their_own_kind_accepted():
          "learning_rate": {"kind": "constant", "gamma0": 0.01}},
     ]
     setups = parse_config(cfg).estimators
-    assert [s.particles for s in setups] == [(1,), (0,), (2,)]
-    assert setups[1].triplets == ((2, 0, 1),)
+    # each setup carries only the index set its kind reads
+    assert [s.particles for s in setups] == [(1,), (), (2,)]
+    assert [s.triplets for s in setups] == [(), ((2, 0, 1),), ()]
     assert setups[0].rmsprop == RmsPropConfig(0.9, 1e-6)
 
 

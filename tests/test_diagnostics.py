@@ -209,8 +209,9 @@ def _linear_setups(thetas, truth):
     m = make_model("linear")
     return [
         EstimatorSetup(kind=kind, schedule=sched, theta_init=thetas, weight=weight_matrix(m),
-                       param_names=m.param_names, truth=truth)
-        for kind in ("averaged", "triplet")
+                       param_names=m.param_names, truth=truth, **indices)
+        for kind, indices in (("averaged", {"particles": (0,)}),
+                              ("triplet", {"triplets": ((0, 1, 2),)}))
     ]
 
 

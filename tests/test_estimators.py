@@ -33,9 +33,17 @@ def const_sched(*scale):
 DT = 0.1
 
 
+# the index set each kind reads, where a test gives none of its own
+INDEX_SETS = {"averaged": {"particles": (0,)}, "triplet": {"triplets": ((0, 1, 2),)},
+              "diffusion": {"particles": (0,)}}
+
+
 def make_setup(model, schedule, kind="averaged", **kw):
-    """An estimator setup as `config` resolves it: the model's own weight."""
-    return EstimatorSetup(kind, schedule=schedule, weight=weight_matrix(model), **kw)
+    """An estimator setup as `config` resolves it: the model's own weight,
+    and particle 0 or triplet (0, 1, 2) where the kind reads one and `kw`
+    gives none."""
+    return EstimatorSetup(kind, schedule=schedule, weight=weight_matrix(model),
+                          **{**INDEX_SETS.get(kind, {}), **kw})
 
 
 def apply(rule, theta, model, setup, pos, dx, t=0.0, keep=None, dt=DT):
@@ -593,8 +601,8 @@ def test_every_rule_call_goes_through_its_module_attribute(monkeypatch):
         make_setup(m, sched, kind="averaged_m", particles=(0, 3), theta_init=thetas),
         make_setup(m, sched, kind="triplet_m", triplets=build_cyclic_triplets((1, 2)),
                    theta_init=thetas),
-        EstimatorSetup("diffusion", schedule=LearningRateSchedule("constant", 0.01),
-                       theta_init=np.array([0.7])),
+        EstimatorSetup("diffusion", particles=(0,),
+                       schedule=LearningRateSchedule("constant", 0.01), theta_init=np.array([0.7])),
     ]
     n_steps, seeds = 25, batch_seeds(3, 2)
     res = run_batch(m, TruthSchedule.constant(thetas), 5, 0.01, n_steps, seeds, setups)

@@ -56,8 +56,8 @@ def _case_linear_all_kinds():
             EstimatorSetup("triplet", triplets=((2, 0, 5),), schedule=sched),
             EstimatorSetup("averaged_m", particles=(1, 5, 7), schedule=sched),
             EstimatorSetup("triplet_m", triplets=build_cyclic_triplets((0, 2)), schedule=sched),
-            EstimatorSetup("averaged", label="identity_weight", schedule=sched,
-                           weight=np.eye(1)),
+            EstimatorSetup("averaged", particles=(0,), label="identity_weight",
+                           schedule=sched, weight=np.eye(1)),
         ],
     )
 
@@ -68,9 +68,9 @@ def _case_linear_mask_power_rmsprop():
         model=model, truth=TruthSchedule.constant([1.0, 0.2]), n=6, dt=0.1, seed=202,
         init=([1.5, 0.5], [2.5, 1.0]), record_every=3,
         setups=[
-            EstimatorSetup("averaged", schedule=power(0.05, 0.05),
+            EstimatorSetup("averaged", particles=(0,), schedule=power(0.05, 0.05),
                            free_mask=np.array([0.0, 1.0])),
-            EstimatorSetup("triplet", schedule=const(0.02, 0.02),
+            EstimatorSetup("triplet", triplets=((0, 1, 2),), schedule=const(0.02, 0.02),
                            rmsprop=RmsPropConfig(0.9, 1e-8)),
             EstimatorSetup("averaged_m", particles=(0, 1, 2, 3),
                            schedule=power(0.02, 0.01, beta=1.0),
@@ -88,7 +88,7 @@ def _case_linear_diverging():
     return dict(
         model=model, truth=TruthSchedule.constant([1.0, 0.2]), n=5, dt=0.1, seed=303,
         init=([1.5, 0.5], [2.5, 1.0]), record_every=10,
-        setups=[EstimatorSetup("averaged", schedule=const(1000.0, 1000.0))],
+        setups=[EstimatorSetup("averaged", particles=(0,), schedule=const(1000.0, 1000.0))],
         expect=lambda res: _some_not_all(res.tracks[0].frozen_final, "non-finite freeze"),
     )
 
@@ -100,9 +100,10 @@ def _case_double_well_bounded():
         model=model, truth=TruthSchedule.constant([1.0, 2.0, 2.0]), n=7, dt=0.1, seed=404,
         init=([1.0, 1.8, 1.8], [1.8, 2.2, 2.2]), record_every=5,
         setups=[
-            EstimatorSetup("averaged", schedule=const(0.05, 0.05, 0.05), bounds=box),
-            EstimatorSetup("triplet", schedule=const(0.01, 0.01, 0.01), bounds=box,
-                           rmsprop=RmsPropConfig(0.9, 1e-8)),
+            EstimatorSetup("averaged", particles=(0,), schedule=const(0.05, 0.05, 0.05),
+                           bounds=box),
+            EstimatorSetup("triplet", triplets=((0, 1, 2),), schedule=const(0.01, 0.01, 0.01),
+                           bounds=box, rmsprop=RmsPropConfig(0.9, 1e-8)),
             EstimatorSetup("triplet_m", triplets=build_cyclic_triplets((1, 2, 3, 4)),
                            schedule=const(0.002, 0.002, 0.002)),
         ],
@@ -119,7 +120,7 @@ def _case_fitzhugh_nagumo():
         init=([1.0, 0.0, 0.0, 1.0], [2.0, 1.0, 0.5, 1.5]), record_every=4,
         setups=[
             EstimatorSetup("averaged", particles=(1,), schedule=sched),
-            EstimatorSetup("triplet", schedule=sched),
+            EstimatorSetup("triplet", triplets=((0, 1, 2),), schedule=sched),
             EstimatorSetup("averaged_m", particles=(0, 3, 5), schedule=sched),
             EstimatorSetup("triplet_m", triplets=build_cyclic_triplets((4,)), schedule=sched),
         ],
@@ -133,8 +134,8 @@ def _case_kuramoto_changepoint():
         truth=TruthSchedule("changepoint", [1.5], [0.2], switch_time=10.0),
         n=9, dt=0.1, seed=606, init=([2.0], [3.0]), record_every=10,
         setups=[
-            EstimatorSetup("averaged", schedule=const(gamma0=0.5)),
-            EstimatorSetup("triplet", schedule=const(gamma0=0.5),
+            EstimatorSetup("averaged", particles=(0,), schedule=const(gamma0=0.5)),
+            EstimatorSetup("triplet", triplets=((0, 1, 2),), schedule=const(gamma0=0.5),
                            bounds=Box(np.array([0.0]), np.array([5.0]))),
             EstimatorSetup("averaged_m", particles=(0, 4, 8), schedule=const(gamma0=0.5)),
             EstimatorSetup("triplet_m", triplets=build_cyclic_triplets((1, 2, 3)),
@@ -148,7 +149,7 @@ def _case_kuramoto_ramp():
     return dict(
         model=model, truth=TruthSchedule("ramp", [1.5], [0.2], horizon=15.0),
         n=4, dt=0.1, seed=707, init=([2.0], [3.0]), record_every=1,
-        setups=[EstimatorSetup("averaged", schedule=const(gamma0=0.5))],
+        setups=[EstimatorSetup("averaged", particles=(0,), schedule=const(gamma0=0.5))],
     )
 
 
@@ -160,8 +161,8 @@ def _case_cucker_smale():
         model=model, truth=TruthSchedule.constant([0.2, 1.0, 0.5]), n=6, dt=0.1, seed=808,
         init=([0.2, 2.0, 0.5], [0.2, 3.0, 0.5]), record_every=10,
         setups=[
-            EstimatorSetup("averaged", schedule=sched, free_mask=free),
-            EstimatorSetup("triplet", schedule=sched, free_mask=free),
+            EstimatorSetup("averaged", particles=(0,), schedule=sched, free_mask=free),
+            EstimatorSetup("triplet", triplets=((0, 1, 2),), schedule=sched, free_mask=free),
             EstimatorSetup("averaged_m", particles=(1, 4), schedule=sched),
             EstimatorSetup("triplet_m", triplets=build_cyclic_triplets((0, 1, 2, 5)),
                            schedule=sched, free_mask=free),
@@ -176,10 +177,11 @@ def _case_vol32_partial_blowup():
         model=model, truth=TruthSchedule.constant([2.7, 2.3, 1.0]), n=10, dt=0.045, seed=3,
         init=([1.0, 3.5, 0.0], [1.5, 4.0, 0.2]), record_every=10,
         setups=[
-            EstimatorSetup("averaged", schedule=sched),
-            EstimatorSetup("triplet", schedule=sched),
+            EstimatorSetup("averaged", particles=(0,), schedule=sched),
+            EstimatorSetup("triplet", triplets=((0, 1, 2),), schedule=sched),
             EstimatorSetup("averaged_m", particles=(0, 1, 2), schedule=sched),
-            EstimatorSetup("diffusion", schedule=const(gamma0=0.01), bounds=model.eta_bounds),
+            EstimatorSetup("diffusion", particles=(0,), schedule=const(gamma0=0.01),
+                           bounds=model.eta_bounds),
         ],
         expect=lambda res: _some_not_all(res.excluded, "blow-up"),
     )
@@ -316,8 +318,8 @@ def test_blowup_guard_edges():
     seeds = batch_seeds(9, len(targets))
     thetas, _ = draw_initial_thetas(seeds, [1.0, 0.1], [2.0, 0.3])
     # _DrivenLinear has no sigma: its identity weight is given here
-    setup = EstimatorSetup("averaged", schedule=const(1e-12, 1e-12), theta_init=thetas,
-                           weight=np.eye(1))
+    setup = EstimatorSetup("averaged", particles=(0,), schedule=const(1e-12, 1e-12),
+                           theta_init=thetas, weight=np.eye(1))
     res = run_batch(model, TruthSchedule.constant([1.0, 0.2]), 3, 0.1, 12, seeds, [setup],
                     record_every=1)
     np.testing.assert_array_equal(res.excluded, [False, True, True, False, True, True])

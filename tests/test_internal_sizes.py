@@ -2,13 +2,15 @@
 
 The noise buffer, the Cucker-Smale pair blocks and their worker count, the
 CSV writer's row blocks and its minimum number of blocks per forked worker,
-and the sha256 read chunks are sizes chosen for speed and memory only.
+the sweep's fork threshold and the sha256 read chunks are sizes chosen for
+speed and memory only.
 Each case below, a bundled config with a few fields replaced, is run
 through `estimate` twice, at the default
 sizes and with every one of them perturbed (so that every CSV of more than
 one block is split among forked workers), and the two output directories
-must match file for file, byte for byte.  Any change that lets one of
-these sizes reach the arithmetic or the formatting fails here.
+must match file for file, byte for byte.  Two sweeps are run the same way,
+inline and with their sizes shared among three processes.  Any change that
+lets one of these sizes reach the arithmetic or the formatting fails here.
 """
 
 import json
@@ -18,7 +20,7 @@ from io import StringIO
 
 import pytest
 
-from ipslearn import models, rng, runner
+from ipslearn import diagnostics, models, rng, runner, workers
 from ipslearn.cli import main as cli_main
 from ipslearn.config import _bundled_text
 
@@ -46,21 +48,31 @@ CASES = {
 }
 
 
-def _estimate(cfg_path, out):
+# sweep case -> (bundled config, fields replaced)
+SWEEPS = {
+    "linear_fig2_sweep": ("linear_fig2_sweep", {"n_steps": 30, "replicates": 4}),
+    # the workers split the CPUs, and with them the Cucker-Smale pool
+    "cucker_smale_theta3": ("cucker_smale_theta3", {
+        "n_steps": 30, "replicates": 3, "sweep": {"n_particles": [3, 5, N_CS]}}),
+}
+
+
+def _run(command, cfg_path, out):
     with redirect_stdout(StringIO()):
-        assert cli_main(["estimate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert cli_main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
     return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_outputs_do_not_depend_on_internal_sizes(tmp_path, monkeypatch, name):
-    bundled, fields = CASES[name]
+def _config(tmp_path, name, bundled, fields):
     cfg = json.loads(_bundled_text(bundled))
-    cfg.update(n_steps=120, replicates=2, record_every=1, dump_trajectory=True, **fields)
+    cfg.update(fields)
     cfg_path = tmp_path / f"{name}.json"
     cfg_path.write_text(json.dumps(cfg))
-    default = _estimate(cfg_path, tmp_path / "default")
+    return cfg_path
 
+
+def _perturb_sizes(monkeypatch):
+    """Perturb every internal size; returns the list that records each fork."""
     monkeypatch.setattr(rng, "NOISE_BUFFER_BYTES", 1)  # the smallest block, 16 steps
     # 3 workers, each with blocks of one row of the pair terms
     monkeypatch.setattr(models, "PAIR_BLOCK_BYTES", 8 * 3 * N_CS)
@@ -68,13 +80,48 @@ def test_outputs_do_not_depend_on_internal_sizes(tmp_path, monkeypatch, name):
     monkeypatch.setattr(runner, "CSV_BLOCK_ROWS", 7)
     monkeypatch.setattr(runner, "CSV_MIN_BLOCKS_PER_WORKER", 1)
     monkeypatch.setattr(runner, "SHA256_CHUNK_BYTES", 13)
+    monkeypatch.setattr(diagnostics, "SWEEP_MIN_FORK_STEPS", 0)
     forks = []
     real_fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-    perturbed = _estimate(cfg_path, tmp_path / "perturbed")
-    assert forks or not runner._FORK
+    return forks
 
+
+def _assert_same_files(name, default, perturbed):
     assert sorted(perturbed) == sorted(default)
-    assert len(default) > 5
     for path, data in default.items():
         assert perturbed[path] == data, f"{name}: {path} differs"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_outputs_do_not_depend_on_internal_sizes(tmp_path, monkeypatch, name):
+    bundled, fields = CASES[name]
+    cfg_path = _config(tmp_path, name, bundled, {
+        "n_steps": 120, "replicates": 2, "record_every": 1, "dump_trajectory": True, **fields})
+    default = _run("estimate", cfg_path, tmp_path / "default")
+
+    forks = _perturb_sizes(monkeypatch)
+    perturbed = _run("estimate", cfg_path, tmp_path / "perturbed")
+    assert forks or not runner._FORK
+
+    assert len(default) > 5
+    _assert_same_files(name, default, perturbed)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_does_not_depend_on_its_worker_processes(tmp_path, monkeypatch, name):
+    cfg_path = _config(tmp_path, name, *SWEEPS[name])
+    real_fork = os.fork
+    inline_forks = []
+    monkeypatch.setattr(os, "fork", lambda: inline_forks.append(1) or real_fork())
+    inline = _run("sweep", cfg_path, tmp_path / "inline")
+    assert inline_forks == []  # under the default threshold
+
+    forks = _perturb_sizes(monkeypatch)
+    split = _run("sweep", cfg_path, tmp_path / "split")
+    # two workers share the sizes with the parent, two more write blocks of sweep.csv
+    assert len(forks) == 4 or not workers.FORK
+
+    assert sorted(p.name for p in inline) == ["manifest.json", "sweep.csv",
+                                              "sweep.csv.meta.json"]
+    _assert_same_files(name, inline, split)
