@@ -11,6 +11,8 @@ the CSV writer's row shares (`runner`) and the sizes of a sweep
 - the parent reaps every child in a `finally`; when it leaves by an
   exception (an error, Ctrl-C), it kills the children still running first,
   so no worker outlives the call;
+- a child has only the thread that forked it; the Cucker-Smale pool
+  starts threads of its own there (`models` resets it at each fork);
 - the program forks on Linux only (FORK); elsewhere callers run inline.
 
 No output depends on the number of processes.
