@@ -71,8 +71,14 @@ def _config(tmp_path, name, bundled, fields):
     return cfg_path
 
 
+def _record_forks(monkeypatch):
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    return forks
+
+
 def _perturb_sizes(monkeypatch):
-    """Perturb every internal size; returns the list that records each fork."""
     monkeypatch.setattr(rng, "NOISE_BUFFER_BYTES", 1)  # the smallest block, 16 steps
     # 3 workers, each with blocks of one row of the pair terms
     monkeypatch.setattr(models, "PAIR_BLOCK_BYTES", 8 * 3 * N_CS)
@@ -81,10 +87,6 @@ def _perturb_sizes(monkeypatch):
     monkeypatch.setattr(runner, "CSV_MIN_BLOCKS_PER_WORKER", 1)
     monkeypatch.setattr(runner, "SHA256_CHUNK_BYTES", 13)
     monkeypatch.setattr(diagnostics, "SWEEP_MIN_FORK_STEPS", 0)
-    forks = []
-    real_fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-    return forks
 
 
 def _assert_same_files(name, default, perturbed):
@@ -100,7 +102,8 @@ def test_outputs_do_not_depend_on_internal_sizes(tmp_path, monkeypatch, name):
         "n_steps": 120, "replicates": 2, "record_every": 1, "dump_trajectory": True, **fields})
     default = _run("estimate", cfg_path, tmp_path / "default")
 
-    forks = _perturb_sizes(monkeypatch)
+    _perturb_sizes(monkeypatch)
+    forks = _record_forks(monkeypatch)
     perturbed = _run("estimate", cfg_path, tmp_path / "perturbed")
     assert forks or not runner._FORK
 
@@ -111,13 +114,11 @@ def test_outputs_do_not_depend_on_internal_sizes(tmp_path, monkeypatch, name):
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_sweep_does_not_depend_on_its_worker_processes(tmp_path, monkeypatch, name):
     cfg_path = _config(tmp_path, name, *SWEEPS[name])
-    real_fork = os.fork
-    inline_forks = []
-    monkeypatch.setattr(os, "fork", lambda: inline_forks.append(1) or real_fork())
+    forks = _record_forks(monkeypatch)
     inline = _run("sweep", cfg_path, tmp_path / "inline")
-    assert inline_forks == []  # under the default threshold
+    assert forks == []  # under the default threshold
 
-    forks = _perturb_sizes(monkeypatch)
+    _perturb_sizes(monkeypatch)
     split = _run("sweep", cfg_path, tmp_path / "split")
     # two workers share the sizes with the parent, two more write blocks of sweep.csv
     assert len(forks) == 4 or not workers.FORK
