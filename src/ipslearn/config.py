@@ -46,11 +46,16 @@ from .models import MODEL_ZOO, Box, InteractionModel, TruthSchedule, make_model,
 
 
 class ConfigError(ValueError):
-    """Validation failure; `field` names the offending entry."""
+    """Validation failure; `field` names the offending entry.  It survives
+    pickling, so a forked worker's ConfigError exits 2 as inline."""
 
     def __init__(self, field_name, message):
         self.field = field_name
+        self.message = message
         super().__init__(f"{field_name}: {message}")
+
+    def __reduce__(self):
+        return ConfigError, (self.field, self.message)
 
 
 def _path(ctx, key):

@@ -1,8 +1,9 @@
 """Forked worker processes: the one place the program forks.
 
-`run_forked` runs work in forked children next to the parent's own share;
-the CSV writer's row shares (`runner`) and the sizes of a sweep
-(`diagnostics`, through `map_claimed`) both go through it.  Its rules:
+`run_forked` runs work in forked children next to the parent's own share.
+Three kinds of work go through it: the CSV writer's row shares (`runner`),
+and, through `map_claimed`, the sizes of a sweep (`diagnostics`) and the
+replicate slices of a batch (`batch`).  Its rules:
 
 - each child's temporary file is made by the caller before the fork;
 - a child leaves by os._exit, so that no atexit hook runs and none of the
@@ -11,6 +12,8 @@ the CSV writer's row shares (`runner`) and the sizes of a sweep
 - the parent reaps every child in a `finally`; when it leaves by an
   exception (an error, Ctrl-C), it kills the children still running first,
   so no worker outlives the call;
+- a share whose fork fails (os.fork raises OSError: EAGAIN, ENOMEM) runs in
+  the parent, after its own, as do the shares after it;
 - a child has only the thread that forked it; the Cucker-Smale pool
   starts threads of its own there (`models` resets it at each fork);
 - the program forks on Linux only (FORK); elsewhere callers run inline.
@@ -40,19 +43,29 @@ def run_forked(files, child, parent):
     file, all at the same time.  Returns the exit code of each child, in
     order: 0 when child returned (and its file was flushed), 1 when it
     raised (its traceback goes to stderr), -s when it was killed by signal s.
+
+    When a fork fails, that share and every later one run here, in order,
+    after parent(): each returns 0 with its file flushed, or raises as
+    inline.
     """
     pids, ok = [], False
     try:
         for k, fh in enumerate(files):
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the shares left run here
+                break
             if pid == 0:
                 _run_child_and_exit(child, k, fh)
             pids.append(pid)
         parent()
+        for k in range(len(pids), len(files)):
+            child(k, files[k])
+            files[k].flush()
         ok = True
     finally:
         codes = _reap(pids, stop=not ok)
-    return codes
+    return codes + [0] * (len(files) - len(pids))
 
 
 def _run_child_and_exit(child, k, fh):
@@ -99,11 +112,12 @@ def map_claimed(fn, items, order, name, fork):
     holds every index before the fork.  The CPUs (`models._WORKERS`) are
     split among the processes, so that each one's Cucker-Smale pool gets its
     share, at least 1.  A child sends back each result pickled, through a
-    temporary file.  Where items fail, the error raised is that of the first
-    failing item in `items` order, as inline: an item's own exception, or a
-    RuntimeError naming (by `name`) the items of a worker that died.  The
-    pipe takes at most PIPE_BUF bytes at once, so more than PIPE_BUF / 4
-    items run inline.
+    temporary file.  Where a fork fails, the processes already running
+    claim the items that child would have.  Where items fail, the error
+    raised is that of the first failing item in `items` order, as inline:
+    an item's own exception, or a RuntimeError naming (by `name`) the items
+    of a worker that died.  The pipe takes at most PIPE_BUF bytes at once,
+    so more than PIPE_BUF / 4 items run inline.
     """
     cpus = models._WORKERS
     procs = min(cpus, len(items))
@@ -116,17 +130,14 @@ def map_claimed(fn, items, order, name, fork):
         while len(record := os.read(read_fd, _CLAIM.size)) == _CLAIM.size:
             yield _CLAIM.unpack(record)[0]
 
-    def child(k, tmp):
+    def child(k, tmp):  # where its fork failed, run here once no claim is left
         for i in claims(k + 1):
             pickle.dump(i, tmp)  # names the item if this process dies on it
             tmp.flush()
             pickle.dump(_outcome(fn, items[i], portable=True), tmp)
 
     def parent():
-        try:
-            outcomes.update((i, _outcome(fn, items[i], portable=False)) for i in claims(0))
-        finally:
-            models._WORKERS = cpus
+        outcomes.update((i, _outcome(fn, items[i], portable=False)) for i in claims(0))
 
     with contextlib.ExitStack() as stack:
         read_fd, write_fd = os.pipe()
@@ -134,7 +145,10 @@ def map_claimed(fn, items, order, name, fork):
         with open(write_fd, "wb") as pipe:  # closed: the last claim finds it empty
             pipe.write(b"".join(_CLAIM.pack(i) for i in order))
         tmps = [stack.enter_context(tempfile.TemporaryFile()) for _ in range(procs - 1)]
-        codes = run_forked(tmps, child, parent)
+        try:
+            codes = run_forked(tmps, child, parent)
+        finally:
+            models._WORKERS = cpus
         claimed = [_read_back(tmp, outcomes) for tmp in tmps]
     failed = [k for k, code in enumerate(codes) if code]
     for i in range(len(items)):

@@ -1,6 +1,7 @@
-"""Shared helpers: finite-difference oracles, random probe generators and
-the environment of a child Python."""
+"""Shared helpers: finite-difference oracles, random probe generators, the
+environment of a child Python and a fork that fails."""
 
+import errno
 import os
 from pathlib import Path
 
@@ -73,3 +74,19 @@ def start_at(monkeypatch):
                             lambda self: np.full((len(self.streams), self.d), float(value)))
 
     return start
+
+
+def fail_forks_after(monkeypatch, forkable):
+    """Make os.fork fail with EAGAIN from its (forkable + 1)-th call on, as
+    when no process is left to spare, without starting real processes to
+    reach the limit.  Returns the list that records each call."""
+    calls, real_fork = [], os.fork
+
+    def fork():
+        calls.append(1)
+        if len(calls) > forkable:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls

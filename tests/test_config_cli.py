@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import operator
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -79,6 +80,14 @@ def test_unknown_key_rejected():
     with pytest.raises(ConfigError) as e:
         parse_config(tiny_config(extra_knob=1))
     assert "extra_knob" in str(e.value)
+
+
+def test_a_config_error_survives_pickling():
+    # a forked worker sends its errors back pickled
+    err = pickle.loads(pickle.dumps(ConfigError("sweep.n_particles", "needs a size")))
+    assert type(err) is ConfigError
+    assert (err.field, err.message, str(err)) == (
+        "sweep.n_particles", "needs a size", "sweep.n_particles: needs a size")
 
 
 def test_nested_unknown_key_rejected():

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import child_env
+from conftest import child_env, fail_forks_after
 from ipslearn import runner
 from ipslearn.runner import CSV_BLOCK_ROWS, write_csv
 
@@ -259,6 +259,19 @@ def test_an_error_in_the_parents_share_reaps_every_worker(forks, monkeypatch, tm
     assert len(forks) == 2
     assert_no_child_left()
     assert os.listdir(tmp_path) == ["a.csv"]
+
+
+@pytest.mark.parametrize("forkable", [0, 1])
+def test_a_share_whose_fork_fails_is_written_by_the_parent(forkable, monkeypatch, tmp_path):
+    # from the (forkable + 1)-th fork on, the parent writes the shares
+    # after its own
+    monkeypatch.setattr(runner, "CSV_BLOCK_ROWS", 7)
+    monkeypatch.setattr(runner, "CSV_MIN_BLOCKS_PER_WORKER", 1)
+    monkeypatch.setattr(runner.models, "_WORKERS", 3)
+    calls = fail_forks_after(monkeypatch, forkable)
+    assert_same_bytes(tmp_path, split_columns(38))
+    assert len(calls) == forkable + 1
+    assert_no_child_left()
 
 
 def test_a_worker_runs_no_exit_hook_and_flushes_no_inherited_buffer(tmp_path):

@@ -2,13 +2,14 @@
 
 The noise buffer, the Cucker-Smale pair blocks and their worker count, the
 CSV writer's row blocks and its minimum number of blocks per forked worker,
-the sweep's fork threshold and the sha256 read chunks are sizes chosen for
-speed and memory only.
+the sweep's and the batch's fork thresholds and the sha256 read chunks are
+sizes chosen for speed and memory only.
 Each case below, a bundled config with a few fields replaced, is run
 through `estimate` twice, at the default
-sizes and with every one of them perturbed (so that every CSV of more than
-one block is split among forked workers), and the two output directories
-must match file for file, byte for byte.  Two sweeps are run the same way,
+sizes and with every one of them perturbed (so that the batch's three
+replicates are split among three processes and every CSV of more than one
+block among forked workers), and the two output directories must match
+file for file, byte for byte.  Two sweeps are run the same way,
 inline and with their sizes shared among three processes.  Any change that
 lets one of these sizes reach the arithmetic or the formatting fails here.
 """
@@ -20,7 +21,7 @@ from io import StringIO
 
 import pytest
 
-from ipslearn import diagnostics, models, rng, runner, workers
+from ipslearn import batch, diagnostics, models, rng, runner, workers
 from ipslearn.cli import main as cli_main
 from ipslearn.config import _bundled_text
 
@@ -78,6 +79,20 @@ def _record_forks(monkeypatch):
     return forks
 
 
+def _record_batch_forks(monkeypatch, forks):
+    """The number of forks made in each of the run's batches."""
+    per_batch, real_run_batch = [], runner.run_batch
+
+    def run_batch(*args, **kwargs):
+        before = len(forks)
+        result = real_run_batch(*args, **kwargs)
+        per_batch.append(len(forks) - before)
+        return result
+
+    monkeypatch.setattr(runner, "run_batch", run_batch)
+    return per_batch
+
+
 def _perturb_sizes(monkeypatch):
     monkeypatch.setattr(rng, "NOISE_BUFFER_BYTES", 1)  # the smallest block, 16 steps
     # 3 workers, each with blocks of one row of the pair terms
@@ -87,6 +102,7 @@ def _perturb_sizes(monkeypatch):
     monkeypatch.setattr(runner, "CSV_MIN_BLOCKS_PER_WORKER", 1)
     monkeypatch.setattr(runner, "SHA256_CHUNK_BYTES", 13)
     monkeypatch.setattr(diagnostics, "SWEEP_MIN_FORK_STEPS", 0)
+    monkeypatch.setattr(batch, "BATCH_MIN_FORK_PARTICLE_STEPS", 0)
 
 
 def _assert_same_files(name, default, perturbed):
@@ -99,13 +115,15 @@ def _assert_same_files(name, default, perturbed):
 def test_outputs_do_not_depend_on_internal_sizes(tmp_path, monkeypatch, name):
     bundled, fields = CASES[name]
     cfg_path = _config(tmp_path, name, bundled, {
-        "n_steps": 120, "replicates": 2, "record_every": 1, "dump_trajectory": True, **fields})
+        "n_steps": 120, "replicates": 3, "record_every": 1, "dump_trajectory": True, **fields})
     default = _run("estimate", cfg_path, tmp_path / "default")
 
     _perturb_sizes(monkeypatch)
     forks = _record_forks(monkeypatch)
+    batch_forks = _record_batch_forks(monkeypatch, forks)
     perturbed = _run("estimate", cfg_path, tmp_path / "perturbed")
-    assert forks or not runner._FORK
+    assert batch_forks == [2] or not workers.FORK  # the parent runs the third slice
+    assert len(forks) > 2 or not workers.FORK  # and CSVs are split
 
     assert len(default) > 5
     _assert_same_files(name, default, perturbed)

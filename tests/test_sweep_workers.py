@@ -3,9 +3,11 @@
 `diagnostics.l2_error_sweep` shares its sizes among the parent and forked
 workers (`workers.map_claimed`) above a number of batch steps.  A size that
 fails in a worker must reach the CLI with the exit code and JSON line of
-the inline run; where several fail, the first in `n_list` is reported; a
-worker killed by a signal is named with its sizes; and no worker outlives
-the call, whatever happens in the parent.  Small sweeps stay inline.
+the inline run (a `ConfigError` too); where several fail, the first in
+`n_list` is reported; a worker killed by a signal is named with its sizes;
+a worker that cannot be forked leaves its sizes to the processes
+already running; and no worker outlives the call, whatever happens in the parent.
+Small sweeps stay inline.
 
 The `forks` fixture lets the parent sleep after each fork, so that the
 first worker claims the largest size (claimed first) before the parent
@@ -20,9 +22,10 @@ import time
 import numpy as np
 import pytest
 
+from conftest import fail_forks_after
 from ipslearn import diagnostics, models, workers
 from ipslearn.cli import main as cli_main
-from ipslearn.config import _bundled_text, parse_config
+from ipslearn.config import ConfigError, _bundled_text, parse_config
 
 pytestmark = pytest.mark.skipif(not workers.FORK, reason="the sweep forks on Linux only")
 
@@ -115,6 +118,41 @@ def test_a_size_diverging_in_a_worker_fails_as_inline(tmp_path, capsys, monkeypa
     assert json.loads(inline[1]) == {
         "error": "runtime", "message": "estimator 'averaged' diverged at N=6: replicate 1 "
         "has a non-finite squared error against the truth"}
+    assert_no_child_left()
+
+
+def test_a_config_error_in_a_worker_exits_2_as_inline(tmp_path, capsys, monkeypatch, forks,
+                                                      batches):
+    def reject(n, in_worker, result):
+        if n == 6:
+            raise ConfigError("sweep.n_particles", f"N={n} is rejected")
+
+    cfg_path = sweep_config(tmp_path, [3, 4, 6])
+    batches(reject)
+    inline = cli_sweep(cfg_path, tmp_path / "inline", capsys)
+    forked = forked_sweep(cfg_path, tmp_path / "forked", capsys, monkeypatch)
+    assert len(forks) == 2
+    assert (tmp_path / "ran_N6").read_text() == "worker"
+    assert forked == inline
+    assert inline[0] == 2
+    assert json.loads(inline[1]) == {"error": "validation",
+                                     "message": "sweep.n_particles: N=6 is rejected"}
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("forkable", [0, 1])
+def test_a_worker_that_cannot_be_forked_leaves_its_sizes_to_the_others(tmp_path, capsys,
+                                                                       monkeypatch, forkable):
+    monkeypatch.setattr(models, "_WORKERS", 3)
+    cfg_path = sweep_config(tmp_path, [3, 4, 6])
+    assert cli_sweep(cfg_path, tmp_path / "inline", capsys)[0] == 0
+    calls = fail_forks_after(monkeypatch, forkable)
+    assert forked_sweep(cfg_path, tmp_path / "forked", capsys, monkeypatch)[0] == 0
+    assert len(calls) == forkable + 1
+    inline, forked = ({p.name: p.read_bytes() for p in (tmp_path / d).iterdir()}
+                      for d in ("inline", "forked"))
+    assert forked == inline
+    assert models._WORKERS == 3
     assert_no_child_left()
 
 
