@@ -46,6 +46,14 @@ ESTIMATOR_KINDS = tuple(RULES)
 BATCH_MIN_FORK_PARTICLE_STEPS = 10**6
 
 
+def n_slices(replicates, n_particles, n_steps):
+    """The number of replicate slices a batch of this size is cut into: one
+    per CPU above BATCH_MIN_FORK_PARTICLE_STEPS, else 1."""
+    if replicates * n_particles * n_steps > BATCH_MIN_FORK_PARTICLE_STEPS:
+        return min(models._WORKERS, replicates)
+    return 1
+
+
 @dataclass
 class EstimatorSetup:
     """One online estimator as `config` resolves it, complete: its update
@@ -184,17 +192,15 @@ def run_batch(
 ) -> BatchResult:
     """Simulate one replicate per seed with the estimators observing every step.
 
-    Above BATCH_MIN_FORK_PARTICLE_STEPS the seeds are cut into one
-    contiguous slice per CPU, and the slices run in this process and forked
-    workers (`workers.map_claimed`); otherwise the batch is one slice, run
+    The seeds are cut into `n_slices` contiguous slices, which run in this
+    process and forked workers (`workers.map_claimed`); one slice runs
     here.  The slices' arrays are joined along R in seed order.
     """
     seeds = tuple(int(s) for s in seeds)
     setups = list(estimator_setups)
     R = len(seeds)
     tail_start = n_steps - max(1, int(round(tail_fraction * n_steps)))
-    split = R * n_particles * n_steps > BATCH_MIN_FORK_PARTICLE_STEPS
-    k = min(models._WORKERS, R) if split else 1
+    k = n_slices(R, n_particles, n_steps)
     cuts = [-(-R * j // k) for j in range(k + 1)]  # 3 replicates on 2 CPUs: 2 + 1
 
     def run_slice(cut):

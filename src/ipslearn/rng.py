@@ -63,24 +63,27 @@ def particle_streams(seed: int, n_particles: int) -> list[RngStream]:
 
 
 class BlockedNoise:
-    """Per-step (S, d) Gaussian increments from S streams, drawn in blocks.
+    """Per-step (S, d) Gaussian increments from S streams, for `n_steps`
+    steps, drawn in blocks.
 
     Drawing a block of steps per stream amortises generator-call overhead;
     the per-stream value sequence is identical to drawing one step at a time,
     whatever the block length.  The buffer is laid out (block, S, d), so a
     step is one contiguous slice.  A block is NOISE_BLOCK_STEPS (512) steps,
     and the buffer holds at most NOISE_BUFFER_BYTES (4 MiB): the block
-    shrinks to fit, but never below 16 steps.
+    shrinks to fit, but never below 16 steps.  No refill draws past the
+    last step, and a step past it raises.
     """
 
-    def __init__(self, streams: list[RngStream], d: int, dt: float):
+    def __init__(self, streams: list[RngStream], d: int, dt: float, n_steps: int):
         self.streams = streams
         self.d = d
         self.sqrt_dt = math.sqrt(dt)
         self.block = min(NOISE_BLOCK_STEPS,
                          max(16, NOISE_BUFFER_BYTES // (8 * len(streams) * d)))
-        self._buf = np.empty((self.block, len(streams), d))
-        self._pos = self.block  # force a refill on first use
+        self._buf = np.empty((min(self.block, n_steps), len(streams), d))
+        self._left = n_steps  # steps not drawn yet
+        self._pos = self._end = 0  # the next step and the end of the drawn ones in _buf
 
     def initial_positions(self) -> np.ndarray:
         """Draw (S, d) standard normals, one d-vector per stream.
@@ -94,11 +97,16 @@ class BlockedNoise:
         return out
 
     def next_step(self) -> np.ndarray:
-        if self._pos == self.block:
+        if self._pos == self._end:
+            rows = min(len(self._buf), self._left)
+            if rows == 0:
+                raise RuntimeError("every step of this noise has been drawn")
+            buf = self._buf[:rows]
             for k, s in enumerate(self.streams):
-                self._buf[:, k] = s.standard_normals((self.block, self.d))
-            self._buf *= self.sqrt_dt
-            self._pos = 0
+                buf[:, k] = s.standard_normals((rows, self.d))
+            buf *= self.sqrt_dt
+            self._left -= rows
+            self._pos, self._end = 0, rows
         out = self._buf[self._pos].copy()
         self._pos += 1
         return out

@@ -9,9 +9,10 @@ Every CSV gets a JSON metadata sidecar sufficient to re-run it exactly
 (config hash, seed ladder, generator name, code version); a successful run
 ends with a manifest listing each artifact with its content hash.  Outputs
 contain no timestamps or absolute paths, so rerunning a config reproduces
-byte-identical files.  A large CSV's rows and a sweep's sizes are shared
-among forked worker processes (`workers`); no byte depends on the split,
-and no artifact records the number of processes.
+byte-identical files.  A large CSV's rows, a sweep's sizes and the units
+of an `estimate` or `simulate` run (its batch and the dump of each
+replicate) are shared among forked worker processes (`workers`); no byte
+depends on the split, and no artifact records the number of processes.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, models, workers
-from .batch import batch_seeds, run_batch
+from .batch import batch_seeds, n_slices, run_batch
 from .config import ConfigError, ExperimentConfig
 from .diagnostics import (CLT_MIN_REPLICATES, clt_rescaled_moments, coupling_distance,
                           l2_error_sweep, squared_errors)
@@ -54,18 +55,20 @@ def _format_column(col):
     string column.
 
     Each distinct value is formatted once and the texts are mapped back to
-    the rows.  Floats are told apart by their bit pattern, so -0.0 and 0.0
-    keep their own texts.
+    the rows; a column with no repeated value is formatted in row order.
+    Floats are told apart by their bit pattern, so -0.0 and 0.0 keep their
+    own texts.
     """
     kind = col.dtype.kind
     keys = col.view(f"i{col.itemsize}") if kind == "f" else col
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    distinct = col[first].tolist()
+    repeats = len(first) < len(col)
+    distinct = (col[first] if repeats else col).tolist()
     if kind == "b":
         texts = ["1" if v else "0" for v in distinct]
     else:
         texts = list(map(repr if kind == "f" else str, distinct))
-    return [texts[k] for k in inverse.tolist()]
+    return [texts[k] for k in inverse.tolist()] if repeats else texts
 
 
 def write_csv(path: Path, header, columns):
@@ -169,36 +172,74 @@ def base_metadata(config: ExperimentConfig) -> dict:
 
 
 def run_experiment(config: ExperimentConfig, out_dir, trajectory_only: bool = False) -> dict:
-    """Execute a config end to end and return the output manifest."""
+    """Execute a config end to end and return the output manifest.
+
+    Its independent units of work are the batch, with its estimates and
+    summary CSVs (unit None; `estimate` only), and, for a trajectory dump,
+    the re-simulation and CSV of each replicate r.  When one replicate's
+    dump has enough rows for the CSV writer to split it, the units are
+    shared among this process and forked workers (`workers.map_claimed`);
+    a batch that cuts itself into replicate slices (`batch.n_slices`) first
+    runs alone, on every CPU.  Where units fail, the first in that order
+    raises, so a batch error comes before any dump error, as inline.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seeds = batch_seeds(config.base_seed, config.replicates)
     meta = base_metadata(config)
+    dumped = list(range(config.replicates)) if trajectory_only or config.dump_trajectory else []
+
+    def run_unit(r):
+        if r is None:
+            return _write_batch(config, seeds, out, meta)
+        return _write_trajectory(config, seeds[r], out / f"trajectory_r{r:03d}.csv",
+                                 {**meta, "replicate": r, "seed": seeds[r],
+                                  "record_every": config.record_every})
+
     artifacts = []
-
-    if not trajectory_only:
-        result = run_batch(
-            config.model,
-            config.truth,
-            config.n_particles,
-            config.dt,
-            config.n_steps,
-            seeds,
-            config.estimators,
-            record_every=config.record_every,
-            tail_fraction=config.tail_fraction,
-        )
-        if np.all(result.excluded):
-            raise RuntimeError("every replicate blew up; nothing to report")
-        errors = [squared_errors(track, config.n_steps, config.dt, ~result.excluded)
-                  for track in result.tracks]
-        artifacts += _write_estimates(config, result, out, meta)
-        artifacts += _write_summary(config, result, errors, out, meta)
-
-    if trajectory_only or config.dump_trajectory:
-        artifacts += _write_trajectories(config, seeds, out, meta)
-
+    batch_unit = [] if trajectory_only else [None]
+    if batch_unit and n_slices(config.replicates, config.n_particles, config.n_steps) > 1:
+        artifacts += run_unit(None)  # on every CPU already
+        batch_unit = []
+    units = batch_unit + dumped
+    # the CSV writer's own rule: a dump large enough to give a worker
+    # CSV_MIN_BLOCKS_PER_WORKER blocks
+    rows = len(range(0, config.n_steps, config.record_every)) * config.n_particles * config.model.d
+    large = rows >= CSV_MIN_BLOCKS_PER_WORKER * CSV_BLOCK_ROWS
+    done = workers.map_claimed(run_unit, units, range(len(units)),
+                               lambda r: "the batch" if r is None else f"replicate {r}",
+                               fork=bool(dumped) and large)
+    if batch_unit:
+        artifacts += done.pop(0)
+    for written, _ in done:
+        artifacts += written
+    # a replicate that blows up is dumped up to its blow-up; the run fails
+    # only if every one does
+    if dumped and all(blew_up for _, blew_up in done):
+        raise RuntimeError("every replicate blew up; nothing to report")
     return _finish_manifest(config, out, artifacts)
+
+
+def _write_batch(config, seeds, out, meta):
+    """Run the batch and write its estimates and summary CSVs; returns
+    their paths."""
+    result = run_batch(
+        config.model,
+        config.truth,
+        config.n_particles,
+        config.dt,
+        config.n_steps,
+        seeds,
+        config.estimators,
+        record_every=config.record_every,
+        tail_fraction=config.tail_fraction,
+    )
+    if np.all(result.excluded):
+        raise RuntimeError("every replicate blew up; nothing to report")
+    errors = [squared_errors(track, config.n_steps, config.dt, ~result.excluded)
+              for track in result.tracks]
+    return (_write_estimates(config, result, out, meta)
+            + _write_summary(config, result, errors, out, meta))
 
 
 def _write_estimates(config, result, out, meta):
@@ -248,27 +289,6 @@ def _write_summary(config, result, errors, out, meta):
         columns,
         {**meta, "tail_fraction": config.tail_fraction, "replicates": config.replicates},
     )
-
-
-def _write_trajectories(config, seeds, out, meta):
-    """One trajectory CSV per replicate, each re-simulated from its seed.
-
-    A replicate that blows up is written up to its last recorded step
-    before the blow-up, and its sidecar holds `blowup_step`; the run fails
-    only if every replicate blows up.
-    """
-    paths = []
-    blown = 0
-    for r, seed in enumerate(seeds):
-        written, blew_up = _write_trajectory(
-            config, seed, out / f"trajectory_r{r:03d}.csv",
-            {**meta, "replicate": r, "seed": seed, "record_every": config.record_every},
-        )
-        paths += written
-        blown += blew_up
-    if blown == len(seeds):
-        raise RuntimeError("every replicate blew up; nothing to report")
-    return paths
 
 
 def _write_trajectory(config, seed, path, meta):

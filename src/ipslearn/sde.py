@@ -71,7 +71,7 @@ def simulate(
     the observers, once every replicate is excluded.
     """
     R, N, d = len(seeds), n_particles, model.d
-    noise = BlockedNoise([st for s in seeds for st in particle_streams(s, N)], d, dt)
+    noise = BlockedNoise([st for s in seeds for st in particle_streams(s, N)], d, dt, n_steps)
     positions = noise.initial_positions().reshape(R, N, d)
 
     active = np.ones(R, dtype=bool)

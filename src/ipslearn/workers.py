@@ -1,9 +1,11 @@
 """Forked worker processes: the one place the program forks.
 
 `run_forked` runs work in forked children next to the parent's own share.
-Three kinds of work go through it: the CSV writer's row shares (`runner`),
-and, through `map_claimed`, the sizes of a sweep (`diagnostics`) and the
-replicate slices of a batch (`batch`).  Its rules:
+Four kinds of work go through it: the CSV writer's row shares (`runner`),
+and, through `map_claimed`, the sizes of a sweep (`diagnostics`), the
+replicate slices of a batch (`batch`) and the units of an `estimate` or
+`simulate` run, its batch beside its trajectory dumps (`runner`).  Its
+rules:
 
 - each child's temporary file is made by the caller before the fork;
 - a child leaves by os._exit, so that no atexit hook runs and none of the

@@ -34,7 +34,8 @@ def replayed_information(config, phi, start_time=0.0):
     model = config.model
     seeds = batch_seeds(config.base_seed, config.replicates)
     R, N, d = len(seeds), config.n_particles, model.d
-    noise = BlockedNoise([RngStream(s, i) for s in seeds for i in range(N)], d, config.dt)
+    noise = BlockedNoise([RngStream(s, i) for s in seeds for i in range(N)], d, config.dt,
+                         config.n_steps)
     positions = noise.initial_positions().reshape(R, N, d)
     info = np.zeros(R)
     for step in range(config.n_steps):

@@ -450,13 +450,24 @@ def test_truth_pinned_averaged_update_is_centred():
     assert np.all(np.abs(z) <= 3.0)
 
 
+class FirstThreeParticles:
+    """Observer keeping the step-start positions of particles 0-2 of every
+    replicate, (n_steps, R, 3, d)."""
+
+    def __init__(self, n_steps, replicates, d):
+        self.positions = np.empty((n_steps, replicates, 3, d))
+
+    def on_step(self, step, t, positions, dx, stat, keep):
+        self.positions[step] = positions[:, :3]
+
+
 def test_triplet_finite_n_bias_shrinks_with_n():
     # pin theta at the truth and time-average the raw triplet gradient: its
     # mean is the finite-N gap between the pair and mean-field drifts, and
     # the confinement component shrinks roughly like 1/(N-1)
     from ipslearn.estimators import triplet_gradient
     from ipslearn.models import weight_matrix
-    from ipslearn.sde import PositionHistory, run_trajectory
+    from ipslearn.sde import simulate
 
     m = make_model("linear")
     theta0 = np.array([1.0, 0.2])
@@ -465,11 +476,12 @@ def test_triplet_finite_n_bias_shrinks_with_n():
     drifts = {}
     for n in (3, 50):
         sums, count = np.zeros(2), 0
-        for s in batch_seeds(13, 3):
-            steps = 100000
-            hist = PositionHistory(steps, n, 1)
-            run_trajectory(m, truth, n, 0.1, steps, seed=s, observers=[hist])
-            P = hist.positions
+        steps, seeds = 100000, batch_seeds(13, 3)
+        # each replicate's path is that of its own run (sde's determinism)
+        obs = FirstThreeParticles(steps, len(seeds), 1)
+        simulate(m, truth, n, 0.1, steps, seeds, observers=[obs])
+        for r in range(len(seeds)):
+            P = obs.positions[:, r]
             dX = P[1:] - P[:-1]
             D = triplet_gradient(
                 m, theta0, P[:-1, 0], P[:-1, 1], P[:-1, 2], dX[:, 0], 0.1, W

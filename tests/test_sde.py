@@ -15,8 +15,8 @@ from ipslearn.sde import (
 )
 
 
-def _noise(seed, n, d, dt=0.1):
-    return BlockedNoise(particle_streams(seed, n), d, dt)
+def _noise(seed, n, d, n_steps, dt=0.1):
+    return BlockedNoise(particle_streams(seed, n), d, dt, n_steps)
 
 
 class Steps:
@@ -48,7 +48,7 @@ def test_kuramoto_equal_phases_pure_noise():
     # sin(0) = 0: with all phases equal the drift cancels exactly and the
     # increment is sigma*dW bitwise
     m = make_model("kuramoto", sigma=1.3)
-    dw = _noise(3, 6, 1).next_step()
+    dw = _noise(3, 6, 1, 1).next_step()
     _, dx = step_positions(m, np.array([1.5]), np.full((6, 1), 0.42), dw, 0.1)
     assert np.array_equal(dx, 1.3 * dw)
 
@@ -62,7 +62,7 @@ def test_increment_reconstruction_bitwise(zoo_model):
     obs = Steps()
     final = run_trajectory(zoo_model, TruthSchedule.constant(theta), 5, 0.1, 4, seed=8,
                            observers=[obs])
-    noise = _noise(8, 5, zoo_model.d)
+    noise = _noise(8, 5, zoo_model.d, 4)
     noise.initial_positions()
     ends = [positions for _, _, positions, _, _ in obs.seen[1:]] + [final[None]]
     for (_, _, positions, dx, _), end in zip(obs.seen, ends):
@@ -165,7 +165,7 @@ def test_exchangeability_under_stream_permutation():
     theta = np.array([1.5])
 
     def run(order):
-        noise = BlockedNoise([particle_streams(6, 4)[i] for i in order], 1, 0.1)
+        noise = BlockedNoise([particle_streams(6, 4)[i] for i in order], 1, 0.1, 200)
         pos = noise.initial_positions()
         for _ in range(200):
             pos, _ = step_positions(m, theta, pos, noise.next_step(), 0.1)
