@@ -118,8 +118,8 @@ def map_claimed(fn, items, order, name, fork):
     claim the items that child would have.  Where items fail, the error
     raised is that of the first failing item in `items` order, as inline:
     an item's own exception, or a RuntimeError naming (by `name`) the items
-    of a worker that died.  The pipe takes at most PIPE_BUF bytes at once,
-    so more than PIPE_BUF / 4 items run inline.
+    a worker that died did not finish.  The pipe takes at most PIPE_BUF
+    bytes at once, so more than PIPE_BUF / 4 items run inline.
     """
     cpus = models._WORKERS
     procs = min(cpus, len(items))
@@ -156,7 +156,8 @@ def map_claimed(fn, items, order, name, fork):
     for i in range(len(items)):
         if i not in outcomes:  # its worker died
             k = next((k for k in failed if i in claimed[k]), failed[0])
-            raise _died(codes[k], [name(items[j]) for j in claimed[k] or [i]])
+            unfinished = [j for j in claimed[k] if j not in outcomes] or [i]
+            raise _died(codes[k], [name(items[j]) for j in unfinished])
         ok, value = outcomes[i]
         if not ok:
             raise value

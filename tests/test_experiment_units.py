@@ -11,6 +11,7 @@ are lowered here so that small runs fork.
 
 import json
 import os
+import re
 import signal
 import time
 from contextlib import redirect_stdout
@@ -134,9 +135,11 @@ def test_a_forked_run_where_every_replicate_blows_up_fails(tmp_path, capsys, mon
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
 def test_a_dump_whose_worker_is_killed_exits_1_naming_its_replicate(tmp_path, capsys,
-                                                                   monkeypatch):
-    # the parent sleeps after the fork, so the worker claims replicate 0
+                                                                   monkeypatch, command):
+    # the parent sleeps after the fork, so the worker claims the first unit:
+    # in `estimate` the batch, which it finishes, then a dump
     parent, real_run_trajectory = os.getpid(), runner.run_trajectory
 
     def run_trajectory(*args, **kwargs):
@@ -146,12 +149,13 @@ def test_a_dump_whose_worker_is_killed_exits_1_naming_its_replicate(tmp_path, ca
 
     forks = lower_the_thresholds(monkeypatch, 2, PARENT_HEAD_START_S)
     monkeypatch.setattr(runner, "run_trajectory", run_trajectory)
-    code = cli_main(["simulate", "--config", fhn_config(tmp_path, replicates=2),
+    code = cli_main([command, "--config", fhn_config(tmp_path, replicates=2),
                      "--out", str(tmp_path / "o")])
     assert len(forks) == 1
-    assert (code, json.loads(capsys.readouterr().err)) == (1, {
-        "error": "runtime",
-        "message": f"the worker process running replicate 0 was killed by signal "
-                   f"{signal.SIGKILL}"})
+    err = json.loads(capsys.readouterr().err)
+    assert (code, err["error"]) == (1, "runtime")
+    # only the unit it was running, not the batch it finished
+    assert re.fullmatch(f"the worker process running replicate [01] was killed by signal "
+                        f"{signal.SIGKILL}", err["message"]), err["message"]
     assert not (tmp_path / "o" / "manifest.json").exists()
     assert_no_child_left()
